@@ -24,8 +24,6 @@ from .optimize import (
     FitResult,
     RowOrder,
     SolverOptions,
-    grid_minimize_separable_quadratic,
-    grid_oracle_ure,
     isotonic_box_projection,
     minimize_aure,
     minimize_ure,

@@ -20,6 +20,7 @@ from .optimize import (
     FitResult,
     RowOrder,
     SolverOptions,
+    _coordinate_descent,
     check_feasible_location,
     check_feasible_weights,
     isotonic_box_projection,
@@ -159,8 +160,9 @@ def minimize_true_loss(
 ) -> FitResult:
     """Feasible ``(b, mu)`` minimizing the realized loss against known means.
 
-    Same coordinate-descent scheme as the risk-estimate fit, applied to the
-    loss itself: the weight step projects the per-row stationary points
+    The risk-estimate fit's coordinate-descent loop, from its three
+    constant-weight starts, applied to the loss itself: the weight step
+    projects the per-row stationary points
     ``sum_j (Y_ij - theta_ij)(Y_ij - mu_j) / A_i(mu)`` and the target step
     uses the clipped closed form.  Benchmark-side only.
     """
@@ -193,32 +195,5 @@ def minimize_true_loss(
     def loss_at(b: np.ndarray, mu: np.ndarray) -> float:
         return squared_error_loss(_combine(data, b, mu), theta)
 
-    best = None
-    for start in (0.5, 0.0, 1.0):
-        b = np.full(data.n, start)
-        mu = mu0.copy()
-        obj = loss_at(b, mu)
-        converged = False
-        iterations = 0
-        for iterations in range(1, opts.max_outer_iterations + 1):
-            candidate = b_step(mu)
-            if loss_at(candidate, mu) <= obj:
-                b = candidate
-            mu = mu_step(b)
-            new_obj = loss_at(b, mu)
-            if obj - new_obj < opts.tolerance:
-                obj = new_obj
-                converged = True
-                break
-            obj = new_obj
-        if best is None or obj < best[2]:
-            best = (b, mu, obj, iterations, converged)
-    b, mu, obj, iterations, converged = best
-    return FitResult(
-        b=b,
-        mu=mu,
-        objective=obj,
-        iterations=iterations,
-        converged=converged,
-        target_kind="location",
-    )
+    starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
+    return _coordinate_descent(starts, b_step, mu_step, loss_at, opts)

@@ -227,9 +227,6 @@ class DataMatrix:
         """Largest absolute observation; box bound for shrinkage targets."""
         return float(np.abs(self.y).max())
 
-    def row_tau_sums(self) -> np.ndarray:
-        return self.tau.sum(axis=1)
-
 
 def _row_trial_counts(tau: np.ndarray, minimum: int, label: str) -> np.ndarray:
     """Extract per-row constant N_i from tau, enforcing the row-constant rule."""

@@ -20,14 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    COMPETITOR_KINDS,
-    FIT_MODES,
-    competitor,
-    fit,
-    shrink_to_grand_mean,
-    shrink_to_location,
-)
+from .estimators import COMPETITOR_KINDS, FIT_MODES, competitor, fit
 from .families import (
     FAMILY_TOKENS,
     DataMatrix,
@@ -41,11 +34,13 @@ from .optimize import (
     FitResult,
     RowOrder,
     SolverOptions,
+    check_feasible_location,
+    check_feasible_weights,
     minimize_aure,
     minimize_ure,
     sample_feasible_weights,
 )
-from .risk import aure, grand_mean, squared_error_loss, ure
+from .risk import _unit_variance_terms, grand_mean, squared_error_loss, ure
 
 __all__ = [
     "ExperimentConfig",
@@ -243,13 +238,11 @@ class RateFit:
     n_points: int
 
 
-def _fitted_pair(data, spec, fitted) -> tuple[np.ndarray, np.ndarray]:
-    if fitted is None:
-        fitted = minimize_ure(data, spec)
-    if isinstance(fitted, FitResult):
-        return fitted.b, fitted.mu
-    b, mu = fitted
-    return np.asarray(b, float), np.asarray(mu, float)
+def _pair_streams(seed, samples: int):
+    """One generator per random pair, so a larger ``samples`` keeps the
+    smaller set as a prefix."""
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return [np.random.default_rng(child) for child in root.spawn(samples)]
 
 
 def estimate_sup_gap(
@@ -270,26 +263,21 @@ def estimate_sup_gap(
     enlarging ``samples`` keeps the smaller set as a prefix.  The result is
     a lower bound on the true supremum.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
     order = RowOrder.from_tau(data.tau)
     m_range = data.data_range
+    if fitted is None:
+        fitted = minimize_ure(data, spec)
+    b_fit, mu_fit = (fitted.b, fitted.mu) if isinstance(fitted, FitResult) else fitted
+    mu_fit = check_feasible_location(mu_fit, m_range)
+    if mu_fit.size != data.p:
+        raise ValueError(f"expected {data.p} target coordinates, got {mu_fit.size}")
     mu_center = np.clip(grand_mean(data), -m_range, m_range)
-    pairs = [
-        (np.zeros(data.n), mu_center),
-        (np.ones(data.n), mu_center),
-        _fitted_pair(data, spec, fitted),
-    ]
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for child in root.spawn(samples):
-        rng = np.random.default_rng(child)
-        b = sample_feasible_weights(order, rng)
-        mu = rng.uniform(-m_range, m_range, data.p)
-        pairs.append((b, mu))
-    gap = 0.0
-    for b, mu in pairs:
-        realized = squared_error_loss(shrink_to_location(data, b, mu), theta)
-        gap = max(gap, abs(ure(data, b, mu, spec) - realized))
-    return gap
+    weights = [np.zeros(data.n), np.ones(data.n), check_feasible_weights(b_fit, order)]
+    targets = [mu_center, mu_center, mu_fit]
+    for rng in _pair_streams(seed, samples):
+        weights.append(sample_feasible_weights(order, rng))
+        targets.append(rng.uniform(-m_range, m_range, data.p))
+    return _largest_gap(data, theta, spec, np.array(weights), np.array(targets), 1.0)
 
 
 def estimate_sup_gap_grand_mean(
@@ -301,21 +289,43 @@ def estimate_sup_gap_grand_mean(
     fitted: FitResult | np.ndarray | None = None,
 ) -> float:
     """Grand-mean analogue of :func:`estimate_sup_gap` (weights only)."""
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    if data.n < 2:
+        raise ValueError("grand-mean shrinkage requires at least two rows")
     order = RowOrder.from_tau(data.tau)
     if fitted is None:
         fitted = minimize_aure(data, spec)
-    fitted_b = fitted.b if isinstance(fitted, FitResult) else np.asarray(fitted, float)
-    weight_vectors = [np.zeros(data.n), np.ones(data.n), fitted_b]
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    for child in root.spawn(samples):
-        rng = np.random.default_rng(child)
-        weight_vectors.append(sample_feasible_weights(order, rng))
-    gap = 0.0
-    for b in weight_vectors:
-        realized = squared_error_loss(shrink_to_grand_mean(data, b), theta)
-        gap = max(gap, abs(aure(data, b, spec) - realized))
-    return gap
+    b_fit = fitted.b if isinstance(fitted, FitResult) else fitted
+    weights = [np.zeros(data.n), np.ones(data.n), check_feasible_weights(b_fit, order)]
+    for rng in _pair_streams(seed, samples):
+        weights.append(sample_feasible_weights(order, rng))
+    targets = grand_mean(data)[None, :]
+    return _largest_gap(data, theta, spec, np.array(weights), targets, 1.0 - 1.0 / data.n)
+
+
+def _largest_gap(data, theta, spec, weights, targets, factor: float) -> float:
+    """Largest |risk estimate - loss| over the pairs ``(weights[k], targets[k])``.
+
+    The ``b_i^2`` terms of the risk estimate and of the loss cancel, so
+    each gap is linear in the weights:
+    ``np * gap_k = sum_i r_i - 2 sum_i b_ki q_ki`` with
+    ``r_i = S_i - ||y_i - theta_i||^2`` and
+    ``q_ki = f S_i - (y_i - theta_i).(y_i - mu_k)``, where ``S_i`` are the
+    row sums of ``V(Y)/(tau + nu2)`` and ``f = factor`` (1 for URE,
+    ``1 - 1/n`` for AURE).  Summing per row first keeps the terms of size
+    ``np`` from cancelling against each other.  ``targets`` may hold a
+    single row shared by every pair.
+    """
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    if theta.shape != data.y.shape:
+        raise ValueError(
+            f"mean shape {theta.shape} does not match the observation shape {data.y.shape}"
+        )
+    dev = data.y - theta
+    s = _unit_variance_terms(data, spec).sum(axis=1)
+    r = s - (dev**2).sum(axis=1)
+    q = factor * s - (dev * data.y).sum(axis=1) + targets @ dev.T  # (K, n)
+    gaps = r.sum() - 2.0 * (weights * q).sum(axis=1)
+    return float(np.abs(gaps).max()) / data.y.size
 
 
 def _generate_theta(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, seed_seq) -> np.ndarray:
@@ -551,7 +561,6 @@ def read_records_csv(path) -> tuple[list[ReplicationRecord], list[dict]]:
 
 def fit_rate(
     aggregates: list[AggregateRecord],
-    x: str = "n",
     y: str = "mean_sup_gap",
     estimator: str = "fit",
     reference: str = "oracle_loss",
@@ -562,8 +571,6 @@ def fit_rate(
     excess loss over ``reference``.  Requires at least three grid points
     and strictly positive values.
     """
-    if x != "n":
-        raise ValueError("only x='n' is supported")
     by_n: dict[int, dict[str, AggregateRecord]] = {}
     for agg in aggregates:
         by_n.setdefault(agg.n, {})[agg.estimator] = agg

@@ -8,20 +8,17 @@ estimates are separable quadratics in the weights once the target is
 fixed, so each minimization reduces to a weighted isotonic regression
 with box clipping, implemented here as pool-adjacent-violators over the
 tie groups.  The location target is handled by coordinate descent with a
-closed-form clipped update.  Grid oracles used by the test suite live
-here as well.
+closed-form clipped update.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
-from .families import DataMatrix, FamilySpec, variance_function
-from .risk import aure, grand_mean, ure
+from .families import DataMatrix, FamilySpec
+from .risk import _unit_variance_terms, aure, grand_mean, ure
 
 __all__ = [
     "RowOrder",
@@ -30,8 +27,6 @@ __all__ = [
     "isotonic_box_projection",
     "minimize_ure",
     "minimize_aure",
-    "grid_oracle_ure",
-    "grid_minimize_separable_quadratic",
     "sample_feasible_weights",
     "check_feasible_weights",
     "check_feasible_location",
@@ -85,36 +80,35 @@ class RowOrder:
 
     def is_feasible(self, b, tol: float = 0.0) -> bool:
         b = np.asarray(b, dtype=float).reshape(-1)
-        if b.shape != (self.n,):
-            return False
-        if np.any(b < -tol) or np.any(b > 1.0 + tol):
+        # written so that NaN fails the box test
+        if b.shape != (self.n,) or not np.all((b >= -tol) & (b <= 1.0 + tol)):
             return False
         along = b[self.permutation]
         if np.any(np.diff(along) < -tol):
             return False
-        # ties: all positions of a group must agree
-        for g in range(self.n_groups):
-            vals = along[self.group_ids == g]
-            if vals.max() - vals.min() > tol:
-                return False
-        return True
+        # ties: the spread of each group is at most tol (adjacent steps alone
+        # would let a group drift by more than tol when tol > 0)
+        starts = np.flatnonzero(np.diff(self.group_ids, prepend=-1))
+        spread = np.maximum.reduceat(along, starts) - np.minimum.reduceat(along, starts)
+        return not np.any(spread > tol)
 
 
 def check_feasible_weights(b, order: RowOrder, tol: float = 0.0) -> np.ndarray:
     b = np.asarray(b, dtype=float).reshape(-1)
     if not order.is_feasible(b, tol=tol):
         raise ValueError(
-            "shrinkage weights are infeasible: they must lie in [0, 1] and be "
-            "monotone against the tau row-sum ordering (equal within ties)"
+            "shrinkage weights are infeasible: they must be finite, lie in [0, 1] "
+            "and be monotone against the tau row-sum ordering (equal within ties)"
         )
     return b
 
 
 def check_feasible_location(mu, data_range: float, tol: float = 0.0) -> np.ndarray:
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    if np.any(np.abs(mu) > data_range + tol):
+    if not np.all(np.abs(mu) <= data_range + tol):
         raise ValueError(
-            f"shrinkage target exceeds the data range [{-data_range}, {data_range}]"
+            f"shrinkage target must be finite and within the data range "
+            f"[{-data_range}, {data_range}]"
         )
     return mu
 
@@ -190,15 +184,12 @@ class SolverOptions:
 
     max_outer_iterations: int = 200
     tolerance: float = 1e-10
-    mu_update: str = "closed_form"
 
     def __post_init__(self):
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be at least 1")
         if not self.tolerance > 0:
             raise ValueError("tolerance must be positive")
-        if self.mu_update != "closed_form":
-            raise ValueError(f"unsupported mu_update {self.mu_update!r}")
 
 
 @dataclass
@@ -229,14 +220,6 @@ def _quadratic_targets(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return targets
 
 
-def _surrogate_sums(data: DataMatrix, spec: FamilySpec) -> np.ndarray:
-    """Row sums of the unbiased variance surrogate, ``S_i``."""
-    denom = data.tau + spec.nu2
-    if not np.all(denom > 0):
-        raise ValueError("tau + nu2 must be positive for every entry")
-    return (variance_function(spec, data.y) / denom).sum(axis=1)
-
-
 def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     """Exact minimizer of :func:`~nefshrink.risk.aure` over the feasible set.
 
@@ -250,7 +233,7 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     order = RowOrder.from_tau(data.tau)
     ybar = grand_mean(data)
     a = ((data.y - ybar) ** 2).sum(axis=1)
-    s = (1.0 - 1.0 / data.n) * _surrogate_sums(data, spec)
+    s = (1.0 - 1.0 / data.n) * _unit_variance_terms(data, spec).sum(axis=1)
     b = isotonic_box_projection(_quadratic_targets(a, s), a, order)
     return FitResult(
         b=b,
@@ -287,7 +270,7 @@ def minimize_ure(
     """
     opts = opts or SolverOptions()
     order = RowOrder.from_tau(data.tau)
-    s = _surrogate_sums(data, spec)
+    s = _unit_variance_terms(data, spec).sum(axis=1)
     m_range = data.data_range
     mu0 = np.clip(grand_mean(data), -m_range, m_range)
 
@@ -301,47 +284,49 @@ def minimize_ure(
             return mu0.copy()
         return np.clip((b**2) @ data.y / wsum, -m_range, m_range)
 
-    def descend(b: np.ndarray, mu: np.ndarray):
-        obj = ure(data, b, mu, spec)
-        converged = False
-        iterations = 0
-        for iterations in range(1, opts.max_outer_iterations + 1):
-            candidate = b_step(mu)
-            cand_obj = ure(data, candidate, mu, spec)
-            if cand_obj <= obj:
-                b, obj_b = candidate, cand_obj
-            else:
-                obj_b = obj  # flat-direction fill would backtrack; keep iterate
-            mu = mu_step(b)
-            obj_mu = ure(data, b, mu, spec)
-            _check_descent(obj_b, obj_mu)
-            if obj - obj_mu < opts.tolerance:
-                obj = obj_mu
-                converged = True
-                break
-            obj = obj_mu
-        return b, mu, obj, iterations, converged
-
     starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
     mu_candidates = [np.clip(np.zeros(data.p), -m_range, m_range)]
     if data.n <= _ROW_RESTART_CAP:
         mu_candidates.extend(np.clip(row, -m_range, m_range) for row in data.y)
     starts.extend((np.full(data.n, 0.5), mu) for mu in mu_candidates)
-
-    best = None
-    for b_init, mu_init in starts:
-        result = descend(b_init.copy(), mu_init.copy())
-        if best is None or result[2] < best[2]:
-            best = result
-    b, mu, _, iterations, converged = best
-    return FitResult(
-        b=b,
-        mu=mu,
-        objective=ure(data, b, mu, spec),
-        iterations=iterations,
-        converged=converged,
-        target_kind="location",
+    return _coordinate_descent(
+        starts, b_step, mu_step, lambda b, mu: ure(data, b, mu, spec), opts
     )
+
+
+def _coordinate_descent(
+    starts, b_step, mu_step, objective, opts: SolverOptions
+) -> FitResult:
+    """Alternate ``b = b_step(mu)`` and ``mu = mu_step(b)`` from every
+    ``(b, mu)`` start and return the best final iterate.
+
+    A weight step is only accepted if it does not increase ``objective``,
+    and ``mu_step`` must be an exact minimizer in ``mu``, so the recorded
+    value is nonincreasing; a start stops once an outer iteration gains
+    less than ``opts.tolerance``.
+    """
+    best = None
+    for b, mu in starts:
+        obj = objective(b, mu)
+        converged = False
+        iterations = 0
+        for iterations in range(1, opts.max_outer_iterations + 1):
+            candidate = b_step(mu)
+            cand_obj = objective(candidate, mu)
+            if cand_obj <= obj:
+                b, obj_b = candidate, cand_obj
+            else:
+                obj_b = obj  # flat-direction fill would backtrack; keep iterate
+            mu = mu_step(b)
+            obj_mu = objective(b, mu)
+            _check_descent(obj_b, obj_mu)
+            converged = obj - obj_mu < opts.tolerance
+            obj = obj_mu
+            if converged:
+                break
+        if best is None or obj < best.objective:
+            best = FitResult(b, mu, obj, iterations, converged)
+    return best
 
 
 def _check_descent(before: float, after: float) -> None:
@@ -349,124 +334,3 @@ def _check_descent(before: float, after: float) -> None:
         raise RuntimeError(
             f"objective increased across a descent step ({before} -> {after})"
         )
-
-
-def _unit_grid(resolution: float) -> np.ndarray:
-    if not 0 < resolution <= 1:
-        raise ValueError("resolution must lie in (0, 1]")
-    steps = int(np.floor(1.0 / resolution + 1e-9))
-    return np.minimum(np.arange(steps + 1) * resolution, 1.0)
-
-
-def _box_grid(bound: float, resolution: float) -> np.ndarray:
-    steps = int(np.floor(2.0 * bound / resolution + 1e-9))
-    return np.minimum(-bound + np.arange(steps + 1) * resolution, bound)
-
-
-_MAX_ORACLE_POINTS = 30_000_000
-
-
-def grid_oracle_ure(
-    data: DataMatrix, spec: FamilySpec, resolution: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Exhaustive lattice minimizer of the location-shrinkage risk estimate.
-
-    Enumerates every feasible monotone weight vector on a ``resolution``
-    lattice over [0, 1]^n; for each one the best lattice target follows
-    per column from the exact quadratic in ``mu_j`` (the lattice point
-    nearest the clipped vertex).  Intended as a test oracle, so the size
-    is guarded: ``n <= 5`` and ``p <= 3``.
-    """
-    if data.n > 5 or data.p > 3:
-        raise ValueError("grid oracle guard: requires n <= 5 and p <= 3")
-    order = RowOrder.from_tau(data.tau)
-    bvals = _unit_grid(resolution)
-    m_range = data.data_range
-    mvals = _box_grid(m_range, resolution)
-    n_b = len(bvals)
-    n_groups = order.n_groups
-    total = _n_monotone(n_b, n_groups)
-    if total > _MAX_ORACLE_POINTS:
-        raise ValueError(
-            f"grid oracle guard: {total} monotone weight vectors at this resolution"
-        )
-
-    group_rows = order.group_of_row()
-    s = _surrogate_sums(data, spec)
-    y = data.y
-    y2 = y * y
-    s_total = float(s.sum())
-    np_scale = data.n * data.p
-    lattice_top = mvals[-1]
-
-    best_val = np.inf
-    best_b = None
-    best_mu = None
-    combos = itertools.combinations_with_replacement(range(n_b), n_groups)
-    while True:
-        chunk = list(itertools.islice(combos, 200_000))
-        if not chunk:
-            break
-        gb = bvals[np.asarray(chunk, dtype=np.intp)]  # (K, G) group values
-        b = gb[:, group_rows]  # (K, n) row values
-        w = b * b
-        r = w.sum(axis=1)  # (K,)
-        q = w @ y  # (K, p)
-        pterm = w @ y2  # (K, p)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            vertex = np.where(r[:, None] > 0, q / r[:, None], 0.0)
-        vertex = np.clip(vertex, -m_range, lattice_top)
-        idx = np.rint((vertex + m_range) / resolution).astype(np.intp)
-        idx = np.clip(idx, 0, len(mvals) - 1)
-        mu = mvals[idx]
-        quad = pterm - 2.0 * mu * q + mu * mu * r[:, None]
-        obj = (quad.sum(axis=1) + s_total - 2.0 * (b @ s)) / np_scale
-        k = int(np.argmin(obj))
-        if obj[k] < best_val:
-            best_val = float(obj[k])
-            best_b = b[k].copy()
-            best_mu = mu[k].copy()
-    return best_b, best_mu, best_val
-
-
-def _n_monotone(n_values: int, n_groups: int) -> int:
-    return comb(n_values + n_groups - 1, n_groups)
-
-
-def grid_minimize_separable_quadratic(
-    quad, lin, order: RowOrder, resolution: float
-) -> tuple[np.ndarray, float]:
-    """Exact lattice minimizer of ``sum_i quad_i b_i^2 + lin_i b_i`` over the
-    feasible monotone set.
-
-    Dynamic program over tie groups and lattice values; exhaustive over the
-    lattice without enumerating vectors, so it stays an independent check
-    of the pool-adjacent-violators route even at fine resolutions.
-    """
-    quad = np.asarray(quad, dtype=float).reshape(-1)
-    lin = np.asarray(lin, dtype=float).reshape(-1)
-    if quad.shape != lin.shape or quad.size != order.n:
-        raise ValueError("coefficients and order must have matching length")
-    grid = _unit_grid(resolution)
-    n_vals = len(grid)
-    gids_by_row = order.group_of_row()
-    gq = np.bincount(gids_by_row, weights=quad, minlength=order.n_groups)
-    gl = np.bincount(gids_by_row, weights=lin, minlength=order.n_groups)
-
-    running = np.zeros(n_vals)
-    parents = []
-    for g in range(order.n_groups):
-        cum = np.minimum.accumulate(running)
-        strictly_new = running < np.concatenate(([np.inf], cum[:-1]))
-        parent = np.where(strictly_new, np.arange(n_vals), -1)
-        parent = np.maximum.accumulate(parent)
-        parents.append(parent)
-        running = gq[g] * grid * grid + gl[g] * grid + cum
-
-    k = int(np.argmin(running))
-    value = float(running[k])
-    choice = np.empty(order.n_groups, dtype=int)
-    for g in range(order.n_groups - 1, -1, -1):
-        choice[g] = k
-        k = int(parents[g][k])
-    return order.expand_group_values(grid[choice]), value

@@ -1,0 +1,134 @@
+"""Lattice oracles that the tests check the solvers against.
+
+Both enumerate the feasible set on a value lattice, independently of the
+pool-adjacent-violators and coordinate-descent routes they check.
+"""
+
+import itertools
+from math import comb
+
+import numpy as np
+
+from nefshrink import DataMatrix, FamilySpec, RowOrder
+from nefshrink.risk import _unit_variance_terms
+
+
+def _unit_grid(resolution: float) -> np.ndarray:
+    if not 0 < resolution <= 1:
+        raise ValueError("resolution must lie in (0, 1]")
+    steps = int(np.floor(1.0 / resolution + 1e-9))
+    return np.minimum(np.arange(steps + 1) * resolution, 1.0)
+
+
+def _box_grid(bound: float, resolution: float) -> np.ndarray:
+    steps = int(np.floor(2.0 * bound / resolution + 1e-9))
+    return np.minimum(-bound + np.arange(steps + 1) * resolution, bound)
+
+
+_MAX_ORACLE_POINTS = 30_000_000
+
+
+def grid_oracle_ure(
+    data: DataMatrix, spec: FamilySpec, resolution: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Exhaustive lattice minimizer of the location-shrinkage risk estimate.
+
+    Enumerates every feasible monotone weight vector on a ``resolution``
+    lattice over [0, 1]^n; for each one the best lattice target follows
+    per column from the exact quadratic in ``mu_j`` (the lattice point
+    nearest the clipped vertex).  Intended as a test oracle, so the size
+    is guarded: ``n <= 5`` and ``p <= 3``.
+    """
+    if data.n > 5 or data.p > 3:
+        raise ValueError("grid oracle guard: requires n <= 5 and p <= 3")
+    order = RowOrder.from_tau(data.tau)
+    bvals = _unit_grid(resolution)
+    m_range = data.data_range
+    mvals = _box_grid(m_range, resolution)
+    n_b = len(bvals)
+    n_groups = order.n_groups
+    total = _n_monotone(n_b, n_groups)
+    if total > _MAX_ORACLE_POINTS:
+        raise ValueError(
+            f"grid oracle guard: {total} monotone weight vectors at this resolution"
+        )
+
+    group_rows = order.group_of_row()
+    s = _unit_variance_terms(data, spec).sum(axis=1)
+    y = data.y
+    y2 = y * y
+    s_total = float(s.sum())
+    np_scale = data.n * data.p
+    lattice_top = mvals[-1]
+
+    best_val = np.inf
+    best_b = None
+    best_mu = None
+    combos = itertools.combinations_with_replacement(range(n_b), n_groups)
+    while True:
+        chunk = list(itertools.islice(combos, 200_000))
+        if not chunk:
+            break
+        gb = bvals[np.asarray(chunk, dtype=np.intp)]  # (K, G) group values
+        b = gb[:, group_rows]  # (K, n) row values
+        w = b * b
+        r = w.sum(axis=1)  # (K,)
+        q = w @ y  # (K, p)
+        pterm = w @ y2  # (K, p)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vertex = np.where(r[:, None] > 0, q / r[:, None], 0.0)
+        vertex = np.clip(vertex, -m_range, lattice_top)
+        idx = np.rint((vertex + m_range) / resolution).astype(np.intp)
+        idx = np.clip(idx, 0, len(mvals) - 1)
+        mu = mvals[idx]
+        quad = pterm - 2.0 * mu * q + mu * mu * r[:, None]
+        obj = (quad.sum(axis=1) + s_total - 2.0 * (b @ s)) / np_scale
+        k = int(np.argmin(obj))
+        if obj[k] < best_val:
+            best_val = float(obj[k])
+            best_b = b[k].copy()
+            best_mu = mu[k].copy()
+    return best_b, best_mu, best_val
+
+
+def _n_monotone(n_values: int, n_groups: int) -> int:
+    return comb(n_values + n_groups - 1, n_groups)
+
+
+def grid_minimize_separable_quadratic(
+    quad, lin, order: RowOrder, resolution: float
+) -> tuple[np.ndarray, float]:
+    """Exact lattice minimizer of ``sum_i quad_i b_i^2 + lin_i b_i`` over the
+    feasible monotone set.
+
+    Dynamic program over tie groups and lattice values; exhaustive over the
+    lattice without enumerating vectors, so it stays an independent check
+    of the pool-adjacent-violators route even at fine resolutions.
+    """
+    quad = np.asarray(quad, dtype=float).reshape(-1)
+    lin = np.asarray(lin, dtype=float).reshape(-1)
+    if quad.shape != lin.shape or quad.size != order.n:
+        raise ValueError("coefficients and order must have matching length")
+    grid = _unit_grid(resolution)
+    n_vals = len(grid)
+    gids_by_row = order.group_of_row()
+    gq = np.bincount(gids_by_row, weights=quad, minlength=order.n_groups)
+    gl = np.bincount(gids_by_row, weights=lin, minlength=order.n_groups)
+
+    running = np.zeros(n_vals)
+    parents = []
+    for g in range(order.n_groups):
+        cum = np.minimum.accumulate(running)
+        strictly_new = running < np.concatenate(([np.inf], cum[:-1]))
+        parent = np.where(strictly_new, np.arange(n_vals), -1)
+        parent = np.maximum.accumulate(parent)
+        parents.append(parent)
+        running = gq[g] * grid * grid + gl[g] * grid + cum
+
+    k = int(np.argmin(running))
+    value = float(running[k])
+    choice = np.empty(order.n_groups, dtype=int)
+    for g in range(order.n_groups - 1, -1, -1):
+        choice[g] = k
+        k = int(parents[g][k])
+    return order.expand_group_values(grid[choice]), value

@@ -17,8 +17,6 @@ from nefshrink import (
     RowOrder,
     aure,
     fit_rate,
-    grid_minimize_separable_quadratic,
-    grid_oracle_ure,
     isotonic_box_projection,
     make_family,
     minimize_aure,
@@ -32,6 +30,8 @@ from nefshrink import (
     ure,
 )
 from nefshrink.harness import records_csv_text
+
+from oracles import grid_minimize_separable_quadratic, grid_oracle_ure
 
 MC_SEED = 31_415
 MC_REPLICATIONS = 20_000

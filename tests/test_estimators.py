@@ -22,6 +22,7 @@ from nefshrink import (
 )
 
 from conftest import family_case
+from oracles import grid_oracle_ure
 
 
 class TestShrinkToLocation:
@@ -61,11 +62,15 @@ class TestShrinkToLocation:
             shrink_to_location(data, [0.9, 0.1], [0.0])
         with pytest.raises(ValueError, match="monotone"):
             shrink_to_location(data, [1.5, 1.5], [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            shrink_to_location(data, [np.nan, np.nan], [0.0])
 
     def test_rejects_target_outside_box(self):
         data = DataMatrix([[1.0, -2.0]], [[1, 1]])
         with pytest.raises(ValueError, match="data range"):
             shrink_to_location(data, [0.5], [3.0, 0.0])
+        with pytest.raises(ValueError, match="data range"):
+            shrink_to_location(data, [0.5], [np.nan, 0.0])
 
 
 class TestShrinkToGrandMean:
@@ -101,8 +106,6 @@ class TestFit:
         np.testing.assert_array_equal(result.b, np.ones(3))
 
     def test_location_objective_matches_oracle_on_seeded_instance(self, rng):
-        from nefshrink import grid_oracle_ure
-
         spec, theta, tau = family_case("normal", 2, 2, rng)
         data = sample_matrix(spec, theta, tau, seed=21)
         result, est = fit(data, spec, "location")

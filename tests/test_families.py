@@ -210,7 +210,6 @@ class TestDataMatrix:
         data = DataMatrix([[1.0, -2.0], [3.0, 4.0]], np.ones((2, 2)))
         assert (data.n, data.p) == (2, 2)
         assert data.data_range == 4.0
-        np.testing.assert_array_equal(data.row_tau_sums(), [2.0, 2.0])
 
     def test_rejects_mismatched_tau(self):
         with pytest.raises(ValueError, match="shape"):

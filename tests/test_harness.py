@@ -6,7 +6,9 @@ import pytest
 from nefshrink import (
     AggregateRecord,
     ExperimentConfig,
+    RowOrder,
     aggregate_records,
+    aure,
     estimate_sup_gap,
     estimate_sup_gap_grand_mean,
     fit_rate,
@@ -16,7 +18,9 @@ from nefshrink import (
     minimize_ure,
     read_records_csv,
     run_experiment,
+    sample_feasible_weights,
     sample_matrix,
+    shrink_to_grand_mean,
     shrink_to_location,
     squared_error_loss,
     theoretical_moments,
@@ -165,6 +169,65 @@ class TestSupGapProxy:
         fitted = minimize_aure(data, spec)
         value = estimate_sup_gap_grand_mean(data, theta, spec, 4, seed=2, fitted=fitted)
         assert value >= 0.0
+
+
+def per_pair_sup_gap(data, theta, spec, samples, seed, fitted, mode):
+    """The sup-gap proxy pair by pair: shrink, risk estimate, loss."""
+    order = RowOrder.from_tau(data.tau)
+    m_range = data.data_range
+    mu_c = np.clip(grand_mean(data), -m_range, m_range)
+    pairs = [(np.zeros(data.n), mu_c), (np.ones(data.n), mu_c), (fitted.b, fitted.mu)]
+    for child in np.random.SeedSequence(seed).spawn(samples):
+        rng = np.random.default_rng(child)
+        b = sample_feasible_weights(order, rng)
+        pairs.append((b, rng.uniform(-m_range, m_range, data.p) if mode == "location" else None))
+    gap = 0.0
+    for b, mu in pairs:
+        if mode == "location":
+            realized = squared_error_loss(shrink_to_location(data, b, mu), theta)
+            gap = max(gap, abs(ure(data, b, mu, spec) - realized))
+        else:
+            realized = squared_error_loss(shrink_to_grand_mean(data, b), theta)
+            gap = max(gap, abs(aure(data, b, spec) - realized))
+    return gap
+
+
+class TestSupGapAgainstPerPairReference:
+    def _tied_case(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        spec, theta, _ = family_case(kind, 8, 3, rng)
+        tau = rng.integers(1, 3, (8, 3))
+        data = sample_matrix(spec, theta, tau, seed=seed)
+        groups = RowOrder.from_tau(tau).n_groups
+        assert 1 < groups < data.n
+        return spec, theta, data
+
+    @pytest.mark.parametrize("kind", ["normal", "poisson"])
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_matches_reference(self, kind, mode):
+        spec, theta, data = self._tied_case(kind, seed=12)
+        if mode == "location":
+            fitted = minimize_ure(data, spec)
+            value = estimate_sup_gap(data, theta, spec, 6, seed=4, fitted=fitted)
+        else:
+            fitted = minimize_aure(data, spec)
+            value = estimate_sup_gap_grand_mean(data, theta, spec, 6, seed=4, fitted=fitted)
+        reference = per_pair_sup_gap(data, theta, spec, 6, 4, fitted, mode)
+        assert value == pytest.approx(reference, rel=1e-12, abs=0)
+
+    def test_rejects_infeasible_or_nan_fitted_pair(self):
+        spec, theta, data = self._tied_case("poisson", seed=13)
+        order = RowOrder.from_tau(data.tau)
+        b = sample_feasible_weights(order, np.random.default_rng(0))
+        mu = grand_mean(data)
+        rising = order.expand_group_values(np.linspace(1.0, 0.0, order.n_groups))
+        nan_b = np.full(data.n, np.nan)
+        for bad_b, bad_mu in [(rising, mu), (nan_b, mu), (b, np.full(data.p, np.nan))]:
+            with pytest.raises(ValueError):
+                estimate_sup_gap(data, theta, spec, 2, seed=1, fitted=(bad_b, bad_mu))
+        for bad_b in (rising, nan_b):
+            with pytest.raises(ValueError):
+                estimate_sup_gap_grand_mean(data, theta, spec, 2, seed=1, fitted=bad_b)
 
 
 class TestRunExperiment:

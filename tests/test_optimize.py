@@ -4,14 +4,13 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nefshrink import (
     DataMatrix,
     RowOrder,
     SolverOptions,
     aure,
-    grid_minimize_separable_quadratic,
-    grid_oracle_ure,
     isotonic_box_projection,
     make_family,
     minimize_aure,
@@ -22,6 +21,7 @@ from nefshrink import (
 )
 
 from conftest import family_case
+from oracles import grid_minimize_separable_quadratic, grid_oracle_ure
 
 
 def enumerate_feasible(order, values):
@@ -38,6 +38,39 @@ def random_tau_instance(rng, n, p, kind="poisson"):
     tau = rng.integers(1, 4, (n, p))
     data = sample_matrix(spec, theta, tau, seed=int(rng.integers(1 << 30)))
     return spec, data
+
+
+def is_feasible_loop(order, b, tol=0.0):
+    """Per-group loop form of ``RowOrder.is_feasible``, kept as its reference."""
+    b = np.asarray(b, dtype=float).reshape(-1)
+    if b.shape != (order.n,):
+        return False
+    if np.any(b < -tol) or np.any(b > 1.0 + tol):
+        return False
+    along = b[order.permutation]
+    if np.any(np.diff(along) < -tol):
+        return False
+    for g in range(order.n_groups):
+        vals = along[order.group_ids == g]
+        if vals.max() - vals.min() > tol:
+            return False
+    return True
+
+
+@st.composite
+def orders_with_ties(draw):
+    """A tie-heavy order, a tolerance, and weights that walk by small steps
+    inside each tie group, so a group can drift past the tolerance."""
+    n = draw(st.integers(1, 12))
+    order = RowOrder.from_row_sums(draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    levels = draw(st.lists(st.sampled_from([-0.1, 0.0, 0.2, 0.5, 0.8, 1.0]),
+                           min_size=order.n_groups, max_size=order.n_groups))
+    steps = draw(st.lists(st.sampled_from([0.0, 0.04, 0.08, -0.04]), min_size=n, max_size=n))
+    walk = np.cumsum(steps)
+    first = np.flatnonzero(np.diff(order.group_ids, prepend=-1))
+    b = np.empty(n)
+    b[order.permutation] = np.sort(levels)[order.group_ids] + walk - walk[first][order.group_ids]
+    return order, b, draw(st.sampled_from([0.0, 0.05, 0.1]))
 
 
 class TestRowOrder:
@@ -60,6 +93,16 @@ class TestRowOrder:
         tied = RowOrder.from_row_sums([2.0, 2.0])
         assert tied.is_feasible([0.4, 0.4])
         assert not tied.is_feasible([0.4, 0.5])
+        assert not order.is_feasible([np.nan, np.nan])
+        assert not order.is_feasible([np.nan, 0.4])
+        assert not tied.is_feasible([np.nan, np.nan])
+        assert not tied.is_feasible([np.inf, np.inf])
+
+    @settings(max_examples=300, deadline=None)
+    @given(orders_with_ties())
+    def test_feasibility_matches_the_group_loop(self, case):
+        order, b, tol = case
+        assert order.is_feasible(b, tol=tol) == is_feasible_loop(order, b, tol=tol)
 
     def test_expand_and_inverse(self):
         order = RowOrder.from_row_sums([3.0, 1.0, 3.0])
@@ -313,12 +356,9 @@ class TestSolverOptions:
         opts = SolverOptions()
         assert opts.max_outer_iterations == 200
         assert opts.tolerance == 1e-10
-        assert opts.mu_update == "closed_form"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least 1"):
             SolverOptions(max_outer_iterations=0)
         with pytest.raises(ValueError, match="positive"):
             SolverOptions(tolerance=0.0)
-        with pytest.raises(ValueError, match="mu_update"):
-            SolverOptions(mu_update="gradient")
