@@ -21,6 +21,7 @@ from .optimize import (
     RowOrder,
     SolverOptions,
     _coordinate_descent,
+    _quadratic_targets,
     check_feasible_location,
     check_feasible_weights,
     isotonic_box_projection,
@@ -135,7 +136,7 @@ def competitor(
         )
     if kind == "half_to_zero":
         b = np.full(n, 0.5)
-        mu = np.clip(np.zeros(data.p), -data.data_range, data.data_range)
+        mu = np.zeros(data.p)
         return EstimateMatrix(
             theta_hat=_combine(data, b, mu),
             provenance=Provenance.FIXED_COMPETITOR,
@@ -179,11 +180,7 @@ def minimize_true_loss(
         resid = data.y - mu
         a = (resid**2).sum(axis=1)
         s = (dev * resid).sum(axis=1)
-        targets = np.empty(data.n)
-        pos = a > 0
-        targets[pos] = s[pos] / a[pos]
-        targets[~pos] = 0.5  # row equals the target: loss ignores b there
-        return isotonic_box_projection(targets, a, order)
+        return isotonic_box_projection(_quadratic_targets(a, s), a, order)
 
     def mu_step(b: np.ndarray) -> np.ndarray:
         wsum = float((b**2).sum())

@@ -40,7 +40,7 @@ from .optimize import (
     minimize_ure,
     sample_feasible_weights,
 )
-from .risk import _unit_variance_terms, grand_mean, squared_error_loss, ure
+from .risk import _surrogate_row_sums, grand_mean, squared_error_loss, ure
 
 __all__ = [
     "ExperimentConfig",
@@ -109,6 +109,7 @@ class ExperimentConfig:
         if self.sup_gap_samples < 0:
             raise ValueError("K_grid must be nonnegative")
         self.p_for(self.n_grid[0])  # validate the p rule eagerly
+        self.solver_options()  # validate max_iter and tol eagerly
 
     def p_for(self, n: int) -> int:
         kind, _, arg = self.p_rule.partition(":")
@@ -321,7 +322,7 @@ def _largest_gap(data, theta, spec, weights, targets, factor: float) -> float:
             f"mean shape {theta.shape} does not match the observation shape {data.y.shape}"
         )
     dev = data.y - theta
-    s = _unit_variance_terms(data, spec).sum(axis=1)
+    s = _surrogate_row_sums(data, spec)
     r = s - (dev**2).sum(axis=1)
     q = factor * s - (dev * data.y).sum(axis=1) + targets @ dev.T  # (K, n)
     gaps = r.sum() - 2.0 * (weights * q).sum(axis=1)
@@ -379,14 +380,8 @@ def _run_replication(
     data = sample_matrix(spec, theta, tau, _substream(config.seed, ni, rep, _SAMPLE))
     result, estimate = fit(data, spec, config.mode, opts)
     sup_seed = _substream(config.seed, ni, rep, _SUPGAP)
-    if config.mode == "location":
-        sup_gap = estimate_sup_gap(
-            data, theta, spec, config.sup_gap_samples, sup_seed, fitted=result
-        )
-    else:
-        sup_gap = estimate_sup_gap_grand_mean(
-            data, theta, spec, config.sup_gap_samples, sup_seed, fitted=result
-        )
+    sup_gap_of = estimate_sup_gap if config.mode == "location" else estimate_sup_gap_grand_mean
+    sup_gap = sup_gap_of(data, theta, spec, config.sup_gap_samples, sup_seed, fitted=result)
     rows = [
         ReplicationRecord(
             rep=rep,

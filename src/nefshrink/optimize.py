@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import DataMatrix, FamilySpec
-from .risk import _unit_variance_terms, aure, grand_mean, ure
+from .risk import _risk_from_rows, _surrogate_row_sums, grand_mean
 
 __all__ = [
     "RowOrder",
@@ -78,24 +78,20 @@ class RowOrder:
         out[self.permutation] = values[self.group_ids]
         return out
 
-    def is_feasible(self, b, tol: float = 0.0) -> bool:
+    def is_feasible(self, b) -> bool:
         b = np.asarray(b, dtype=float).reshape(-1)
         # written so that NaN fails the box test
-        if b.shape != (self.n,) or not np.all((b >= -tol) & (b <= 1.0 + tol)):
+        if b.shape != (self.n,) or not np.all((b >= 0.0) & (b <= 1.0)):
             return False
-        along = b[self.permutation]
-        if np.any(np.diff(along) < -tol):
-            return False
-        # ties: the spread of each group is at most tol (adjacent steps alone
-        # would let a group drift by more than tol when tol > 0)
-        starts = np.flatnonzero(np.diff(self.group_ids, prepend=-1))
-        spread = np.maximum.reduceat(along, starts) - np.minimum.reduceat(along, starts)
-        return not np.any(spread > tol)
+        # nondecreasing along the order, constant inside each tie group
+        steps = np.diff(b[self.permutation])
+        tied = np.diff(self.group_ids) == 0
+        return bool(np.all(steps >= 0.0) and np.all(steps[tied] == 0.0))
 
 
-def check_feasible_weights(b, order: RowOrder, tol: float = 0.0) -> np.ndarray:
+def check_feasible_weights(b, order: RowOrder) -> np.ndarray:
     b = np.asarray(b, dtype=float).reshape(-1)
-    if not order.is_feasible(b, tol=tol):
+    if not order.is_feasible(b):
         raise ValueError(
             "shrinkage weights are infeasible: they must be finite, lie in [0, 1] "
             "and be monotone against the tau row-sum ordering (equal within ties)"
@@ -103,9 +99,9 @@ def check_feasible_weights(b, order: RowOrder, tol: float = 0.0) -> np.ndarray:
     return b
 
 
-def check_feasible_location(mu, data_range: float, tol: float = 0.0) -> np.ndarray:
+def check_feasible_location(mu, data_range: float) -> np.ndarray:
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    if not np.all(np.abs(mu) <= data_range + tol):
+    if not np.all(np.abs(mu) <= data_range):
         raise ValueError(
             f"shrinkage target must be finite and within the data range "
             f"[{-data_range}, {data_range}]"
@@ -187,9 +183,9 @@ class SolverOptions:
 
     def __post_init__(self):
         if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations must be at least 1")
+            raise ValueError("max_outer_iterations (max_iter) must be at least 1")
         if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+            raise ValueError("tolerance (tol) must be positive")
 
 
 @dataclass
@@ -233,12 +229,13 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     order = RowOrder.from_tau(data.tau)
     ybar = grand_mean(data)
     a = ((data.y - ybar) ** 2).sum(axis=1)
-    s = (1.0 - 1.0 / data.n) * _unit_variance_terms(data, spec).sum(axis=1)
-    b = isotonic_box_projection(_quadratic_targets(a, s), a, order)
+    s = _surrogate_row_sums(data, spec)
+    factor = 1.0 - 1.0 / data.n
+    b = isotonic_box_projection(_quadratic_targets(a, factor * s), a, order)
     return FitResult(
         b=b,
         mu=ybar,
-        objective=aure(data, b, spec),
+        objective=_risk_from_rows(b, a, s, factor, data.y.size),
         iterations=1,
         converged=True,
         target_kind="grand_mean",
@@ -265,12 +262,12 @@ def minimize_ure(
     Joint minimization is biconvex, not convex, and descent from the grand
     mean alone can miss targets that sit near one data cluster.  Restarts
     therefore cover the no/half/full-shrinkage weights plus data-driven
-    targets: the clipped zero vector and, for small matrices, every
+    targets: the zero vector and, for small matrices, every
     clipped data row; the best final iterate wins.
     """
     opts = opts or SolverOptions()
     order = RowOrder.from_tau(data.tau)
-    s = _unit_variance_terms(data, spec).sum(axis=1)
+    s = _surrogate_row_sums(data, spec)
     m_range = data.data_range
     mu0 = np.clip(grand_mean(data), -m_range, m_range)
 
@@ -285,13 +282,16 @@ def minimize_ure(
         return np.clip((b**2) @ data.y / wsum, -m_range, m_range)
 
     starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
-    mu_candidates = [np.clip(np.zeros(data.p), -m_range, m_range)]
+    mu_candidates = [np.zeros(data.p)]
     if data.n <= _ROW_RESTART_CAP:
         mu_candidates.extend(np.clip(row, -m_range, m_range) for row in data.y)
     starts.extend((np.full(data.n, 0.5), mu) for mu in mu_candidates)
-    return _coordinate_descent(
-        starts, b_step, mu_step, lambda b, mu: ure(data, b, mu, spec), opts
-    )
+
+    def objective(b: np.ndarray, mu: np.ndarray) -> float:
+        a = ((data.y - mu) ** 2).sum(axis=1)
+        return _risk_from_rows(b, a, s, 1.0, data.y.size)
+
+    return _coordinate_descent(starts, b_step, mu_step, objective, opts)
 
 
 def _coordinate_descent(

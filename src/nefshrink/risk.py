@@ -43,12 +43,18 @@ def _weight_vector(b, n: int) -> np.ndarray:
     return b
 
 
-def _unit_variance_terms(data: DataMatrix, spec: FamilySpec) -> np.ndarray:
-    """Per-entry ``V(Y_ij)/(tau_ij + nu2)``, the unbiased variance surrogate."""
+def _surrogate_row_sums(data: DataMatrix, spec: FamilySpec) -> np.ndarray:
+    """Row sums ``S_i`` of ``V(Y_ij)/(tau_ij + nu2)``, the unbiased variance surrogate."""
     denom = data.tau + spec.nu2
     if not np.all(denom > 0):
         raise ValueError("tau + nu2 must be positive for every entry")
-    return variance_function(spec, data.y) / denom
+    return (variance_function(spec, data.y) / denom).sum(axis=1)
+
+
+def _risk_from_rows(b, a, s, factor: float, size: int) -> float:
+    """``sum_i [b_i^2 a_i + (1 - 2 factor b_i) s_i] / size`` with ``a_i = ||y_i - mu||^2``
+    and ``s_i = S_i``: :func:`ure` at ``factor = 1``, :func:`aure` at ``1 - 1/n``."""
+    return float(np.sum(b * b * a + (1.0 - 2.0 * factor * b) * s) / size)
 
 
 def ure(data: DataMatrix, b, mu, spec: FamilySpec) -> float:
@@ -60,9 +66,8 @@ def ure(data: DataMatrix, b, mu, spec: FamilySpec) -> float:
     mu = np.asarray(mu, dtype=float).reshape(-1)
     if mu.shape != (data.p,):
         raise ValueError(f"expected {data.p} target coordinates, got shape {mu.shape}")
-    v = _unit_variance_terms(data, spec)
-    terms = b[:, None] ** 2 * (data.y - mu) ** 2 + (1.0 - 2.0 * b)[:, None] * v
-    return float(np.mean(terms))
+    a = ((data.y - mu) ** 2).sum(axis=1)
+    return _risk_from_rows(b, a, _surrogate_row_sums(data, spec), 1.0, data.y.size)
 
 
 def aure(data: DataMatrix, b, spec: FamilySpec) -> float:
@@ -76,11 +81,9 @@ def aure(data: DataMatrix, b, spec: FamilySpec) -> float:
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
     b = _weight_vector(b, data.n)
-    ybar = data.y.mean(axis=0)
-    v = _unit_variance_terms(data, spec)
-    factor = 1.0 - 2.0 * (1.0 - 1.0 / data.n) * b
-    terms = b[:, None] ** 2 * (data.y - ybar) ** 2 + factor[:, None] * v
-    return float(np.mean(terms))
+    a = ((data.y - grand_mean(data)) ** 2).sum(axis=1)
+    s = _surrogate_row_sums(data, spec)
+    return _risk_from_rows(b, a, s, 1.0 - 1.0 / data.n, data.y.size)
 
 
 def true_risk(theta, b, mu, spec: FamilySpec, tau) -> float:

@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from nefshrink import DataMatrix, FamilySpec, RowOrder
-from nefshrink.risk import _unit_variance_terms
+from nefshrink.risk import _surrogate_row_sums
 
 
 def _unit_grid(resolution: float) -> np.ndarray:
@@ -54,7 +54,7 @@ def grid_oracle_ure(
         )
 
     group_rows = order.group_of_row()
-    s = _unit_variance_terms(data, spec).sum(axis=1)
+    s = _surrogate_row_sums(data, spec)
     y = data.y
     y2 = y * y
     s_total = float(s.sum())

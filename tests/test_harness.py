@@ -93,6 +93,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="gamma"):
             small_config(p_rule="power", gamma=None)
 
+    def test_solver_settings_validation(self):
+        with pytest.raises(ValueError, match="max_iter"):
+            small_config(max_iter=0)
+        with pytest.raises(ValueError, match="tol"):
+            small_config(tol=0.0)
+
     def test_mode_and_competitor_validation(self):
         with pytest.raises(ValueError, match="mode"):
             small_config(mode="both")
