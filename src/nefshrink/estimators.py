@@ -176,11 +176,15 @@ def minimize_true_loss(
     mu0 = np.clip(grand_mean(data), -m_range, m_range)
     dev = data.y - theta
 
-    def b_step(mu: np.ndarray) -> np.ndarray:
+    def loss_at(b: np.ndarray, mu: np.ndarray) -> float:
+        return squared_error_loss(_combine(data, b, mu), theta)
+
+    def b_step(mu: np.ndarray) -> tuple[np.ndarray, float]:
         resid = data.y - mu
         a = (resid**2).sum(axis=1)
         s = (dev * resid).sum(axis=1)
-        return isotonic_box_projection(_quadratic_targets(a, s), a, order)
+        b = isotonic_box_projection(_quadratic_targets(a, s), a, order)
+        return b, loss_at(b, mu)
 
     def mu_step(b: np.ndarray) -> np.ndarray:
         wsum = float((b**2).sum())
@@ -188,9 +192,6 @@ def minimize_true_loss(
             return mu0.copy()
         num = (b[:, None] * (theta - (1.0 - b)[:, None] * data.y)).sum(axis=0)
         return np.clip(num / wsum, -m_range, m_range)
-
-    def loss_at(b: np.ndarray, mu: np.ndarray) -> float:
-        return squared_error_loss(_combine(data, b, mu), theta)
 
     starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
     return _coordinate_descent(starts, b_step, mu_step, loss_at, opts)

@@ -118,6 +118,11 @@ def isotonic_box_projection(targets, weights, order: RowOrder) -> np.ndarray:
     the result is clipped to [0, 1]; clipping after pooling is exact
     because the box bounds commute with monotone pooling.
 
+    Pooling is one pass over the groups with a stack of blocks
+    ``(value, sum w*t, sum w, sum t, count, groups covered)``: each group is
+    pushed as a block and merged into the block below (sums added lower
+    block first) while that block's value is larger, so the pass is linear.
+
     Coordinates with zero weight do not influence any pooled average: they
     take the value their block forces or, when no pooling touches them, the
     feasible value nearest their clipped target.  A block whose total
@@ -143,28 +148,20 @@ def isotonic_box_projection(targets, weights, order: RowOrder) -> np.ndarray:
     st = np.bincount(gids, weights=t, minlength=n_groups)
     cnt = np.bincount(gids, minlength=n_groups).astype(float)
 
-    # pool adjacent violators: stack of merged block accumulators
-    stack: list[list[float]] = []
-    for g in range(n_groups):
-        cur = [swt[g], sw[g], st[g], cnt[g], float(g)]  # last slot: rightmost group
-        while stack:
-            prev = stack[-1]
-            pv = prev[0] / prev[1] if prev[1] > 0 else prev[2] / prev[3]
-            cv = cur[0] / cur[1] if cur[1] > 0 else cur[2] / cur[3]
-            if pv <= cv:
-                break
-            stack.pop()
-            cur = [prev[k] + cur[k] for k in range(4)] + [cur[4]]
+    value = np.divide(swt, sw, out=st / cnt, where=sw > 0)
+    stack: list[tuple] = []
+    for cur in zip(
+        value.tolist(), swt.tolist(), sw.tolist(), st.tolist(), cnt.tolist(),
+        [1] * n_groups,
+    ):
+        while stack and stack[-1][0] > cur[0]:
+            _, bwt, bw, bt, bc, bk = stack.pop()
+            bwt, bw, bt, bc = bwt + cur[1], bw + cur[2], bt + cur[3], bc + cur[4]
+            cur = (bwt / bw if bw > 0 else bt / bc, bwt, bw, bt, bc, bk + cur[5])
         stack.append(cur)
 
-    group_values = np.empty(n_groups)
-    left = 0
-    for blk in stack:
-        right = int(blk[4])
-        value = blk[0] / blk[1] if blk[1] > 0 else blk[2] / blk[3]
-        group_values[left : right + 1] = value
-        left = right + 1
-
+    blocks = np.array(stack)
+    group_values = np.repeat(blocks[:, 0], blocks[:, 5].astype(int))
     return np.clip(order.expand_group_values(group_values), 0.0, 1.0)
 
 
@@ -271,9 +268,10 @@ def minimize_ure(
     m_range = data.data_range
     mu0 = np.clip(grand_mean(data), -m_range, m_range)
 
-    def b_step(mu: np.ndarray) -> np.ndarray:
+    def b_step(mu: np.ndarray) -> tuple[np.ndarray, float]:
         a = ((data.y - mu) ** 2).sum(axis=1)
-        return isotonic_box_projection(_quadratic_targets(a, s), a, order)
+        b = isotonic_box_projection(_quadratic_targets(a, s), a, order)
+        return b, _risk_from_rows(b, a, s, 1.0, data.y.size)
 
     def mu_step(b: np.ndarray) -> np.ndarray:
         wsum = float((b**2).sum())
@@ -297,8 +295,8 @@ def minimize_ure(
 def _coordinate_descent(
     starts, b_step, mu_step, objective, opts: SolverOptions
 ) -> FitResult:
-    """Alternate ``b = b_step(mu)`` and ``mu = mu_step(b)`` from every
-    ``(b, mu)`` start and return the best final iterate.
+    """Alternate ``b, objective(b, mu) = b_step(mu)`` and ``mu = mu_step(b)``
+    from every ``(b, mu)`` start and return the best final iterate.
 
     A weight step is only accepted if it does not increase ``objective``,
     and ``mu_step`` must be an exact minimizer in ``mu``, so the recorded
@@ -311,8 +309,7 @@ def _coordinate_descent(
         converged = False
         iterations = 0
         for iterations in range(1, opts.max_outer_iterations + 1):
-            candidate = b_step(mu)
-            cand_obj = objective(candidate, mu)
+            candidate, cand_obj = b_step(mu)
             if cand_obj <= obj:
                 b, obj_b = candidate, cand_obj
             else:

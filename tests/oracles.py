@@ -1,7 +1,9 @@
-"""Lattice oracles that the tests check the solvers against.
+"""Reference implementations that the tests check the solvers against.
 
-Both enumerate the feasible set on a value lattice, independently of the
-pool-adjacent-violators and coordinate-descent routes they check.
+The lattice oracles enumerate the feasible set on a value lattice,
+independently of the pool-adjacent-violators and coordinate-descent routes
+they check; the list-stack projection is the earlier pool-adjacent-violators
+loop, kept as the exact reference for the block-stack one.
 """
 
 import itertools
@@ -132,3 +134,53 @@ def grid_minimize_separable_quadratic(
         choice[g] = k
         k = int(parents[g][k])
     return order.expand_group_values(grid[choice]), value
+
+
+def reference_isotonic_box_projection(targets, weights, order: RowOrder) -> np.ndarray:
+    """List-stack pool-adjacent-violators form of
+    :func:`nefshrink.isotonic_box_projection`, with the same arithmetic in
+    the same order, so the two agree bit for bit.
+    """
+    targets = np.asarray(targets, dtype=float).reshape(-1)
+    weights = np.asarray(weights, dtype=float).reshape(-1)
+    if targets.shape != weights.shape or targets.size != order.n:
+        raise ValueError("targets, weights and order must have matching length")
+    if np.any(weights < 0):
+        raise ValueError("weights must be nonnegative")
+    if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(weights))):
+        raise ValueError("targets and weights must be finite")
+
+    t = targets[order.permutation]
+    w = weights[order.permutation]
+    gids = order.group_ids
+    n_groups = order.n_groups
+
+    # per-block accumulators: weighted target sum, weight, plain target sum, count
+    swt = np.bincount(gids, weights=w * t, minlength=n_groups)
+    sw = np.bincount(gids, weights=w, minlength=n_groups)
+    st = np.bincount(gids, weights=t, minlength=n_groups)
+    cnt = np.bincount(gids, minlength=n_groups).astype(float)
+
+    # pool adjacent violators: stack of merged block accumulators
+    stack: list[list[float]] = []
+    for g in range(n_groups):
+        cur = [swt[g], sw[g], st[g], cnt[g], float(g)]  # last slot: rightmost group
+        while stack:
+            prev = stack[-1]
+            pv = prev[0] / prev[1] if prev[1] > 0 else prev[2] / prev[3]
+            cv = cur[0] / cur[1] if cur[1] > 0 else cur[2] / cur[3]
+            if pv <= cv:
+                break
+            stack.pop()
+            cur = [prev[k] + cur[k] for k in range(4)] + [cur[4]]
+        stack.append(cur)
+
+    group_values = np.empty(n_groups)
+    left = 0
+    for blk in stack:
+        right = int(blk[4])
+        value = blk[0] / blk[1] if blk[1] > 0 else blk[2] / blk[3]
+        group_values[left : right + 1] = value
+        left = right + 1
+
+    return np.clip(order.expand_group_values(group_values), 0.0, 1.0)

@@ -1,6 +1,7 @@
 """Monotone projection, risk-estimate minimizers, and their grid oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -22,7 +23,11 @@ from nefshrink import (
 )
 
 from conftest import family_case
-from oracles import grid_minimize_separable_quadratic, grid_oracle_ure
+from oracles import (
+    grid_minimize_separable_quadratic,
+    grid_oracle_ure,
+    reference_isotonic_box_projection,
+)
 
 
 def enumerate_feasible(order, values):
@@ -72,6 +77,26 @@ def orders_with_ties(draw):
     b = np.empty(n)
     b[order.permutation] = np.sort(levels)[order.group_ids] + walk - walk[first][order.group_ids]
     return order, b
+
+
+@st.composite
+def projection_cases(draw):
+    """Up to 60 rows with a random tie structure, targets outside [0, 1]
+    and weights with random zeros, whole tie groups of zeros included.
+    Targets and weights come from small per-case palettes, so pooled block
+    values often tie exactly and the merge rule for ties is exercised."""
+    n = draw(st.integers(1, 60))
+    levels = draw(st.integers(1, n))
+    order = RowOrder.from_row_sums(draw(st.lists(st.integers(1, levels), min_size=n, max_size=n)))
+    target = st.floats(-2.0, 3.0) | st.sampled_from([-1.0, 0.0, 0.1, 0.3, 0.5, 0.7, 1.0, 2.0])
+    weight = st.floats(0.0, 5.0) | st.sampled_from([0.0, 0.1, 0.3, 1.0, 3.0])
+    t_palette = draw(st.lists(target, min_size=1, max_size=6))
+    w_palette = draw(st.lists(weight, min_size=1, max_size=4))
+    targets = np.array(draw(st.lists(st.sampled_from(t_palette), min_size=n, max_size=n)))
+    weights = np.array(draw(st.lists(st.sampled_from(w_palette), min_size=n, max_size=n)))
+    zero_groups = draw(st.lists(st.booleans(), min_size=order.n_groups, max_size=order.n_groups))
+    weights[np.asarray(zero_groups)[order.group_of_row()]] = 0.0
+    return order, targets, weights
 
 
 class TestRowOrder:
@@ -177,6 +202,29 @@ class TestIsotonicBoxProjection:
             # re-averaging a pooled tie group costs at most an ulp
             np.testing.assert_allclose(again, out, rtol=0, atol=1e-14)
 
+    @settings(max_examples=300, deadline=None)
+    @given(projection_cases())
+    def test_matches_the_list_stack_reference(self, case):
+        order, targets, weights = case
+        out = isotonic_box_projection(targets, weights, order)
+        assert np.array_equal(out, reference_isotonic_box_projection(targets, weights, order))
+        assert order.is_feasible(out)
+
+    def test_pooling_is_linear_time(self):
+        # a rising staircase of 2e5 singleton groups whose last group drags
+        # every block into one; pooling that revisits blocks would take hours
+        n = 200_000
+        order = RowOrder.from_row_sums(np.arange(n, 0, -1))  # identity order
+        targets = np.arange(1.0, n + 1.0)
+        targets[-1] = 0.5 * n - targets[:-1].sum()  # weighted mean 0.5
+        weights = np.ones(n)
+        start = time.perf_counter()
+        out = isotonic_box_projection(targets, weights, order)
+        assert time.perf_counter() - start < 10.0
+        expected = np.clip(np.average(targets, weights=weights), 0.0, 1.0)
+        assert expected == 0.5
+        np.testing.assert_array_equal(out, np.full(n, expected))
+
     def test_validation_errors(self):
         order = RowOrder.from_row_sums([2.0, 1.0])
         with pytest.raises(ValueError, match="nonnegative"):
@@ -236,6 +284,21 @@ class TestMinimizeAure:
             b_dp, _ = grid_minimize_separable_quadratic(a, -2.0 * s, order, 1e-4)
             assert abs(result.objective - aure(data, b_dp, spec)) < 1e-8
             assert np.abs(result.b - b_dp).max() < 1e-3
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 30).flatmap(lambda n: st.permutations(range(n))),
+        st.integers(1, 4),
+        st.sampled_from(["normal", "poisson", "gamma"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_row_permutation_equivariance(self, perm, p, kind, seed):
+        spec, data = random_tau_instance(np.random.default_rng(seed), len(perm), p, kind)
+        result = minimize_aure(data, spec)
+        result_p = minimize_aure(DataMatrix(data.y[perm], data.tau[perm]), spec)
+        # bincount sums inside a tie group follow row order
+        np.testing.assert_allclose(result_p.b, result.b[perm], rtol=1e-12, atol=0)
+        assert result_p.objective == pytest.approx(result.objective, rel=1e-12)
 
     def test_needs_two_rows(self):
         data = DataMatrix([[1.0, 2.0]], np.ones((1, 2)))
