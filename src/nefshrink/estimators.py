@@ -21,14 +21,12 @@ from .optimize import (
     RowOrder,
     SolverOptions,
     _coordinate_descent,
-    _quadratic_targets,
     check_feasible_location,
     check_feasible_weights,
-    isotonic_box_projection,
     minimize_aure,
     minimize_ure,
 )
-from .risk import grand_mean, squared_error_loss
+from .risk import grand_mean
 
 __all__ = [
     "Provenance",
@@ -161,37 +159,13 @@ def minimize_true_loss(
 ) -> FitResult:
     """Feasible ``(b, mu)`` minimizing the realized loss against known means.
 
-    The risk-estimate fit's coordinate-descent loop, from its three
-    constant-weight starts, applied to the loss itself: the weight step
-    projects the per-row stationary points
-    ``sum_j (Y_ij - theta_ij)(Y_ij - mu_j) / A_i(mu)`` and the target step
-    uses the clipped closed form.  Benchmark-side only.
+    With ``d_i = y_i - theta_i`` the loss is the row quadratic
+    ``sum_i [||d_i||^2 - 2 b_i d_i . (y_i - mu) + b_i^2 ||y_i - mu||^2] / np``,
+    minimized by the risk-estimate fit's descent from its three
+    constant-weight starts.  Benchmark-side only.
     """
-    opts = opts or SolverOptions()
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if theta.shape != data.y.shape:
         raise ValueError("theta shape must match the observation matrix")
-    order = RowOrder.from_tau(data.tau)
-    m_range = data.data_range
-    mu0 = np.clip(grand_mean(data), -m_range, m_range)
-    dev = data.y - theta
-
-    def loss_at(b: np.ndarray, mu: np.ndarray) -> float:
-        return squared_error_loss(_combine(data, b, mu), theta)
-
-    def b_step(mu: np.ndarray) -> tuple[np.ndarray, float]:
-        resid = data.y - mu
-        a = (resid**2).sum(axis=1)
-        s = (dev * resid).sum(axis=1)
-        b = isotonic_box_projection(_quadratic_targets(a, s), a, order)
-        return b, loss_at(b, mu)
-
-    def mu_step(b: np.ndarray) -> np.ndarray:
-        wsum = float((b**2).sum())
-        if wsum == 0.0:
-            return mu0.copy()
-        num = (b[:, None] * (theta - (1.0 - b)[:, None] * data.y)).sum(axis=0)
-        return np.clip(num / wsum, -m_range, m_range)
-
-    starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
-    return _coordinate_descent(starts, b_step, mu_step, loss_at, opts)
+    d = data.y - theta
+    return _coordinate_descent(data, (d * data.y).sum(axis=1), d, (d**2).sum(axis=1), opts)

@@ -4,11 +4,12 @@ Feasible shrinkage weights live in the box [0, 1] and must be ordered
 against the tau row sums: rows with a larger sum get no more shrinkage
 than rows with a smaller sum, and rows with equal sums share one common
 weight (the ordering applies in both directions for ties).  Both risk
-estimates are separable quadratics in the weights once the target is
-fixed, so each minimization reduces to a weighted isotonic regression
-with box clipping, implemented here as pool-adjacent-violators over the
-tie groups.  The location target is handled by coordinate descent with a
-closed-form clipped update.
+estimates, and the realized loss, are per-row quadratics in the weights
+once the target is fixed, so each weight step is a weighted isotonic
+regression with box clipping, implemented here as pool-adjacent-violators
+over the tie groups.  A target is fitted by one coordinate descent over
+that row quadratic with a closed-form clipped target step; the URE fit
+and the loss oracle differ only in the row coefficients they hand it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import DataMatrix, FamilySpec
-from .risk import _risk_from_rows, _surrogate_row_sums, grand_mean
+from .risk import _row_quadratic, _surrogate_row_sums, grand_mean
 
 __all__ = [
     "RowOrder",
@@ -213,6 +214,14 @@ def _quadratic_targets(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     return targets
 
 
+def _weight_step(a, lin, const, order: RowOrder, size: int) -> tuple[np.ndarray, float]:
+    """Feasible minimizer of :func:`~nefshrink.risk._row_quadratic` over the
+    weights, and its value: one isotonic projection of the per-row
+    stationary points with weights ``a_i``."""
+    b = isotonic_box_projection(_quadratic_targets(a, lin), a, order)
+    return b, _row_quadratic(b, a, lin, const, size)
+
+
 def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     """Exact minimizer of :func:`~nefshrink.risk.aure` over the feasible set.
 
@@ -223,16 +232,16 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     """
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
-    order = RowOrder.from_tau(data.tau)
     ybar = grand_mean(data)
     a = ((data.y - ybar) ** 2).sum(axis=1)
     s = _surrogate_row_sums(data, spec)
-    factor = 1.0 - 1.0 / data.n
-    b = isotonic_box_projection(_quadratic_targets(a, factor * s), a, order)
+    b, objective = _weight_step(
+        a, (1.0 - 1.0 / data.n) * s, s, RowOrder.from_tau(data.tau), data.y.size
+    )
     return FitResult(
         b=b,
         mu=ybar,
-        objective=_risk_from_rows(b, a, s, factor, data.y.size),
+        objective=objective,
         iterations=1,
         converged=True,
         target_kind="grand_mean",
@@ -248,74 +257,71 @@ def minimize_ure(
 ) -> FitResult:
     """Minimize :func:`~nefshrink.risk.ure` jointly over weights and target.
 
-    Coordinate descent: for fixed ``mu`` the weights solve a weighted
-    isotonic projection (weights ``A_i(mu) = sum_j (Y_ij - mu_j)^2``,
-    stationary points ``S_i / A_i``); for fixed weights the target has the
-    closed form ``mu_j = sum_i b_i^2 Y_ij / sum_i b_i^2`` clipped into the
-    data box (exact, the objective is a separable convex quadratic in each
-    ``mu_j``).  A weight step is only accepted if it does not increase the
-    objective, so the recorded value is nonincreasing.
-
-    Joint minimization is biconvex, not convex, and descent from the grand
-    mean alone can miss targets that sit near one data cluster.  Restarts
-    therefore cover the no/half/full-shrinkage weights plus data-driven
-    targets: the zero vector and, for small matrices, every
-    clipped data row; the best final iterate wins.
+    URE is the row quadratic that :func:`_coordinate_descent` minimizes,
+    with ``lin_i = const_i = S_i`` and no cross term; the loss oracle runs
+    the same descent on the realized loss.  Joint minimization is biconvex,
+    not convex, and descent from the grand mean alone can miss targets that
+    sit near one data cluster, so besides the descent's own starts it
+    restarts with half shrinkage toward the zero vector and, for small
+    matrices, toward every data row.
     """
-    opts = opts or SolverOptions()
-    order = RowOrder.from_tau(data.tau)
     s = _surrogate_row_sums(data, spec)
-    m_range = data.data_range
-    mu0 = np.clip(grand_mean(data), -m_range, m_range)
-
-    def b_step(mu: np.ndarray) -> tuple[np.ndarray, float]:
-        a = ((data.y - mu) ** 2).sum(axis=1)
-        b = isotonic_box_projection(_quadratic_targets(a, s), a, order)
-        return b, _risk_from_rows(b, a, s, 1.0, data.y.size)
-
-    def mu_step(b: np.ndarray) -> np.ndarray:
-        wsum = float((b**2).sum())
-        if wsum == 0.0:
-            return mu0.copy()
-        return np.clip((b**2) @ data.y / wsum, -m_range, m_range)
-
-    starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
-    mu_candidates = [np.zeros(data.p)]
+    targets = [np.zeros(data.p)]
     if data.n <= _ROW_RESTART_CAP:
-        mu_candidates.extend(np.clip(row, -m_range, m_range) for row in data.y)
-    starts.extend((np.full(data.n, 0.5), mu) for mu in mu_candidates)
-
-    def objective(b: np.ndarray, mu: np.ndarray) -> float:
-        a = ((data.y - mu) ** 2).sum(axis=1)
-        return _risk_from_rows(b, a, s, 1.0, data.y.size)
-
-    return _coordinate_descent(starts, b_step, mu_step, objective, opts)
+        targets.extend(data.y)
+    return _coordinate_descent(data, s, None, s, opts, targets)
 
 
 def _coordinate_descent(
-    starts, b_step, mu_step, objective, opts: SolverOptions
+    data: DataMatrix, lin, cross, const, opts: SolverOptions | None, targets=()
 ) -> FitResult:
-    """Alternate ``b, objective(b, mu) = b_step(mu)`` and ``mu = mu_step(b)``
-    from every ``(b, mu)`` start and return the best final iterate.
+    """Minimize ``sum_i [b_i^2 ||y_i - mu||^2 - 2 b_i (lin_i - cross_i . mu)
+    + const_i] / np`` over feasible ``(b, mu)``; ``cross = None`` means zero.
 
-    A weight step is only accepted if it does not increase ``objective``,
-    and ``mu_step`` must be an exact minimizer in ``mu``, so the recorded
-    value is nonincreasing; a start stops once an outer iteration gains
-    less than ``opts.tolerance``.
+    Alternates the exact weight step at fixed ``mu`` with the exact target
+    step ``mu = sum_i (b_i^2 y_i - b_i cross_i) / sum_i b_i^2`` clipped into
+    the data box (the objective is a separable convex quadratic in each
+    ``mu_j``).  A weight step is only accepted if it does not increase the
+    objective, so the recorded value is nonincreasing; a start stops once
+    an outer iteration gains less than ``opts.tolerance``.  Starts: no,
+    half and full shrinkage toward the clipped grand mean, then half
+    shrinkage toward each clipped entry of ``targets``; the best final
+    iterate wins.
     """
+    opts = opts or SolverOptions()
+    order = RowOrder.from_tau(data.tau)
+    m_range = data.data_range
+    mu0 = np.clip(grand_mean(data), -m_range, m_range)
+    starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
+    starts.extend((np.full(data.n, 0.5), np.clip(mu, -m_range, m_range)) for mu in targets)
+
+    def rows_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = ((data.y - mu) ** 2).sum(axis=1)
+        return a, lin if cross is None else lin - cross @ mu
+
+    def target_step(b: np.ndarray) -> np.ndarray:
+        b2 = b**2
+        wsum = float(b2.sum())
+        if wsum == 0.0:
+            return mu0.copy()
+        num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
+        return np.clip(num / wsum, -m_range, m_range)
+
     best = None
     for b, mu in starts:
-        obj = objective(b, mu)
+        a, lin_mu = rows_at(mu)
+        obj = _row_quadratic(b, a, lin_mu, const, data.y.size)
         converged = False
         iterations = 0
         for iterations in range(1, opts.max_outer_iterations + 1):
-            candidate, cand_obj = b_step(mu)
+            candidate, cand_obj = _weight_step(a, lin_mu, const, order, data.y.size)
             if cand_obj <= obj:
                 b, obj_b = candidate, cand_obj
             else:
                 obj_b = obj  # flat-direction fill would backtrack; keep iterate
-            mu = mu_step(b)
-            obj_mu = objective(b, mu)
+            mu = target_step(b)
+            a, lin_mu = rows_at(mu)
+            obj_mu = _row_quadratic(b, a, lin_mu, const, data.y.size)
             _check_descent(obj_b, obj_mu)
             converged = obj - obj_mu < opts.tolerance
             obj = obj_mu

@@ -51,10 +51,12 @@ def _surrogate_row_sums(data: DataMatrix, spec: FamilySpec) -> np.ndarray:
     return (variance_function(spec, data.y) / denom).sum(axis=1)
 
 
-def _risk_from_rows(b, a, s, factor: float, size: int) -> float:
-    """``sum_i [b_i^2 a_i + (1 - 2 factor b_i) s_i] / size`` with ``a_i = ||y_i - mu||^2``
-    and ``s_i = S_i``: :func:`ure` at ``factor = 1``, :func:`aure` at ``1 - 1/n``."""
-    return float(np.sum(b * b * a + (1.0 - 2.0 * factor * b) * s) / size)
+def _row_quadratic(b, a, lin, const, size: int) -> float:
+    """``sum_i [b_i^2 a_i - 2 b_i lin_i + const_i] / size``, a quadratic in each row's
+    weight.  With ``a_i = ||y_i - mu||^2`` and ``S_i`` the surrogate row sums,
+    :func:`ure` is ``lin_i = const_i = S_i`` and :func:`aure` (at ``mu = Ybar``)
+    ``lin_i = (1 - 1/n) S_i``, ``const_i = S_i``."""
+    return float(np.sum(b * b * a - 2.0 * b * lin + const) / size)
 
 
 def ure(data: DataMatrix, b, mu, spec: FamilySpec) -> float:
@@ -67,7 +69,8 @@ def ure(data: DataMatrix, b, mu, spec: FamilySpec) -> float:
     if mu.shape != (data.p,):
         raise ValueError(f"expected {data.p} target coordinates, got shape {mu.shape}")
     a = ((data.y - mu) ** 2).sum(axis=1)
-    return _risk_from_rows(b, a, _surrogate_row_sums(data, spec), 1.0, data.y.size)
+    s = _surrogate_row_sums(data, spec)
+    return _row_quadratic(b, a, s, s, data.y.size)
 
 
 def aure(data: DataMatrix, b, spec: FamilySpec) -> float:
@@ -83,7 +86,7 @@ def aure(data: DataMatrix, b, spec: FamilySpec) -> float:
     b = _weight_vector(b, data.n)
     a = ((data.y - grand_mean(data)) ** 2).sum(axis=1)
     s = _surrogate_row_sums(data, spec)
-    return _risk_from_rows(b, a, s, 1.0 - 1.0 / data.n, data.y.size)
+    return _row_quadratic(b, a, (1.0 - 1.0 / data.n) * s, s, data.y.size)
 
 
 def true_risk(theta, b, mu, spec: FamilySpec, tau) -> float:

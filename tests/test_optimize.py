@@ -12,12 +12,15 @@ from nefshrink import (
     RowOrder,
     SolverOptions,
     aure,
+    grand_mean,
     isotonic_box_projection,
     make_family,
     minimize_aure,
+    minimize_true_loss,
     minimize_ure,
     sample_feasible_weights,
     sample_matrix,
+    squared_error_loss,
     ure,
     variance_function,
 )
@@ -97,6 +100,24 @@ def projection_cases(draw):
     zero_groups = draw(st.lists(st.booleans(), min_size=order.n_groups, max_size=order.n_groups))
     weights[np.asarray(zero_groups)[order.group_of_row()]] = 0.0
     return order, targets, weights
+
+
+@st.composite
+def descent_cases(draw):
+    """Normal, Poisson or gamma data with tied or all-distinct tau row sums."""
+    kind = draw(st.sampled_from(["normal", "poisson", "gamma"]))
+    n, p = draw(st.integers(1, 20)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec, theta, _ = family_case(kind, n, p, rng)
+    if draw(st.booleans()):
+        # every row copies one of a few tau rows, so row sums tie
+        levels = rng.integers(1, 4, (draw(st.integers(1, 3)), p))
+        tau = levels[rng.integers(0, len(levels), n)]
+    else:
+        tau = rng.integers(1, 4, (n, p))
+        tau[:, 0] += 4 * p * rng.permutation(n)  # shifts larger than any other spread
+    data = sample_matrix(spec, theta, tau.astype(float), seed=int(rng.integers(1 << 30)))
+    return spec, theta, data
 
 
 class TestRowOrder:
@@ -380,6 +401,34 @@ class TestMinimizeUre:
         result = minimize_ure(data, spec, opts)
         assert not result.converged
         assert RowOrder.from_tau(data.tau).is_feasible(result.b)
+
+
+class TestSharedDescent:
+    @settings(max_examples=150, deadline=None)
+    @given(descent_cases())
+    def test_fits_are_feasible_and_descend_from_every_start(self, case):
+        # URE and the realized loss are minimized by the same descent
+        spec, theta, data = case
+        order = RowOrder.from_tau(data.tau)
+        mu0 = np.clip(grand_mean(data), -data.data_range, data.data_range)
+
+        def loss(b, mu):
+            return squared_error_loss((1 - b)[:, None] * data.y + b[:, None] * mu, theta)
+
+        oracle = minimize_true_loss(data, theta)
+        fits = [(minimize_ure(data, spec), lambda b, mu: ure(data, b, mu, spec)), (oracle, loss)]
+        for result, objective in fits:
+            assert order.is_feasible(result.b)
+            assert np.all(np.abs(result.mu) <= data.data_range)
+            for c in (0.5, 0.0, 1.0):
+                start = objective(np.full(data.n, c), mu0)
+                # the rounding slack _check_descent allows per step
+                assert result.objective <= start + 1e-12 * (1.0 + abs(start))
+        # the row form sums terms the size of the no-shrinkage loss; they cancel
+        # where the oracle drives the loss to ~0 (n = 1: b = 1 and mu = theta)
+        scale = squared_error_loss(data.y, theta)
+        assert oracle.objective == pytest.approx(
+            loss(oracle.b, oracle.mu), rel=1e-12, abs=1e-12 * scale)
 
 
 class TestGridOracleUre:
