@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -65,11 +66,33 @@ def _format_vector(values: np.ndarray) -> str:
     return ",".join(f"{v:.17g}" for v in np.asarray(values).reshape(-1))
 
 
+def _load_matrix(path) -> np.ndarray:
+    with warnings.catch_warnings():
+        # an empty file loads as an empty array, which DataMatrix rejects
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+
+
+# cells formatted per write: a few MiB of Python objects at a time
+_WRITE_BLOCK_CELLS = 1 << 16
+
+
+def _write_matrix(path, matrix: np.ndarray) -> None:
+    """Write ``matrix`` as ``np.savetxt(path, matrix, delimiter=",",
+    fmt="%.17g")`` does, byte for byte, with one ``%`` per block of rows."""
+    rows_per_block = max(1, _WRITE_BLOCK_CELLS // matrix.shape[1])
+    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        for start in range(0, matrix.shape[0], rows_per_block):
+            block = matrix[start : start + rows_per_block]
+            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+
+
 def _cmd_fit(args) -> int:
-    y = np.loadtxt(args.matrix, delimiter=",", ndmin=2)
+    y = _load_matrix(args.matrix)
     spec = make_family(args.family, shape=args.lam, trials=args.trials)
     if args.tau is not None:
-        tau = np.loadtxt(args.tau, delimiter=",", ndmin=2)
+        tau = _load_matrix(args.tau)
     else:
         tau = default_tau(spec, y.shape[0], y.shape[1])
     data = DataMatrix(y=y, tau=tau)
@@ -81,7 +104,7 @@ def _cmd_fit(args) -> int:
     print(f"objective: {result.objective:.17g}")
     print(f"iterations: {result.iterations}")
     print(f"converged: {result.converged}")
-    np.savetxt(args.out, estimate.theta_hat, delimiter=",", fmt="%.17g")
+    _write_matrix(args.out, estimate.theta_hat)
     return 0
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .families import DataMatrix, FamilySpec
+from .families import DataMatrix, FamilyKind, FamilySpec
 from .optimize import (
     FitResult,
     RowOrder,
@@ -99,7 +99,10 @@ def fit(
     opts: SolverOptions | None = None,
 ) -> tuple[FitResult, EstimateMatrix]:
     """Minimize the risk estimate of the requested class and materialize
-    the fitted estimate."""
+    the fitted estimate.  Only the normal family admits negative
+    observations."""
+    if spec.kind is not FamilyKind.NORMAL and np.any(data.y < 0):
+        raise ValueError(f"{spec.kind.value} observations must be nonnegative")
     if mode == "location":
         result = minimize_ure(data, spec, opts)
         estimate = shrink_to_location(data, result.b, result.mu)

@@ -263,7 +263,10 @@ def minimize_ure(
     not convex, and descent from the grand mean alone can miss targets that
     sit near one data cluster, so besides the descent's own starts it
     restarts with half shrinkage toward the zero vector and, for small
-    matrices, toward every data row.
+    matrices, toward every data row.  The weight step ignores a start's
+    ``b``, so starts sharing a target share it, and starts that reach the
+    same state are descended once; a restart that coincides with the grand
+    mean or another row therefore costs no further projection.
     """
     s = _surrogate_row_sums(data, spec)
     targets = [np.zeros(data.p)]
@@ -286,9 +289,17 @@ def _coordinate_descent(
     an outer iteration gains less than ``opts.tolerance``.  Starts: no,
     half and full shrinkage toward the clipped grand mean, then half
     shrinkage toward each clipped entry of ``targets``; the best final
-    iterate wins.
+    iterate wins, the earliest start on ties.
+
+    The weight step ignores the start's ``b``, so starts that share a
+    target share their first weight step; only its acceptance test, the
+    descent check and the convergence test of the first iteration are run
+    per start.  After that the iterate ``(b, mu)`` fixes the rest of the
+    descent, so starts that reach bitwise the same state are descended
+    once and share its final iterate.
     """
     opts = opts or SolverOptions()
+    size = data.y.size
     order = RowOrder.from_tau(data.tau)
     m_range = data.data_range
     mu0 = np.clip(grand_mean(data), -m_range, m_range)
@@ -307,28 +318,52 @@ def _coordinate_descent(
         num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
         return np.clip(num / wsum, -m_range, m_range)
 
-    best = None
-    for b, mu in starts:
+    def iterate(b, obj, a, lin_mu, candidate, cand_obj):
+        """One outer iteration from ``b`` at the rows of its target, given
+        the weight step there; returns the new iterate and its objective."""
+        if cand_obj <= obj:
+            b, obj_b = candidate, cand_obj
+        else:
+            obj_b = obj  # flat-direction fill would backtrack; keep iterate
+        mu = target_step(b)
         a, lin_mu = rows_at(mu)
-        obj = _row_quadratic(b, a, lin_mu, const, data.y.size)
+        obj_mu = _row_quadratic(b, a, lin_mu, const, size)
+        _check_descent(obj_b, obj_mu)
+        return b, mu, a, lin_mu, obj_mu
+
+    def descend(b, mu, a, lin_mu, obj) -> FitResult:
+        """Iterations 2, 3, ... from the state reached after iteration 1."""
         converged = False
-        iterations = 0
-        for iterations in range(1, opts.max_outer_iterations + 1):
-            candidate, cand_obj = _weight_step(a, lin_mu, const, order, data.y.size)
-            if cand_obj <= obj:
-                b, obj_b = candidate, cand_obj
-            else:
-                obj_b = obj  # flat-direction fill would backtrack; keep iterate
-            mu = target_step(b)
-            a, lin_mu = rows_at(mu)
-            obj_mu = _row_quadratic(b, a, lin_mu, const, data.y.size)
-            _check_descent(obj_b, obj_mu)
+        iterations = 1
+        for iterations in range(2, opts.max_outer_iterations + 1):
+            step = _weight_step(a, lin_mu, const, order, size)
+            b, mu, a, lin_mu, obj_mu = iterate(b, obj, a, lin_mu, *step)
             converged = obj - obj_mu < opts.tolerance
             obj = obj_mu
             if converged:
                 break
-        if best is None or obj < best.objective:
-            best = FitResult(b, mu, obj, iterations, converged)
+        return FitResult(b, mu, obj, iterations, converged)
+
+    first_steps: dict[bytes, tuple] = {}  # clipped target -> its rows and weight step
+    descents: dict[bytes, FitResult] = {}  # state after iteration 1 -> its descent
+    best = None
+    for b, mu in starts:
+        key = mu.tobytes()
+        if key not in first_steps:
+            a, lin_mu = rows_at(mu)
+            first_steps[key] = (a, lin_mu, *_weight_step(a, lin_mu, const, order, size))
+        a, lin_mu, candidate, cand_obj = first_steps[key]
+        obj = _row_quadratic(b, a, lin_mu, const, size)
+        b, mu, a, lin_mu, obj_mu = iterate(b, obj, a, lin_mu, candidate, cand_obj)
+        if obj - obj_mu < opts.tolerance:
+            result = FitResult(b, mu, obj_mu, 1, True)
+        else:
+            state = b.tobytes() + mu.tobytes()
+            if state not in descents:
+                descents[state] = descend(b, mu, a, lin_mu, obj_mu)
+            result = descents[state]
+        if best is None or result.objective < best.objective:
+            best = result
     return best
 
 

@@ -3,7 +3,9 @@
 The lattice oracles enumerate the feasible set on a value lattice,
 independently of the pool-adjacent-violators and coordinate-descent routes
 they check; the list-stack projection is the earlier pool-adjacent-violators
-loop, kept as the exact reference for the block-stack one.
+loop, kept as the exact reference for the block-stack one, and the
+start-by-start descent is the earlier coordinate-descent loop, kept as the
+exact reference for the one that descends each distinct state once.
 """
 
 import itertools
@@ -11,8 +13,9 @@ from math import comb
 
 import numpy as np
 
-from nefshrink import DataMatrix, FamilySpec, RowOrder
-from nefshrink.risk import _surrogate_row_sums
+from nefshrink import DataMatrix, FamilySpec, FitResult, RowOrder, SolverOptions
+from nefshrink.optimize import _check_descent, _weight_step
+from nefshrink.risk import _row_quadratic, _surrogate_row_sums, grand_mean
 
 
 def _unit_grid(resolution: float) -> np.ndarray:
@@ -184,3 +187,52 @@ def reference_isotonic_box_projection(targets, weights, order: RowOrder) -> np.n
         left = right + 1
 
     return np.clip(order.expand_group_values(group_values), 0.0, 1.0)
+
+
+def reference_coordinate_descent(
+    data: DataMatrix, lin, cross, const, opts: SolverOptions | None, targets=()
+) -> FitResult:
+    """Start-by-start form of ``nefshrink.optimize._coordinate_descent``:
+    every start runs its own descent, so the two agree bit for bit."""
+    opts = opts or SolverOptions()
+    order = RowOrder.from_tau(data.tau)
+    m_range = data.data_range
+    mu0 = np.clip(grand_mean(data), -m_range, m_range)
+    starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
+    starts.extend((np.full(data.n, 0.5), np.clip(mu, -m_range, m_range)) for mu in targets)
+
+    def rows_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        a = ((data.y - mu) ** 2).sum(axis=1)
+        return a, lin if cross is None else lin - cross @ mu
+
+    def target_step(b: np.ndarray) -> np.ndarray:
+        b2 = b**2
+        wsum = float(b2.sum())
+        if wsum == 0.0:
+            return mu0.copy()
+        num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
+        return np.clip(num / wsum, -m_range, m_range)
+
+    best = None
+    for b, mu in starts:
+        a, lin_mu = rows_at(mu)
+        obj = _row_quadratic(b, a, lin_mu, const, data.y.size)
+        converged = False
+        iterations = 0
+        for iterations in range(1, opts.max_outer_iterations + 1):
+            candidate, cand_obj = _weight_step(a, lin_mu, const, order, data.y.size)
+            if cand_obj <= obj:
+                b, obj_b = candidate, cand_obj
+            else:
+                obj_b = obj  # flat-direction fill would backtrack; keep iterate
+            mu = target_step(b)
+            a, lin_mu = rows_at(mu)
+            obj_mu = _row_quadratic(b, a, lin_mu, const, data.y.size)
+            _check_descent(obj_b, obj_mu)
+            converged = obj - obj_mu < opts.tolerance
+            obj = obj_mu
+            if converged:
+                break
+        if best is None or obj < best.objective:
+            best = FitResult(b, mu, obj, iterations, converged)
+    return best

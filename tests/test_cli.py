@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from nefshrink import cli
 from nefshrink.cli import main
 from nefshrink.harness import CSV_HEADER
 
@@ -80,6 +81,39 @@ class TestFitCommand:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+    def test_negative_poisson_observation_is_rejected(self, tmp_path, capsys):
+        matrix = tmp_path / "y.csv"
+        matrix.write_text("-1,2\n3,4\n")
+        out = tmp_path / "e.csv"
+        code = main(["fit", str(matrix), "--family", "poisson", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: poisson observations must be nonnegative\n"
+        assert not out.exists()
+
+    def test_empty_matrix_prints_one_error_line(self, tmp_path):
+        matrix = tmp_path / "y.csv"
+        matrix.write_text("")
+        proc = subprocess.run(
+            [sys.executable, "-m", "nefshrink.cli", "fit", str(matrix),
+             "--family", "normal", "--out", str(tmp_path / "e.csv")],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "error: observation matrix must be non-empty\n"
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (40, 7), (3, 40)])
+    def test_estimate_file_matches_savetxt(self, tmp_path, monkeypatch, shape):
+        monkeypatch.setattr(cli, "_WRITE_BLOCK_CELLS", 16)  # several blocks, one ragged
+        rng = np.random.default_rng(3)
+        matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+        matrix.flat[0] = -0.0
+        ours, numpys = tmp_path / "ours.csv", tmp_path / "numpy.csv"
+        cli._write_matrix(ours, matrix)
+        np.savetxt(numpys, matrix, delimiter=",", fmt="%.17g")
+        assert ours.read_bytes() == numpys.read_bytes()
 
 
 class TestSimulateCommand:

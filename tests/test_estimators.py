@@ -133,6 +133,20 @@ class TestFit:
             expected = (1 - result.b)[:, None] * data.y + result.b[:, None] * result.mu
             np.testing.assert_array_equal(est.theta_hat, expected)
 
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    @pytest.mark.parametrize("kind", ["poisson", "gamma", "multinomial", "negmultinomial"])
+    def test_rejects_observations_outside_the_support(self, rng, kind, mode):
+        spec, theta, tau = family_case(kind, 3, 2, rng)
+        y = np.array(theta)
+        y[1, 0] = -0.25
+        with pytest.raises(ValueError, match=f"^{kind} observations must be nonnegative$"):
+            fit(DataMatrix(y, tau), spec, mode)
+
+    def test_normal_observations_may_be_negative(self):
+        data = DataMatrix([[-1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)))
+        result, _ = fit(data, make_family("normal"), "location")
+        assert RowOrder.from_tau(data.tau).is_feasible(result.b)
+
     def test_unknown_mode(self):
         data = DataMatrix([[1.0]], [[1]])
         with pytest.raises(ValueError, match="mode"):

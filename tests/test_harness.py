@@ -1,5 +1,7 @@
 """Experiment engine: config, seeding, sup-gap proxy, CSV, rate fits."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -312,6 +314,47 @@ class TestRunExperiment:
         )
         with pytest.raises(ValueError, match="determined by N"):
             run_experiment(config)
+
+
+# Records CSVs pinned byte for byte.  A change that moves these bytes on
+# purpose updates the digest and records the change in CHANGES.md.
+CONTRACT_CONFIGS = {
+    # tied tau row sums and a restart from every row (n <= 12)
+    "location_ties": ("""
+family = poisson
+theta_rule = uniform:0.5,2
+n_grid = 4,8,12
+p_rule = fixed:3
+tau_rule = randint:1,2
+M = 8
+seed = 11
+mode = location
+competitors = no_shrinkage,half_to_zero,oracle_loss
+K_grid = 4
+""", "6692d80574c481761bc0cebee11e68493d0bd28bb35029aa11d1ab34a9371fa4"),
+    "grand_mean_oracle": ("""
+family = poisson
+theta_rule = uniform:0.5,2
+n_grid = 50,100,200
+p_rule = fixed:4
+tau_rule = randint:1,1000
+M = 4
+seed = 12
+mode = grand_mean
+competitors = no_shrinkage,oracle_loss
+K_grid = 4
+""", "f80a129bdc1b9572a3b918f949ca905cb2d199cf2cd294b33e29e18c0c9a3b7e"),
+}
+
+
+class TestRecordsContract:
+    @pytest.mark.parametrize("name", sorted(CONTRACT_CONFIGS))
+    def test_records_csv_bytes_are_pinned(self, name, tmp_path):
+        text, digest = CONTRACT_CONFIGS[name]
+        config = ExperimentConfig.from_dict(parse_config_text(text))
+        path = tmp_path / "records.csv"
+        write_records_csv(run_experiment(config), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestCsvRoundTrip:

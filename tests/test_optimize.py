@@ -2,6 +2,7 @@
 
 import itertools
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,10 +26,13 @@ from nefshrink import (
     variance_function,
 )
 
+from nefshrink import estimators, optimize
+
 from conftest import family_case
 from oracles import (
     grid_minimize_separable_quadratic,
     grid_oracle_ure,
+    reference_coordinate_descent,
     reference_isotonic_box_projection,
 )
 
@@ -429,6 +433,50 @@ class TestSharedDescent:
         scale = squared_error_loss(data.y, theta)
         assert oracle.objective == pytest.approx(
             loss(oracle.b, oracle.mu), rel=1e-12, abs=1e-12 * scale)
+
+
+class TestDistinctDescents:
+    @settings(max_examples=200, deadline=None)
+    @given(descent_cases(), st.sampled_from([1, 2, 200]), st.booleans())
+    def test_matches_the_start_by_start_reference(self, case, max_iter, constant):
+        # n <= 12 adds a restart per row; a constant matrix has flat rows
+        # (a_i = 0) and every row restart coincides with the grand mean
+        spec, theta, data = case
+        if constant:
+            data = DataMatrix(y=np.full_like(data.y, data.y[0, 0]), tau=data.tau)
+        opts = SolverOptions(max_outer_iterations=max_iter)
+
+        def fits():
+            return minimize_ure(data, spec, opts), minimize_true_loss(data, theta, opts)
+
+        fast = fits()
+        with mock.patch.object(optimize, "_coordinate_descent", reference_coordinate_descent), \
+                mock.patch.object(estimators, "_coordinate_descent", reference_coordinate_descent):
+            slow = fits()
+        for got, want in zip(fast, slow):
+            assert np.array_equal(got.b, want.b)
+            assert np.array_equal(got.mu, want.mu)
+            assert got.objective == want.objective
+            assert got.iterations == want.iterations
+            assert got.converged == want.converged
+
+    def test_loss_oracle_projects_once_per_iteration(self, monkeypatch):
+        # the three grand-mean starts share their first weight step and the
+        # state it leads to, so the descent is walked once
+        rng = np.random.default_rng(2024)
+        spec, theta, _ = family_case("poisson", 200, 5, rng)
+        tau = rng.integers(1, 1001, (200, 5)).astype(float)  # randint:1,1000
+        data = sample_matrix(spec, theta, tau, seed=7)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return isotonic_box_projection(*args)
+
+        monkeypatch.setattr(optimize, "isotonic_box_projection", counting)
+        result = minimize_true_loss(data, theta)
+        assert result.iterations > 1
+        assert len(calls) == result.iterations
 
 
 class TestGridOracleUre:
