@@ -63,7 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _format_vector(values: np.ndarray) -> str:
-    return ",".join(f"{v:.17g}" for v in np.asarray(values).reshape(-1))
+    flat = np.asarray(values).reshape(-1)
+    return ",".join(["%.17g"] * flat.size) % tuple(flat.tolist())
 
 
 def _load_matrix(path) -> np.ndarray:

@@ -18,7 +18,6 @@ import numpy as np
 from .families import DataMatrix, FamilyKind, FamilySpec
 from .optimize import (
     FitResult,
-    RowOrder,
     SolverOptions,
     _coordinate_descent,
     check_feasible_location,
@@ -66,8 +65,7 @@ def _combine(data: DataMatrix, b: np.ndarray, mu: np.ndarray) -> np.ndarray:
 
 def shrink_to_location(data: DataMatrix, b, mu) -> EstimateMatrix:
     """Shrink each row toward ``mu``; ``(b, mu)`` must be feasible."""
-    order = RowOrder.from_tau(data.tau)
-    b = check_feasible_weights(b, order)
+    b = check_feasible_weights(b, data.order)
     mu = check_feasible_location(mu, data.data_range)
     if mu.size != data.p:
         raise ValueError(f"expected {data.p} target coordinates, got {mu.size}")
@@ -81,8 +79,7 @@ def shrink_to_location(data: DataMatrix, b, mu) -> EstimateMatrix:
 
 def shrink_to_grand_mean(data: DataMatrix, b) -> EstimateMatrix:
     """Shrink each row toward the column means."""
-    order = RowOrder.from_tau(data.tau)
-    b = check_feasible_weights(b, order)
+    b = check_feasible_weights(b, data.order)
     ybar = grand_mean(data)
     return EstimateMatrix(
         theta_hat=_combine(data, b, ybar),

@@ -5,19 +5,24 @@ share the structure ``Var(Y_ij) = V(theta_ij) / tau_ij`` where
 ``V(t) = nu0 + nu1*t + nu2*t**2`` and the ``tau_ij`` are known positive
 integer within-group sample sizes.  This module defines the family
 descriptors, their mean domains, exact samplers, and closed-form moment
-oracles used throughout the rest of the library.
+oracles used throughout the rest of the library, and the immutable
+:class:`DataMatrix` that keeps what its consumers derive from one matrix:
+the tau row order (:class:`RowOrder`), the data range, the column means
+and, per family, the surrogate row sums of :mod:`nefshrink.risk`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "FamilyKind",
     "FamilySpec",
+    "RowOrder",
     "DataMatrix",
     "make_family",
     "variance_function",
@@ -195,24 +200,95 @@ def default_tau(spec: FamilySpec, n: int, p: int) -> np.ndarray:
     return np.ones((n, p), dtype=int)
 
 
-@dataclass
+@dataclass(frozen=True)
+class RowOrder:
+    """Row permutation by descending tau row sums, with tie groups.
+
+    Along ``permutation`` the feasible weights are nondecreasing; positions
+    whose row sums tie form a group that must share a single value.
+    """
+
+    permutation: np.ndarray
+    group_ids: np.ndarray  # group index per permutation position, nondecreasing
+
+    @classmethod
+    def from_row_sums(cls, sums) -> "RowOrder":
+        sums = np.asarray(sums, dtype=float).reshape(-1)
+        perm = np.argsort(-sums, kind="stable")
+        ordered = sums[perm]
+        # new group wherever the sorted sum strictly drops
+        group_ids = np.concatenate([[0], np.cumsum(ordered[:-1] > ordered[1:])])
+        return cls(permutation=perm, group_ids=group_ids.astype(int))
+
+    @classmethod
+    def from_tau(cls, tau) -> "RowOrder":
+        return cls.from_row_sums(np.asarray(tau).sum(axis=1))
+
+    @property
+    def n(self) -> int:
+        return self.permutation.size
+
+    @property
+    def n_groups(self) -> int:
+        return int(self.group_ids[-1]) + 1 if self.n else 0
+
+    def group_of_row(self) -> np.ndarray:
+        """Group index per original row."""
+        out = np.empty(self.n, dtype=int)
+        out[self.permutation] = self.group_ids
+        return out
+
+    def expand_group_values(self, values) -> np.ndarray:
+        """Map one value per group back to a per-row vector."""
+        values = np.asarray(values, dtype=float)
+        out = np.empty(self.n, dtype=float)
+        out[self.permutation] = values[self.group_ids]
+        return out
+
+    def is_feasible(self, b) -> bool:
+        b = np.asarray(b, dtype=float).reshape(-1)
+        # written so that NaN fails the box test
+        if b.shape != (self.n,) or not np.all((b >= 0.0) & (b <= 1.0)):
+            return False
+        # nondecreasing along the order, constant inside each tie group
+        steps = np.diff(b[self.permutation])
+        tied = np.diff(self.group_ids) == 0
+        return bool(np.all(steps >= 0.0) and np.all(steps[tied] == 0.0))
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True)
 class DataMatrix:
-    """An n-by-p observation matrix together with its tau matrix."""
+    """An n-by-p observation matrix together with its tau matrix.
+
+    Immutable: the fields cannot be reassigned, and the quantities that
+    consumers derive from the matrix (``order``, ``data_range``,
+    ``column_means`` and, through :mod:`nefshrink.risk`, the surrogate row
+    sums per family) are computed on first use and kept, as read-only
+    arrays.  A float ``y`` is kept as passed, not copied, so it must not
+    be changed after construction, or the kept values go stale.
+    """
 
     y: np.ndarray
     tau: np.ndarray
 
     def __post_init__(self):
-        self.y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        self.tau = np.atleast_2d(_check_tau(self.tau))
-        if self.y.shape != self.tau.shape:
+        y = np.atleast_2d(np.asarray(self.y, dtype=float))
+        tau = np.atleast_2d(_check_tau(self.tau))
+        if y.shape != tau.shape:
             raise ValueError(
-                f"observation shape {self.y.shape} does not match tau shape {self.tau.shape}"
+                f"observation shape {y.shape} does not match tau shape {tau.shape}"
             )
-        if self.y.size == 0:
+        if y.size == 0:
             raise ValueError("observation matrix must be non-empty")
-        if not np.all(np.isfinite(self.y)):
+        if not np.all(np.isfinite(y)):
             raise ValueError("observations must be finite")
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "tau", tau)
 
     @property
     def n(self) -> int:
@@ -222,10 +298,29 @@ class DataMatrix:
     def p(self) -> int:
         return self.y.shape[1]
 
-    @property
+    @cached_property
+    def order(self) -> RowOrder:
+        """The tau row order that feasible weights follow."""
+        order = RowOrder.from_tau(self.tau)
+        _read_only(order.permutation)
+        _read_only(order.group_ids)
+        return order
+
+    @cached_property
     def data_range(self) -> float:
         """Largest absolute observation; box bound for shrinkage targets."""
         return float(np.abs(self.y).max())
+
+    @cached_property
+    def column_means(self) -> np.ndarray:
+        """Column means ``Ybar_j``, the grand-mean shrinkage target."""
+        return _read_only(self.y.mean(axis=0))
+
+    @cached_property
+    def _surrogate_sums(self) -> dict:
+        """Row sums ``S_i`` per :class:`FamilySpec`, kept by
+        :func:`nefshrink.risk._surrogate_row_sums`."""
+        return {}
 
 
 def _row_trial_counts(tau: np.ndarray, minimum: int, label: str) -> np.ndarray:

@@ -32,7 +32,6 @@ from .families import (
 )
 from .optimize import (
     FitResult,
-    RowOrder,
     SolverOptions,
     check_feasible_location,
     check_feasible_weights,
@@ -264,7 +263,7 @@ def estimate_sup_gap(
     enlarging ``samples`` keeps the smaller set as a prefix.  The result is
     a lower bound on the true supremum.
     """
-    order = RowOrder.from_tau(data.tau)
+    order = data.order
     m_range = data.data_range
     if fitted is None:
         fitted = minimize_ure(data, spec)
@@ -292,7 +291,7 @@ def estimate_sup_gap_grand_mean(
     """Grand-mean analogue of :func:`estimate_sup_gap` (weights only)."""
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
-    order = RowOrder.from_tau(data.tau)
+    order = data.order
     if fitted is None:
         fitted = minimize_aure(data, spec)
     b_fit = fitted.b if isinstance(fitted, FitResult) else fitted

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import DataMatrix, FamilySpec
+from .families import DataMatrix, FamilySpec, RowOrder
 from .risk import _row_quadratic, _surrogate_row_sums, grand_mean
 
 __all__ = [
@@ -32,62 +32,6 @@ __all__ = [
     "check_feasible_weights",
     "check_feasible_location",
 ]
-
-
-@dataclass(frozen=True)
-class RowOrder:
-    """Row permutation by descending tau row sums, with tie groups.
-
-    Along ``permutation`` the feasible weights are nondecreasing; positions
-    whose row sums tie form a group that must share a single value.
-    """
-
-    permutation: np.ndarray
-    group_ids: np.ndarray  # group index per permutation position, nondecreasing
-
-    @classmethod
-    def from_row_sums(cls, sums) -> "RowOrder":
-        sums = np.asarray(sums, dtype=float).reshape(-1)
-        perm = np.argsort(-sums, kind="stable")
-        ordered = sums[perm]
-        # new group wherever the sorted sum strictly drops
-        group_ids = np.concatenate([[0], np.cumsum(ordered[:-1] > ordered[1:])])
-        return cls(permutation=perm, group_ids=group_ids.astype(int))
-
-    @classmethod
-    def from_tau(cls, tau) -> "RowOrder":
-        return cls.from_row_sums(np.asarray(tau).sum(axis=1))
-
-    @property
-    def n(self) -> int:
-        return self.permutation.size
-
-    @property
-    def n_groups(self) -> int:
-        return int(self.group_ids[-1]) + 1 if self.n else 0
-
-    def group_of_row(self) -> np.ndarray:
-        """Group index per original row."""
-        out = np.empty(self.n, dtype=int)
-        out[self.permutation] = self.group_ids
-        return out
-
-    def expand_group_values(self, values) -> np.ndarray:
-        """Map one value per group back to a per-row vector."""
-        values = np.asarray(values, dtype=float)
-        out = np.empty(self.n, dtype=float)
-        out[self.permutation] = values[self.group_ids]
-        return out
-
-    def is_feasible(self, b) -> bool:
-        b = np.asarray(b, dtype=float).reshape(-1)
-        # written so that NaN fails the box test
-        if b.shape != (self.n,) or not np.all((b >= 0.0) & (b <= 1.0)):
-            return False
-        # nondecreasing along the order, constant inside each tie group
-        steps = np.diff(b[self.permutation])
-        tied = np.diff(self.group_ids) == 0
-        return bool(np.all(steps >= 0.0) and np.all(steps[tied] == 0.0))
 
 
 def check_feasible_weights(b, order: RowOrder) -> np.ndarray:
@@ -123,12 +67,20 @@ def isotonic_box_projection(targets, weights, order: RowOrder) -> np.ndarray:
     ``(value, sum w*t, sum w, sum t, count, groups covered)``: each group is
     pushed as a block and merged into the block below (sums added lower
     block first) while that block's value is larger, so the pass is linear.
+    With a single tie group there is nothing to pool: the clipped value of
+    the one block is returned directly, from the same sums.
 
     Coordinates with zero weight do not influence any pooled average: they
     take the value their block forces or, when no pooling touches them, the
     feasible value nearest their clipped target.  A block whose total
     weight is zero takes the plain mean of its member targets.
     """
+    targets, weights = _projection_inputs(targets, weights, order)
+    return _pool_adjacent_violators(targets, weights, weights * targets, order)
+
+
+def _projection_inputs(targets, weights, order: RowOrder) -> tuple[np.ndarray, np.ndarray]:
+    """Flat float ``targets`` and ``weights``, checked for the projection."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if targets.shape != weights.shape or targets.size != order.n:
@@ -137,16 +89,24 @@ def isotonic_box_projection(targets, weights, order: RowOrder) -> np.ndarray:
         raise ValueError("weights must be nonnegative")
     if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(weights))):
         raise ValueError("targets and weights must be finite")
+    return targets, weights
 
-    t = targets[order.permutation]
-    w = weights[order.permutation]
+
+def _pool_adjacent_violators(targets, weights, pulls, order: RowOrder) -> np.ndarray:
+    """:func:`isotonic_box_projection` of checked inputs, with ``pulls`` in
+    place of ``weights * targets`` in the blocks' weighted target sums, so
+    a block with positive weight pools to ``sum pulls / sum weights``."""
+    perm = order.permutation
     gids = order.group_ids
     n_groups = order.n_groups
 
     # per-block accumulators: weighted target sum, weight, plain target sum, count
-    swt = np.bincount(gids, weights=w * t, minlength=n_groups)
-    sw = np.bincount(gids, weights=w, minlength=n_groups)
-    st = np.bincount(gids, weights=t, minlength=n_groups)
+    swt = np.bincount(gids, weights=pulls[perm], minlength=n_groups)
+    sw = np.bincount(gids, weights=weights[perm], minlength=n_groups)
+    if n_groups == 1 and sw[0] > 0:
+        # clipped as np.clip does, on a Python float: -0.0 stays -0.0
+        return np.full(order.n, min(max(float(swt[0]) / float(sw[0]), 0.0), 1.0))
+    st = np.bincount(gids, weights=targets[perm], minlength=n_groups)
     cnt = np.bincount(gids, minlength=n_groups).astype(float)
 
     value = np.divide(swt, sw, out=st / cnt, where=sw > 0)
@@ -204,7 +164,7 @@ def _quadratic_targets(a: np.ndarray, s: np.ndarray) -> np.ndarray:
     Flat coordinates (``a_i = 0``) push to 1 when the linear pull is toward
     shrinkage (``s_i > 0``), sit at 0.5 when the objective ignores them, and
     drop to 0 for a negative pull; the projection's zero-weight rule then
-    yields the nearest feasible value.
+    yields the nearest feasible value when no pooling touches them.
     """
     targets = np.empty_like(a)
     pos = a > 0
@@ -217,8 +177,20 @@ def _quadratic_targets(a: np.ndarray, s: np.ndarray) -> np.ndarray:
 def _weight_step(a, lin, const, order: RowOrder, size: int) -> tuple[np.ndarray, float]:
     """Feasible minimizer of :func:`~nefshrink.risk._row_quadratic` over the
     weights, and its value: one isotonic projection of the per-row
-    stationary points with weights ``a_i``."""
-    b = isotonic_box_projection(_quadratic_targets(a, lin), a, order)
+    stationary points with weights ``a_i``.
+
+    A pooled block's exact minimizer is ``sum lin_i / sum a_i``.  A flat row
+    (``a_i = 0``) has weight 0 and only a fill target, so when one has a
+    linear pull the projection's core pools ``lin_i`` for it directly (and
+    ``a_i t_i``, as the projection does, for every other row).  Without
+    such a row that is the projection itself, which is called as is.
+    """
+    targets = _quadratic_targets(a, lin)
+    if np.any(lin[a == 0]):
+        targets, a = _projection_inputs(targets, a, order)
+        b = _pool_adjacent_violators(targets, a, np.where(a > 0, a * targets, lin), order)
+    else:
+        b = isotonic_box_projection(targets, a, order)
     return b, _row_quadratic(b, a, lin, const, size)
 
 
@@ -235,9 +207,7 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     ybar = grand_mean(data)
     a = ((data.y - ybar) ** 2).sum(axis=1)
     s = _surrogate_row_sums(data, spec)
-    b, objective = _weight_step(
-        a, (1.0 - 1.0 / data.n) * s, s, RowOrder.from_tau(data.tau), data.y.size
-    )
+    b, objective = _weight_step(a, (1.0 - 1.0 / data.n) * s, s, data.order, data.y.size)
     return FitResult(
         b=b,
         mu=ybar,
@@ -292,15 +262,16 @@ def _coordinate_descent(
     iterate wins, the earliest start on ties.
 
     The weight step ignores the start's ``b``, so starts that share a
-    target share their first weight step; only its acceptance test, the
-    descent check and the convergence test of the first iteration are run
-    per start.  After that the iterate ``(b, mu)`` fixes the rest of the
-    descent, so starts that reach bitwise the same state are descended
+    target share their first weight step and, where it is accepted, the
+    target step, rows and objective it leads to; only the acceptance test,
+    the descent check and the convergence test of the first iteration are
+    run per start.  After that the iterate ``(b, mu)`` fixes the rest of
+    the descent, so starts that reach bitwise the same state are descended
     once and share its final iterate.
     """
     opts = opts or SolverOptions()
     size = data.y.size
-    order = RowOrder.from_tau(data.tau)
+    order = data.order
     m_range = data.data_range
     mu0 = np.clip(grand_mean(data), -m_range, m_range)
     starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
@@ -318,18 +289,30 @@ def _coordinate_descent(
         num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
         return np.clip(num / wsum, -m_range, m_range)
 
-    def iterate(b, obj, a, lin_mu, candidate, cand_obj):
-        """One outer iteration from ``b`` at the rows of its target, given
-        the weight step there; returns the new iterate and its objective."""
-        if cand_obj <= obj:
-            b, obj_b = candidate, cand_obj
-        else:
-            obj_b = obj  # flat-direction fill would backtrack; keep iterate
+    def advance(b: np.ndarray) -> tuple:
+        """Target step from ``b``: the new iterate, its rows and objective."""
         mu = target_step(b)
         a, lin_mu = rows_at(mu)
-        obj_mu = _row_quadratic(b, a, lin_mu, const, size)
-        _check_descent(obj_b, obj_mu)
-        return b, mu, a, lin_mu, obj_mu
+        return b, mu, a, lin_mu, _row_quadratic(b, a, lin_mu, const, size)
+
+    accepted: dict[bytes, tuple] = {}  # clipped target -> state its first step leads to
+
+    def iterate(b, obj, candidate, cand_obj, target=None) -> tuple:
+        """One outer iteration from ``b``, given the weight step at its
+        target; the state an accepted first step leads to is kept per
+        ``target``, since it does not depend on ``b``."""
+        if cand_obj <= obj:
+            if target is None:
+                state = advance(candidate)
+            elif target in accepted:
+                state = accepted[target]
+            else:
+                state = accepted[target] = advance(candidate)
+            obj_b = cand_obj
+        else:
+            state, obj_b = advance(b), obj  # flat-direction fill would backtrack; keep iterate
+        _check_descent(obj_b, state[-1])
+        return state
 
     def descend(b, mu, a, lin_mu, obj) -> FitResult:
         """Iterations 2, 3, ... from the state reached after iteration 1."""
@@ -337,7 +320,7 @@ def _coordinate_descent(
         iterations = 1
         for iterations in range(2, opts.max_outer_iterations + 1):
             step = _weight_step(a, lin_mu, const, order, size)
-            b, mu, a, lin_mu, obj_mu = iterate(b, obj, a, lin_mu, *step)
+            b, mu, a, lin_mu, obj_mu = iterate(b, obj, *step)
             converged = obj - obj_mu < opts.tolerance
             obj = obj_mu
             if converged:
@@ -346,15 +329,19 @@ def _coordinate_descent(
 
     first_steps: dict[bytes, tuple] = {}  # clipped target -> its rows and weight step
     descents: dict[bytes, FitResult] = {}  # state after iteration 1 -> its descent
+    last_start = {mu.tobytes(): i for i, (_, mu) in enumerate(starts)}
     best = None
-    for b, mu in starts:
+    for i, (b, mu) in enumerate(starts):
         key = mu.tobytes()
         if key not in first_steps:
             a, lin_mu = rows_at(mu)
             first_steps[key] = (a, lin_mu, *_weight_step(a, lin_mu, const, order, size))
         a, lin_mu, candidate, cand_obj = first_steps[key]
         obj = _row_quadratic(b, a, lin_mu, const, size)
-        b, mu, a, lin_mu, obj_mu = iterate(b, obj, a, lin_mu, candidate, cand_obj)
+        b, mu, a, lin_mu, obj_mu = iterate(b, obj, candidate, cand_obj, key)
+        if last_start[key] == i:  # no later start shares this target
+            del first_steps[key]
+            accepted.pop(key, None)
         if obj - obj_mu < opts.tolerance:
             result = FitResult(b, mu, obj_mu, 1, True)
         else:

@@ -44,11 +44,19 @@ def _weight_vector(b, n: int) -> np.ndarray:
 
 
 def _surrogate_row_sums(data: DataMatrix, spec: FamilySpec) -> np.ndarray:
-    """Row sums ``S_i`` of ``V(Y_ij)/(tau_ij + nu2)``, the unbiased variance surrogate."""
-    denom = data.tau + spec.nu2
-    if not np.all(denom > 0):
-        raise ValueError("tau + nu2 must be positive for every entry")
-    return (variance_function(spec, data.y) / denom).sum(axis=1)
+    """Row sums ``S_i`` of ``V(Y_ij)/(tau_ij + nu2)``, the unbiased variance surrogate.
+
+    Derived once per matrix and family and kept, read-only, on ``data``.
+    """
+    kept = data._surrogate_sums
+    if spec not in kept:
+        denom = data.tau + spec.nu2
+        if not np.all(denom > 0):
+            raise ValueError("tau + nu2 must be positive for every entry")
+        s = (variance_function(spec, data.y) / denom).sum(axis=1)
+        s.flags.writeable = False
+        kept[spec] = s
+    return kept[spec]
 
 
 def _row_quadratic(b, a, lin, const, size: int) -> float:
@@ -110,6 +118,8 @@ def true_risk(theta, b, mu, spec: FamilySpec, tau) -> float:
 
 
 def grand_mean(data) -> np.ndarray:
-    """Column means ``Ybar_j = (1/n) sum_i Y_ij``."""
-    y = data.y if isinstance(data, DataMatrix) else np.atleast_2d(np.asarray(data, dtype=float))
-    return y.mean(axis=0)
+    """Column means ``Ybar_j = (1/n) sum_i Y_ij``; read-only, kept on a
+    :class:`~nefshrink.families.DataMatrix`."""
+    if isinstance(data, DataMatrix):
+        return data.column_means
+    return np.atleast_2d(np.asarray(data, dtype=float)).mean(axis=0)

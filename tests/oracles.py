@@ -2,7 +2,8 @@
 
 The lattice oracles enumerate the feasible set on a value lattice,
 independently of the pool-adjacent-violators and coordinate-descent routes
-they check; the list-stack projection is the earlier pool-adjacent-violators
+they check; the tie-group weight step solves the collapsed problem with
+scipy's isotonic regression; the list-stack projection is the earlier pool-adjacent-violators
 loop, kept as the exact reference for the block-stack one, and the
 start-by-start descent is the earlier coordinate-descent loop, kept as the
 exact reference for the one that descends each distinct state once.
@@ -12,6 +13,7 @@ import itertools
 from math import comb
 
 import numpy as np
+from scipy.optimize import isotonic_regression
 
 from nefshrink import DataMatrix, FamilySpec, FitResult, RowOrder, SolverOptions
 from nefshrink.optimize import _check_descent, _weight_step
@@ -137,6 +139,24 @@ def grid_minimize_separable_quadratic(
         choice[g] = k
         k = int(parents[g][k])
     return order.expand_group_values(grid[choice]), value
+
+
+def reference_weight_step(quad, lin, order: RowOrder) -> np.ndarray:
+    """Feasible minimizer of ``sum_i quad_i b_i^2 - 2 lin_i b_i`` when every
+    tie group has positive total curvature.
+
+    A tie group shares one weight, so it is the single point
+    ``(sum lin / sum quad, weight sum quad)``; the groups are fitted by
+    scipy's isotonic regression along the order and clipped into [0, 1].
+    Rows with ``quad_i = 0`` enter only through their group's sums.
+    """
+    rows = order.group_of_row()
+    quad_g = np.bincount(rows, weights=quad, minlength=order.n_groups)
+    lin_g = np.bincount(rows, weights=lin, minlength=order.n_groups)
+    if not np.all(quad_g > 0):
+        raise ValueError("every tie group needs positive total curvature")
+    fitted = isotonic_regression(lin_g / quad_g, weights=quad_g, increasing=True).x
+    return order.expand_group_values(np.clip(fitted, 0.0, 1.0))
 
 
 def reference_isotonic_box_projection(targets, weights, order: RowOrder) -> np.ndarray:

@@ -104,6 +104,13 @@ class TestFitCommand:
         assert proc.returncode == 1
         assert proc.stderr == "error: observation matrix must be non-empty\n"
 
+    def test_vector_line_matches_per_entry_formatting(self):
+        values = np.random.default_rng(5).uniform(size=100_000)
+        values[:4] = [-0.0, 5e-324, 1e-300, 1.0 / 3.0]
+        for vector in (values, values[:1], values[:0], np.array([[0.5, -2.0]])):
+            expected = ",".join(f"{v:.17g}" for v in vector.reshape(-1))
+            assert cli._format_vector(vector) == expected
+
     @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (40, 7), (3, 40)])
     def test_estimate_file_matches_savetxt(self, tmp_path, monkeypatch, shape):
         monkeypatch.setattr(cli, "_WRITE_BLOCK_CELLS", 16)  # several blocks, one ragged

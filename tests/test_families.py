@@ -1,5 +1,7 @@
 """Family descriptors, samplers, and moment oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from nefshrink import (
     validate_mean_matrix,
     variance_function,
 )
+
+from nefshrink.risk import _surrogate_row_sums
 
 from conftest import ALL_FAMILIES, family_case
 
@@ -218,3 +222,33 @@ class TestDataMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             DataMatrix([[np.nan]], [[1]])
+
+    def test_fields_cannot_be_reassigned(self):
+        data = DataMatrix([[1.0, 2.0]], [[1, 2]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.y = np.zeros((1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.tau = np.ones((1, 2))
+
+    def test_float_observations_are_not_copied(self):
+        y = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert DataMatrix(y, np.ones((2, 2))).y is y
+
+    def test_derived_values_are_kept_read_only(self):
+        spec = make_family("poisson")
+        data = DataMatrix([[1.0, 2.0], [3.0, 0.0], [2.0, 2.0]], [[1, 2], [2, 2], [1, 1]])
+        kept = {
+            "permutation": data.order.permutation,
+            "group_ids": data.order.group_ids,
+            "column_means": data.column_means,
+            "row_sums": _surrogate_row_sums(data, spec),
+        }
+        assert data.order is data.order
+        assert _surrogate_row_sums(data, spec) is kept["row_sums"]
+        np.testing.assert_array_equal(kept["permutation"], [1, 0, 2])
+        np.testing.assert_array_equal(kept["column_means"], [2.0, 4.0 / 3.0])
+        np.testing.assert_array_equal(kept["row_sums"], [2.0, 1.5, 4.0])  # sum y / tau
+        for name, array in kept.items():
+            assert not array.flags.writeable, name
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0

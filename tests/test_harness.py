@@ -29,6 +29,7 @@ from nefshrink import (
     ure,
     write_records_csv,
 )
+from nefshrink import risk
 from nefshrink.harness import parse_config_text, records_csv_text
 
 from conftest import family_case
@@ -331,7 +332,7 @@ seed = 11
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "6692d80574c481761bc0cebee11e68493d0bd28bb35029aa11d1ab34a9371fa4"),
+""", "d4beab4bea6f7c21c1ae587cec37a796923676b658b12173982be5fa273d1866"),
     "grand_mean_oracle": ("""
 family = poisson
 theta_rule = uniform:0.5,2
@@ -345,6 +346,33 @@ competitors = no_shrinkage,oracle_loss
 K_grid = 4
 """, "f80a129bdc1b9572a3b918f949ca905cb2d199cf2cd294b33e29e18c0c9a3b7e"),
 }
+
+
+class TestPerMatrixDerivations:
+    @pytest.mark.parametrize("mode, competitors", [
+        ("location", ("no_shrinkage", "half_to_zero", "oracle_loss")),
+        ("grand_mean", ("no_shrinkage", "half_to_zero", "oracle_loss")),
+    ])
+    def test_order_and_row_sums_derived_once_per_replication(self, mode, competitors,
+                                                               monkeypatch):
+        # fit, sup-gap proxy and competitor scoring share one derivation
+        config = small_config(mode=mode, competitors=competitors, tau_rule="randint:1,2")
+        calls = {"from_tau": 0, "variance_function": 0}
+        from_tau, variance_function = RowOrder.from_tau.__func__, risk.variance_function
+
+        def counting_from_tau(cls, tau):
+            calls["from_tau"] += 1
+            return from_tau(cls, tau)
+
+        def counting_variance_function(spec, t):
+            calls["variance_function"] += 1
+            return variance_function(spec, t)
+
+        monkeypatch.setattr(RowOrder, "from_tau", classmethod(counting_from_tau))
+        monkeypatch.setattr(risk, "variance_function", counting_variance_function)
+        run_experiment(config)
+        replications = config.replications * len(config.n_grid)
+        assert calls == {"from_tau": replications, "variance_function": replications}
 
 
 class TestRecordsContract:

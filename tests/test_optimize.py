@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nefshrink import (
     DataMatrix,
@@ -34,6 +34,7 @@ from oracles import (
     grid_oracle_ure,
     reference_coordinate_descent,
     reference_isotonic_box_projection,
+    reference_weight_step,
 )
 
 
@@ -84,6 +85,29 @@ def orders_with_ties(draw):
     b = np.empty(n)
     b[order.permutation] = np.sort(levels)[order.group_ids] + walk - walk[first][order.group_ids]
     return order, b
+
+
+@st.composite
+def flat_row_cases(draw):
+    """Row curvatures with random zeros and linear coefficients, on a
+    random tie structure.  With ``spread`` every tie group keeps a row with
+    curvature; otherwise whole groups may be flat.  Flat rows sit exactly
+    on the target, so they are copies of one row and share the sign of
+    their surrogate row sums: all pull toward shrinkage, or none does."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = RowOrder.from_row_sums(rng.integers(1, draw(st.integers(1, n)) + 1, n))
+    quad = rng.uniform(0.1, 3.0, n)
+    quad[rng.uniform(size=n) < draw(st.sampled_from([0.2, 0.5, 0.8]))] = 0.0
+    spread = draw(st.booleans())
+    if spread:
+        first = np.flatnonzero(np.diff(order.group_ids, prepend=-1))
+        keep = order.permutation[first]  # one row per group
+        quad[keep] = np.where(quad[keep] > 0, quad[keep], 1.0)
+    lin = rng.uniform(-3.0, 3.0, n) * rng.uniform(0.0, 2.0, n) ** 3
+    flat = quad == 0
+    lin[flat] = np.abs(lin[flat]) * draw(st.sampled_from([0.0, 1.0]))
+    return order, quad, lin, spread
 
 
 @st.composite
@@ -250,12 +274,38 @@ class TestIsotonicBoxProjection:
         assert expected == 0.5
         np.testing.assert_array_equal(out, np.full(n, expected))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 60])
+    def test_single_tie_group_matches_the_list_stack_reference(self, n):
+        rng = np.random.default_rng(n)
+        order = RowOrder.from_row_sums(np.full(n, 3.0))
+        for weights in (rng.uniform(0.0, 2.0, n), np.zeros(n)):
+            for targets in (rng.uniform(-2.0, 3.0, n), np.full(n, -0.0), np.full(n, 0.4)):
+                out = isotonic_box_projection(targets, weights, order)
+                assert out.tobytes() == reference_isotonic_box_projection(
+                    targets, weights, order).tobytes()
+
     def test_validation_errors(self):
         order = RowOrder.from_row_sums([2.0, 1.0])
         with pytest.raises(ValueError, match="nonnegative"):
             isotonic_box_projection([0.5, 0.5], [1.0, -1.0], order)
         with pytest.raises(ValueError, match="length"):
             isotonic_box_projection([0.5], [1.0], order)
+
+
+class TestWeightStep:
+    @settings(max_examples=300, deadline=None)
+    @given(flat_row_cases())
+    def test_flat_rows_keep_their_linear_pull(self, case):
+        # a flat row (zero curvature) still pulls on the block it pools into
+        order, quad, lin, spread = case
+        b, value = optimize._weight_step(quad, lin, np.zeros(order.n), order, 1)
+        assert order.is_feasible(b)
+        if spread:
+            np.testing.assert_allclose(b, reference_weight_step(quad, lin, order),
+                                       rtol=1e-12, atol=1e-12)
+        # whole flat groups too: no lattice point beats the step
+        _, lattice = grid_minimize_separable_quadratic(quad, -2.0 * lin, order, 1e-3)
+        assert value <= lattice + 1e-12 * (1.0 + abs(lattice))
 
 
 class TestSeparableGridOracle:
@@ -317,6 +367,9 @@ class TestMinimizeAure:
         st.sampled_from(["normal", "poisson", "gamma"]),
         st.integers(0, 2**32 - 1),
     )
+    # two rows sit exactly on ybar (flat rows) in a tie group; in the other
+    # row order ybar is an ulp off and they keep their pull
+    @example(perm=[*range(14), 15, 16, 14, *range(17, 21)], p=1, kind="poisson", seed=1)
     def test_row_permutation_equivariance(self, perm, p, kind, seed):
         spec, data = random_tau_instance(np.random.default_rng(seed), len(perm), p, kind)
         result = minimize_aure(data, spec)
@@ -385,7 +438,7 @@ class TestMinimizeUre:
         np.testing.assert_allclose(result_p.b, result.b[perm], atol=1e-12)
         assert result_p.objective == pytest.approx(result.objective, rel=1e-12)
 
-    def test_surrogate_row_sums_derived_once_per_fit(self, rng, monkeypatch):
+    def test_surrogate_row_sums_derived_once_per_matrix(self, rng, monkeypatch):
         calls = []
 
         def counting(spec, t):
@@ -397,6 +450,8 @@ class TestMinimizeUre:
         minimize_ure(data, spec)
         assert len(calls) == 1
         minimize_aure(data, spec)
+        assert len(calls) == 1
+        minimize_aure(DataMatrix(data.y, data.tau), spec)
         assert len(calls) == 2
 
     def test_iteration_budget_reports_nonconvergence(self, rng):
