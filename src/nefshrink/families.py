@@ -183,7 +183,7 @@ def _check_tau(tau):
     tau = np.asarray(tau)
     if not np.all(tau >= 1) or not np.all(tau == np.floor(tau)):
         raise ValueError("tau entries must be positive integers")
-    return tau.astype(float)
+    return tau.astype(float, copy=False)  # a float tau is kept as passed
 
 
 def default_tau(spec: FamilySpec, n: int, p: int) -> np.ndarray:
@@ -269,8 +269,8 @@ class DataMatrix:
     consumers derive from the matrix (``order``, ``data_range``,
     ``column_means`` and, through :mod:`nefshrink.risk`, the surrogate row
     sums per family) are computed on first use and kept, as read-only
-    arrays.  A float ``y`` is kept as passed, not copied, so it must not
-    be changed after construction, or the kept values go stale.
+    arrays.  A float ``y`` or ``tau`` is kept as passed, not copied, so it
+    must not be changed after construction, or the kept values go stale.
     """
 
     y: np.ndarray

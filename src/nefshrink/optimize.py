@@ -95,7 +95,12 @@ def _projection_inputs(targets, weights, order: RowOrder) -> tuple[np.ndarray, n
 def _pool_adjacent_violators(targets, weights, pulls, order: RowOrder) -> np.ndarray:
     """:func:`isotonic_box_projection` of checked inputs, with ``pulls`` in
     place of ``weights * targets`` in the blocks' weighted target sums, so
-    a block with positive weight pools to ``sum pulls / sum weights``."""
+    a block with positive weight pools to ``sum pulls / sum weights``.
+
+    A block of zero weight minimizes ``-2 b sum pulls`` over the box: it
+    takes 1 for a positive pull sum, 0 for a negative one, and the plain
+    mean of its targets only when the sum is 0, as it always is for the
+    projection's own pulls ``weights * targets``."""
     perm = order.permutation
     gids = order.group_ids
     n_groups = order.n_groups
@@ -109,7 +114,8 @@ def _pool_adjacent_violators(targets, weights, pulls, order: RowOrder) -> np.nda
     st = np.bincount(gids, weights=targets[perm], minlength=n_groups)
     cnt = np.bincount(gids, minlength=n_groups).astype(float)
 
-    value = np.divide(swt, sw, out=st / cnt, where=sw > 0)
+    flat = np.where(swt == 0, st / cnt, (swt > 0).astype(float))
+    value = np.divide(swt, sw, out=flat, where=sw > 0)
     stack: list[tuple] = []
     for cur in zip(
         value.tolist(), swt.tolist(), sw.tolist(), st.tolist(), cnt.tolist(),
@@ -118,7 +124,8 @@ def _pool_adjacent_violators(targets, weights, pulls, order: RowOrder) -> np.nda
         while stack and stack[-1][0] > cur[0]:
             _, bwt, bw, bt, bc, bk = stack.pop()
             bwt, bw, bt, bc = bwt + cur[1], bw + cur[2], bt + cur[3], bc + cur[4]
-            cur = (bwt / bw if bw > 0 else bt / bc, bwt, bw, bt, bc, bk + cur[5])
+            cur = (bwt / bw if bw > 0 else bt / bc if bwt == 0 else float(bwt > 0),
+                   bwt, bw, bt, bc, bk + cur[5])
         stack.append(cur)
 
     blocks = np.array(stack)
@@ -182,8 +189,10 @@ def _weight_step(a, lin, const, order: RowOrder, size: int) -> tuple[np.ndarray,
     A pooled block's exact minimizer is ``sum lin_i / sum a_i``.  A flat row
     (``a_i = 0``) has weight 0 and only a fill target, so when one has a
     linear pull the projection's core pools ``lin_i`` for it directly (and
-    ``a_i t_i``, as the projection does, for every other row).  Without
-    such a row that is the projection itself, which is called as is.
+    ``a_i t_i``, as the projection does, for every other row); a block of
+    flat rows alone then goes to the bound the sign of ``sum lin_i`` picks.
+    Without such a row that is the projection itself, which is called as
+    is.
     """
     targets = _quadratic_targets(a, lin)
     if np.any(lin[a == 0]):
@@ -229,19 +238,32 @@ def minimize_ure(
 
     URE is the row quadratic that :func:`_coordinate_descent` minimizes,
     with ``lin_i = const_i = S_i`` and no cross term; the loss oracle runs
-    the same descent on the realized loss.  Joint minimization is biconvex,
-    not convex, and descent from the grand mean alone can miss targets that
-    sit near one data cluster, so besides the descent's own starts it
-    restarts with half shrinkage toward the zero vector and, for small
-    matrices, toward every data row.  The weight step ignores a start's
-    ``b``, so starts sharing a target share it, and starts that reach the
-    same state are descended once; a restart that coincides with the grand
-    mean or another row therefore costs no further projection.
+    the same descent on the realized loss.
+
+    With a single tie group (all tau row sums equal, as for an all-ones
+    tau) every feasible ``b`` is a constant ``c``, and ``URE(c, mu) =
+    [c^2 sum_i ||y_i - mu||^2 - 2 c sum_i S_i + sum_i S_i] / np``.  For
+    every ``c > 0`` the column mean minimizes it
+    over ``mu``, and at ``c = 0`` it does not depend on ``mu``, so the
+    global minimum is ``c = clip(sum_i S_i / sum_i ||y_i - ybar||^2, 0, 1)``
+    at ``mu = ybar``.  The descent's grand-mean starts reach it with their
+    first weight step, so no restart runs.
+
+    With several tie groups joint minimization is biconvex, not convex,
+    and descent from the grand mean alone can miss targets that sit near
+    one data cluster, so the descent also restarts with half shrinkage
+    toward the zero vector and, for at most ``_ROW_RESTART_CAP`` rows,
+    toward every data row.  The weight step ignores a start's ``b``, so
+    starts sharing a target share it, and starts that reach the same state
+    are descended once; a restart that coincides with the grand mean or
+    another row therefore costs no further projection.
     """
     s = _surrogate_row_sums(data, spec)
-    targets = [np.zeros(data.p)]
-    if data.n <= _ROW_RESTART_CAP:
-        targets.extend(data.y)
+    targets = []
+    if data.order.n_groups > 1:
+        targets.append(np.zeros(data.p))
+        if data.n <= _ROW_RESTART_CAP:
+            targets.extend(data.y)
     return _coordinate_descent(data, s, None, s, opts, targets)
 
 
@@ -257,9 +279,11 @@ def _coordinate_descent(
     ``mu_j``).  A weight step is only accepted if it does not increase the
     objective, so the recorded value is nonincreasing; a start stops once
     an outer iteration gains less than ``opts.tolerance``.  Starts: no,
-    half and full shrinkage toward the clipped grand mean, then half
-    shrinkage toward each clipped entry of ``targets``; the best final
-    iterate wins, the earliest start on ties.
+    half and full shrinkage toward the clipped grand mean, always, then
+    half shrinkage toward each clipped entry of ``targets``, the caller's
+    restarts (:func:`minimize_ure` passes none for a single tie group,
+    where the grand mean is global, and the loss oracle passes none); the
+    best final iterate wins, the earliest start on ties.
 
     The weight step ignores the start's ``b``, so starts that share a
     target share their first weight step and, where it is accepted, the

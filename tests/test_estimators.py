@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nefshrink import (
     DataMatrix,
@@ -23,6 +24,23 @@ from nefshrink import (
 
 from conftest import family_case
 from oracles import grid_oracle_ure
+
+
+@st.composite
+def edge_cases(draw):
+    """Normal, Poisson or gamma data with p = 1 or a few columns, some
+    columns possibly constant, and tau all 1, all 1e9, or 1 next to 1e9."""
+    kind = draw(st.sampled_from(["normal", "poisson", "gamma"]))
+    n, p = draw(st.integers(1, 15)), draw(st.sampled_from([1, 2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spec, theta, _ = family_case(kind, n, p, rng)
+    levels = {"ones": [1.0], "huge": [1e9], "mixed": [1.0, 1e9]}[
+        draw(st.sampled_from(["ones", "huge", "mixed"]))]
+    tau = rng.choice(levels, (n, p))
+    y = sample_matrix(spec, theta, tau, seed=int(rng.integers(1 << 30))).y
+    constant = rng.uniform(size=p) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    y[:, constant] = y[0, constant]
+    return spec, DataMatrix(y, tau)
 
 
 class TestShrinkToLocation:
@@ -132,6 +150,20 @@ class TestFit:
             assert result.objective == recomputed
             expected = (1 - result.b)[:, None] * data.y + result.b[:, None] * result.mu
             np.testing.assert_array_equal(est.theta_hat, expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(edge_cases())
+    def test_edge_inputs_fit_finite_feasible_and_consistent(self, case):
+        spec, data = case
+        for mode in ("location", "grand_mean")[: data.n]:  # grand mean needs two rows
+            result, _ = fit(data, spec, mode)
+            assert np.all(np.isfinite(result.b)) and np.all(np.isfinite(result.mu))
+            assert data.order.is_feasible(result.b)
+            if mode == "location":  # the grand mean is a column mean, not boxed
+                assert np.all(np.abs(result.mu) <= data.data_range)
+                assert result.objective == ure(data, result.b, result.mu, spec)
+            else:
+                assert result.objective == aure(data, result.b, spec)
 
     @pytest.mark.parametrize("mode", ["location", "grand_mean"])
     @pytest.mark.parametrize("kind", ["poisson", "gamma", "multinomial", "negmultinomial"])

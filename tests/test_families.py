@@ -234,6 +234,20 @@ class TestDataMatrix:
         y = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert DataMatrix(y, np.ones((2, 2))).y is y
 
+    def test_float_tau_is_not_copied(self):
+        tau = np.array([[1.0, 2.0], [3.0, 1.0]])
+        assert DataMatrix(np.ones((2, 2)), tau).tau is tau
+
+    def test_integer_tau_is_converted_and_fractional_tau_rejected(self):
+        tau = np.array([[1, 2], [3, 1]])
+        data = DataMatrix(np.ones((2, 2)), tau)
+        assert data.tau.dtype == float
+        np.testing.assert_array_equal(data.tau, tau)
+        with pytest.raises(ValueError, match="positive integers"):
+            DataMatrix(np.ones((2, 2)), np.array([[1.0, 2.5], [3.0, 1.0]]))
+        with pytest.raises(ValueError, match="positive integers"):
+            DataMatrix(np.ones((2, 2)), np.array([[1.0, 0.0], [3.0, 1.0]]))
+
     def test_derived_values_are_kept_read_only(self):
         spec = make_family("poisson")
         data = DataMatrix([[1.0, 2.0], [3.0, 0.0], [2.0, 2.0]], [[1, 2], [2, 2], [1, 1]])

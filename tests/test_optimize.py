@@ -27,6 +27,7 @@ from nefshrink import (
 )
 
 from nefshrink import estimators, optimize
+from nefshrink.risk import _surrogate_row_sums
 
 from conftest import family_case
 from oracles import (
@@ -91,9 +92,9 @@ def orders_with_ties(draw):
 def flat_row_cases(draw):
     """Row curvatures with random zeros and linear coefficients, on a
     random tie structure.  With ``spread`` every tie group keeps a row with
-    curvature; otherwise whole groups may be flat.  Flat rows sit exactly
-    on the target, so they are copies of one row and share the sign of
-    their surrogate row sums: all pull toward shrinkage, or none does."""
+    curvature; otherwise whole groups may be flat.  Flat pulls take either
+    sign: all zero, all positive, all negative, or mixed, so a group of
+    flat rows alone may be pulled toward either bound."""
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     order = RowOrder.from_row_sums(rng.integers(1, draw(st.integers(1, n)) + 1, n))
@@ -106,7 +107,9 @@ def flat_row_cases(draw):
         quad[keep] = np.where(quad[keep] > 0, quad[keep], 1.0)
     lin = rng.uniform(-3.0, 3.0, n) * rng.uniform(0.0, 2.0, n) ** 3
     flat = quad == 0
-    lin[flat] = np.abs(lin[flat]) * draw(st.sampled_from([0.0, 1.0]))
+    sign = draw(st.sampled_from([0.0, 1.0, -1.0, None]))  # None: mixed signs
+    if sign is not None:
+        lin[flat] = sign * np.abs(lin[flat])
     return order, quad, lin, spread
 
 
@@ -131,13 +134,16 @@ def projection_cases(draw):
 
 
 @st.composite
-def descent_cases(draw):
-    """Normal, Poisson or gamma data with tied or all-distinct tau row sums."""
+def descent_cases(draw, single_group=False):
+    """Normal, Poisson or gamma data with tied or all-distinct tau row sums;
+    with ``single_group`` every row has the same tau row (one tie group)."""
     kind = draw(st.sampled_from(["normal", "poisson", "gamma"]))
     n, p = draw(st.integers(1, 20)), draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     spec, theta, _ = family_case(kind, n, p, rng)
-    if draw(st.booleans()):
+    if single_group:
+        tau = np.repeat(rng.integers(1, 4, (1, p)), n, axis=0)
+    elif draw(st.booleans()):
         # every row copies one of a few tau rows, so row sums tie
         levels = rng.integers(1, 4, (draw(st.integers(1, 3)), p))
         tau = levels[rng.integers(0, len(levels), n)]
@@ -304,6 +310,21 @@ class TestWeightStep:
             np.testing.assert_allclose(b, reference_weight_step(quad, lin, order),
                                        rtol=1e-12, atol=1e-12)
         # whole flat groups too: no lattice point beats the step
+        _, lattice = grid_minimize_separable_quadratic(quad, -2.0 * lin, order, 1e-3)
+        assert value <= lattice + 1e-12 * (1.0 + abs(lattice))
+
+    @pytest.mark.parametrize("sums, quad, lin, expected", [
+        ([3, 3], [0.0, 0.0], [-6.49, 0.98], [0.0, 0.0]),
+        ([3, 3], [0.0, 0.0], [6.49, -0.98], [1.0, 1.0]),
+        ([3, 3], [0.0, 0.0], [1.5, -1.5], [0.5, 0.5]),  # no net pull: mean of fills
+        ([3, 3, 1], [0.0, 0.0, 2.0], [-6.49, 0.98, 1.0], [0.0, 0.0, 0.5]),
+    ])
+    def test_flat_block_takes_the_bound_its_pull_picks(self, sums, quad, lin, expected):
+        order = RowOrder.from_row_sums(sums)
+        quad, lin = np.array(quad), np.array(lin)
+        b, value = optimize._weight_step(quad, lin, np.zeros(order.n), order, 1)
+        np.testing.assert_array_equal(b, expected)
+        assert value == pytest.approx(float(quad @ b**2 - 2.0 * lin @ b), rel=1e-15)
         _, lattice = grid_minimize_separable_quadratic(quad, -2.0 * lin, order, 1e-3)
         assert value <= lattice + 1e-12 * (1.0 + abs(lattice))
 
@@ -532,6 +553,68 @@ class TestDistinctDescents:
         result = minimize_true_loss(data, theta)
         assert result.iterations > 1
         assert len(calls) == result.iterations
+
+
+class TestSingleTieGroup:
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_projects_once_per_iteration(self, n, monkeypatch):
+        # no restarts: the three grand-mean starts share one first weight
+        # step and one descent; no row sits on the grand mean, so every
+        # weight step is the public projection
+        rng = np.random.default_rng(n)
+        spec, theta, tau = family_case("normal", n, 3, rng)
+        data = sample_matrix(spec, theta, tau, seed=5)
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return isotonic_box_projection(*args)
+
+        monkeypatch.setattr(optimize, "isotonic_box_projection", counting)
+        result = minimize_ure(data, spec)
+        assert data.order.n_groups == 1
+        assert result.iterations > 1
+        assert len(calls) == result.iterations
+
+    @settings(max_examples=150, deadline=None)
+    @given(descent_cases(single_group=True))
+    def test_grand_mean_descent_is_global(self, case):
+        # every feasible b is a constant c, and for every c > 0 the column
+        # mean minimizes URE over mu, so the minimum is at mu = ybar and
+        # c = clip(sum S / sum ||y_i - ybar||^2, 0, 1)
+        spec, _, data = case
+        s = _surrogate_row_sums(data, spec)
+        result = minimize_ure(data, spec)
+        rich = optimize._coordinate_descent(
+            data, s, None, s, SolverOptions(), [np.zeros(data.p), *data.y])
+        assert result.objective <= rich.objective + 1e-12 * (1.0 + abs(rich.objective))
+        ybar = data.column_means
+        spread = float(((data.y - ybar) ** 2).sum())
+        c = 1.0 if spread == 0.0 else min(max(float(s.sum()) / spread, 0.0), 1.0)
+        certificate = ure(data, np.full(data.n, c), ybar, spec)
+        assert result.objective == pytest.approx(certificate, rel=1e-12, abs=0)
+
+    def test_several_tie_groups_keep_their_restarts(self, monkeypatch):
+        seen = []
+        descent = optimize._coordinate_descent
+
+        def recording(data, lin, cross, const, opts, targets=()):
+            seen.append([np.array(t) for t in targets])
+            return descent(data, lin, cross, const, opts, targets)
+
+        monkeypatch.setattr(optimize, "_coordinate_descent", recording)
+        rng = np.random.default_rng(11)
+        for n in (6, 13):
+            spec, data = random_tau_instance(rng, n, 3)
+            assert data.order.n_groups > 1
+            minimize_ure(data, spec)
+        spec, theta, tau = family_case("poisson", 6, 3, rng)
+        minimize_ure(sample_matrix(spec, theta, tau, seed=3), spec)
+        small, large, single = seen
+        # the zero target first, then every row up to _ROW_RESTART_CAP rows
+        assert len(small) == 7 and not small[0].any()
+        assert len(large) == 1 and not large[0].any()
+        assert single == []
 
 
 class TestGridOracleUre:
