@@ -353,19 +353,21 @@ def _generate_theta(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, 
 
 
 def _generate_tau(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, seed_seq) -> np.ndarray:
+    """The rule's tau for ``n`` rows as floats, so the replications that
+    share it are sampled without a copy each."""
     if spec.trials is not None:
         if config.tau_rule != "ones":
             raise ValueError("tau for trial-based families is determined by N")
-        return default_tau(spec, n, p)
+        return default_tau(spec, n, p).astype(float)
     rule = config.tau_rule
     if rule == "ones":
-        return np.ones((n, p), dtype=int)
+        return np.ones((n, p))
     name, _, args = rule.partition(":")
     if name == "randint":
         lo, hi = (int(tok) for tok in args.split(","))
         if lo < 1 or hi < lo:
             raise ValueError("randint tau rule needs 1 <= lo <= hi")
-        return np.random.default_rng(seed_seq).integers(lo, hi + 1, (n, p))
+        return np.random.default_rng(seed_seq).integers(lo, hi + 1, (n, p)).astype(float)
     raise ValueError(f"unknown tau rule {rule!r}")
 
 

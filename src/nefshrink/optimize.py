@@ -253,10 +253,9 @@ def minimize_ure(
     and descent from the grand mean alone can miss targets that sit near
     one data cluster, so the descent also restarts with half shrinkage
     toward the zero vector and, for at most ``_ROW_RESTART_CAP`` rows,
-    toward every data row.  The weight step ignores a start's ``b``, so
-    starts sharing a target share it, and starts that reach the same state
-    are descended once; a restart that coincides with the grand mean or
-    another row therefore costs no further projection.
+    toward every data row.  The descent memoizes its steps by their
+    argument, so a restart that coincides with the grand mean or another
+    row costs no further projection.
     """
     s = _surrogate_row_sums(data, spec)
     targets = []
@@ -285,96 +284,69 @@ def _coordinate_descent(
     where the grand mean is global, and the loss oracle passes none); the
     best final iterate wins, the earliest start on ties.
 
-    The weight step ignores the start's ``b``, so starts that share a
-    target share their first weight step and, where it is accepted, the
-    target step, rows and objective it leads to; only the acceptance test,
-    the descent check and the convergence test of the first iteration are
-    run per start.  After that the iterate ``(b, mu)`` fixes the rest of
-    the descent, so starts that reach bitwise the same state are descended
-    once and share its final iterate.
+    The rows and the weight step depend only on ``mu``, and the target step
+    and the objective it reaches only on ``b``, so each is computed once per
+    call for each bitwise distinct argument: starts that share a target
+    share its weight step, and starts whose iterates meet walk the rest of
+    the way on memo hits.  The memos hold arrays and floats only, never a
+    function, so they are freed when the call returns.
     """
     opts = opts or SolverOptions()
     size = data.y.size
     order = data.order
     m_range = data.data_range
     mu0 = np.clip(grand_mean(data), -m_range, m_range)
+    # b = 0 and b = 1 stay: at a flat grand mean the weight step can return a
+    # fixed point, which a start escapes only if it reads that step as an ascent
     starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
     starts.extend((np.full(data.n, 0.5), np.clip(mu, -m_range, m_range)) for mu in targets)
+    rows: dict[bytes, tuple] = {}  # mu -> (||y_i - mu||^2, lin_i - cross_i . mu)
+    steps: dict[bytes, tuple] = {}  # mu -> the weight step there and its value
+    moves: dict[bytes, tuple] = {}  # b -> the target step from it and its value
 
     def rows_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = ((data.y - mu) ** 2).sum(axis=1)
-        return a, lin if cross is None else lin - cross @ mu
+        key = mu.tobytes()
+        if key not in rows:
+            a = ((data.y - mu) ** 2).sum(axis=1)
+            rows[key] = a, lin if cross is None else lin - cross @ mu
+        return rows[key]
 
-    def target_step(b: np.ndarray) -> np.ndarray:
-        b2 = b**2
-        wsum = float(b2.sum())
-        if wsum == 0.0:
-            return mu0.copy()
-        num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
-        return np.clip(num / wsum, -m_range, m_range)
+    def weight_step(mu: np.ndarray) -> tuple[np.ndarray, float]:
+        key = mu.tobytes()
+        if key not in steps:
+            steps[key] = _weight_step(*rows_at(mu), const, order, size)
+        return steps[key]
 
-    def advance(b: np.ndarray) -> tuple:
-        """Target step from ``b``: the new iterate, its rows and objective."""
-        mu = target_step(b)
-        a, lin_mu = rows_at(mu)
-        return b, mu, a, lin_mu, _row_quadratic(b, a, lin_mu, const, size)
-
-    accepted: dict[bytes, tuple] = {}  # clipped target -> state its first step leads to
-
-    def iterate(b, obj, candidate, cand_obj, target=None) -> tuple:
-        """One outer iteration from ``b``, given the weight step at its
-        target; the state an accepted first step leads to is kept per
-        ``target``, since it does not depend on ``b``."""
-        if cand_obj <= obj:
-            if target is None:
-                state = advance(candidate)
-            elif target in accepted:
-                state = accepted[target]
+    def target_step(b: np.ndarray) -> tuple[np.ndarray, float]:
+        key = b.tobytes()
+        if key not in moves:
+            b2 = b**2
+            wsum = float(b2.sum())
+            if wsum == 0.0:
+                mu = mu0
             else:
-                state = accepted[target] = advance(candidate)
-            obj_b = cand_obj
-        else:
-            state, obj_b = advance(b), obj  # flat-direction fill would backtrack; keep iterate
-        _check_descent(obj_b, state[-1])
-        return state
+                num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
+                mu = np.clip(num / wsum, -m_range, m_range)
+            moves[key] = mu, _row_quadratic(b, *rows_at(mu), const, size)
+        return moves[key]
 
-    def descend(b, mu, a, lin_mu, obj) -> FitResult:
-        """Iterations 2, 3, ... from the state reached after iteration 1."""
-        converged = False
-        iterations = 1
-        for iterations in range(2, opts.max_outer_iterations + 1):
-            step = _weight_step(a, lin_mu, const, order, size)
-            b, mu, a, lin_mu, obj_mu = iterate(b, obj, *step)
+    best = None
+    for b, mu in starts:
+        obj = _row_quadratic(b, *rows_at(mu), const, size)
+        for iterations in range(1, opts.max_outer_iterations + 1):
+            candidate, cand_obj = weight_step(mu)
+            if cand_obj <= obj:
+                b, obj_b = candidate, cand_obj
+            else:
+                obj_b = obj  # flat-direction fill would backtrack; keep iterate
+            mu, obj_mu = target_step(b)
+            _check_descent(obj_b, obj_mu)
             converged = obj - obj_mu < opts.tolerance
             obj = obj_mu
             if converged:
                 break
-        return FitResult(b, mu, obj, iterations, converged)
-
-    first_steps: dict[bytes, tuple] = {}  # clipped target -> its rows and weight step
-    descents: dict[bytes, FitResult] = {}  # state after iteration 1 -> its descent
-    last_start = {mu.tobytes(): i for i, (_, mu) in enumerate(starts)}
-    best = None
-    for i, (b, mu) in enumerate(starts):
-        key = mu.tobytes()
-        if key not in first_steps:
-            a, lin_mu = rows_at(mu)
-            first_steps[key] = (a, lin_mu, *_weight_step(a, lin_mu, const, order, size))
-        a, lin_mu, candidate, cand_obj = first_steps[key]
-        obj = _row_quadratic(b, a, lin_mu, const, size)
-        b, mu, a, lin_mu, obj_mu = iterate(b, obj, candidate, cand_obj, key)
-        if last_start[key] == i:  # no later start shares this target
-            del first_steps[key]
-            accepted.pop(key, None)
-        if obj - obj_mu < opts.tolerance:
-            result = FitResult(b, mu, obj_mu, 1, True)
-        else:
-            state = b.tobytes() + mu.tobytes()
-            if state not in descents:
-                descents[state] = descend(b, mu, a, lin_mu, obj_mu)
-            result = descents[state]
-        if best is None or result.objective < best.objective:
-            best = result
+        if best is None or obj < best.objective:
+            best = FitResult(b, mu, obj, iterations, converged)
     return best
 
 

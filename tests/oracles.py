@@ -5,8 +5,8 @@ independently of the pool-adjacent-violators and coordinate-descent routes
 they check; the tie-group weight step solves the collapsed problem with
 scipy's isotonic regression; the list-stack projection is the earlier pool-adjacent-violators
 loop, kept as the exact reference for the block-stack one, and the
-start-by-start descent is the earlier coordinate-descent loop, kept as the
-exact reference for the one that descends each distinct state once.
+start-by-start descent recomputes every step, so it is the exact reference
+for the descent that memoizes its steps.
 """
 
 import itertools
@@ -212,8 +212,10 @@ def reference_isotonic_box_projection(targets, weights, order: RowOrder) -> np.n
 def reference_coordinate_descent(
     data: DataMatrix, lin, cross, const, opts: SolverOptions | None, targets=()
 ) -> FitResult:
-    """Start-by-start form of ``nefshrink.optimize._coordinate_descent``:
-    every start runs its own descent, so the two agree bit for bit."""
+    """``nefshrink.optimize._coordinate_descent`` without its memos: every
+    start computes each of its steps afresh, and the steps are functions of
+    their argument's bytes, so this is the exact reference for the
+    memoized loop; the two agree bit for bit."""
     opts = opts or SolverOptions()
     order = RowOrder.from_tau(data.tau)
     m_range = data.data_range
