@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import multiprocessing
+import os
 import sys
 import warnings
 
@@ -20,6 +22,7 @@ from .harness import (
     write_records_csv,
 )
 from .optimize import SolverOptions
+from .risk import _BLOCK_CELLS
 
 __all__ = ["main"]
 
@@ -74,31 +77,89 @@ def _load_matrix(path) -> np.ndarray:
         return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
-# cells formatted per write: a few MiB of Python objects at a time
-_WRITE_BLOCK_CELLS = 1 << 16
+def _format_rows(block: np.ndarray) -> bytes:
+    """The rows of ``block`` as ``np.savetxt(..., delimiter=",", fmt="%.17g")``
+    writes them, as bytes, with one ``%`` for the whole block."""
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+
+
+def _format_blocks(blocks, conn) -> None:
+    """Worker body: send the formatted bytes of each block down ``conn``, in order."""
+    try:
+        for block in blocks:
+            conn.send_bytes(_format_rows(block))
+    except Exception as exc:  # the parent reports it, as one error line
+        raise SystemExit(1) from exc
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _write_matrix(path, matrix: np.ndarray) -> None:
-    """Write ``matrix`` as ``np.savetxt(path, matrix, delimiter=",",
-    fmt="%.17g")`` does, byte for byte, with one ``%`` per block of rows."""
-    rows_per_block = max(1, _WRITE_BLOCK_CELLS // matrix.shape[1])
-    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    with open(path, "w") as fh:
-        for start in range(0, matrix.shape[0], rows_per_block):
-            block = matrix[start : start + rows_per_block]
-            fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+    """Write ``matrix`` as ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")``
+    does, byte for byte with ``\\n`` line ends, in blocks of about ``_BLOCK_CELLS``
+    cells.
+
+    With W = min(usable CPUs, blocks) of at least 2 and the ``fork`` start
+    method, W forked workers format the blocks, worker k blocks k, k + W, ...,
+    and each sends them down its own pipe; the parent receives them in order,
+    round-robin, and writes them.  The workers are forked before ``path`` is
+    opened, so they do not hold it, and are killed and joined on the way out,
+    on success or error.  Otherwise one process formats every block.
+    """
+    rows_per_block = max(1, _BLOCK_CELLS // matrix.shape[1])
+    blocks = [matrix[start : start + rows_per_block]
+              for start in range(0, matrix.shape[0], rows_per_block)]
+    workers = min(_usable_cpus(), len(blocks))
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        with open(path, "wb") as fh:
+            for block in blocks:
+                fh.write(_format_rows(block))
+        return
+    # fork: the workers read their blocks from the parent's memory, nothing is
+    # pickled; multiprocessing's fork, not os.fork, flushes stdout first, so
+    # the lines already printed are not written again by a worker
+    context = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    try:
+        for k in range(workers):
+            receive, send = context.Pipe(duplex=False)
+            pipes.append(receive)
+            procs.append(context.Process(target=_format_blocks,
+                                         args=(blocks[k::workers], send)))
+            procs[-1].start()
+            send.close()  # so a worker that dies shows as end of file
+        with open(path, "wb") as fh:
+            for index in range(len(blocks)):
+                fh.write(pipes[index % workers].recv_bytes())
+    except EOFError:
+        raise RuntimeError("a worker formatting the estimate matrix failed") from None
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
+        for receive in pipes:
+            receive.close()
 
 
 def _cmd_fit(args) -> int:
     y = _load_matrix(args.matrix)
     spec = make_family(args.family, shape=args.lam, trials=args.trials)
-    if args.tau is not None:
-        tau = _load_matrix(args.tau)
-    else:
-        tau = default_tau(spec, y.shape[0], y.shape[1])
-    data = DataMatrix(y=y, tau=tau)
+    # no local name for tau: an integer tau is converted to float by
+    # DataMatrix, and the integer copy is then freed before the fit
+    data = DataMatrix(
+        y=y,
+        tau=default_tau(spec, *y.shape) if args.tau is None else _load_matrix(args.tau),
+    )
     opts = SolverOptions(max_outer_iterations=args.max_iter, tolerance=args.tol)
     result, estimate = fit(data, spec, args.mode, opts)
+    del y, data  # the writer needs neither; freed, the fit's peak stays the call's peak
     print(f"b: {_format_vector(result.b)}")
     target_label = "ybar" if result.target_kind == "grand_mean" else "mu"
     print(f"{target_label}: {_format_vector(result.mu)}")

@@ -43,17 +43,28 @@ def _weight_vector(b, n: int) -> np.ndarray:
     return b
 
 
+# cells per row block of a whole-matrix pass: a few MiB of temporaries at a time
+_BLOCK_CELLS = 1 << 16
+
+
 def _surrogate_row_sums(data: DataMatrix, spec: FamilySpec) -> np.ndarray:
     """Row sums ``S_i`` of ``V(Y_ij)/(tau_ij + nu2)``, the unbiased variance surrogate.
 
+    Summed one block of about ``_BLOCK_CELLS`` cells of rows at a time, so
+    the n-by-p temporaries never exist at full size; each row's sum is its
+    own reduction, so the result is bit-identical to the whole-matrix sum.
     Derived once per matrix and family and kept, read-only, on ``data``.
     """
     kept = data._surrogate_sums
     if spec not in kept:
-        denom = data.tau + spec.nu2
-        if not np.all(denom > 0):
-            raise ValueError("tau + nu2 must be positive for every entry")
-        s = (variance_function(spec, data.y) / denom).sum(axis=1)
+        s = np.empty(data.n)
+        rows_per_block = max(1, _BLOCK_CELLS // data.p)
+        for start in range(0, data.n, rows_per_block):
+            block = slice(start, start + rows_per_block)
+            denom = data.tau[block] + spec.nu2
+            if not np.all(denom > 0):
+                raise ValueError("tau + nu2 must be positive for every entry")
+            s[block] = (variance_function(spec, data.y[block]) / denom).sum(axis=1)
         s.flags.writeable = False
         kept[spec] = s
     return kept[spec]

@@ -1,7 +1,9 @@
 """Command-line behavior: fit, simulate, rates."""
 
+import multiprocessing
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -113,14 +115,72 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 3), (40, 7), (3, 40)])
     def test_estimate_file_matches_savetxt(self, tmp_path, monkeypatch, shape):
-        monkeypatch.setattr(cli, "_WRITE_BLOCK_CELLS", 16)  # several blocks, one ragged
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 16)  # several blocks, one ragged
         rng = np.random.default_rng(3)
         matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
         matrix.flat[0] = -0.0
         ours, numpys = tmp_path / "ours.csv", tmp_path / "numpy.csv"
-        cli._write_matrix(ours, matrix)
         np.savetxt(numpys, matrix, delimiter=",", fmt="%.17g")
-        assert ours.read_bytes() == numpys.read_bytes()
+        for cpus in (1, 2):  # one process, then forked workers where there is fork
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            cli._write_matrix(ours, matrix)
+            assert ours.read_bytes() == numpys.read_bytes()
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the writer forks workers only where there is fork")
+    def test_failed_writer_worker_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        def fail(block):
+            raise ValueError("formatting failed")
+
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 16)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_format_rows", fail)  # fork carries it into the workers
+        with pytest.raises(RuntimeError):
+            cli._write_matrix(tmp_path / "e.csv", np.ones((40, 7)))
+        assert multiprocessing.active_children() == []
+        matrix = tmp_path / "y.csv"
+        np.savetxt(matrix, np.random.default_rng(0).normal(size=(40, 7)), delimiter=",")
+        code = main(["fit", str(matrix), "--family", "normal", "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: a worker formatting the estimate matrix failed\n"
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_forked_writer_prints_each_line_once(self, tmp_path):
+        matrix = tmp_path / "y.csv"
+        np.savetxt(matrix, np.random.default_rng(1).normal(size=(40, 7)), delimiter=",")
+        out = tmp_path / "e.csv"
+        script = (
+            "import sys; from nefshrink import cli; cli._BLOCK_CELLS = 16; "
+            "cli._usable_cpus = lambda: 2; raise SystemExit(cli.main(sys.argv[1:]))"
+        )
+        proc = subprocess.run(  # stdout is a pipe, so the printed lines sit in a buffer
+            [sys.executable, "-c", script, "fit", str(matrix), "--family", "normal",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        keys = [line.split(":")[0] for line in proc.stdout.splitlines()]
+        assert keys == ["b", "mu", "objective", "iterations", "converged"]
+        assert np.loadtxt(out, delimiter=",").shape == (40, 7)
+
+    def test_fit_memory_peak_is_a_few_matrices(self, tmp_path):
+        y = np.random.default_rng(4).poisson(1.5, size=(20_000, 10)).astype(float)
+        matrix = tmp_path / "y.csv"
+        np.savetxt(matrix, y, delimiter=",", fmt="%.17g")
+        tracemalloc.start()
+        try:
+            code = main(["fit", str(matrix), "--family", "poisson",
+                         "--out", str(tmp_path / "e.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 5 * y.nbytes
 
 
 class TestSimulateCommand:

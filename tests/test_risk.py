@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nefshrink import risk
 from nefshrink import (
     DataMatrix,
     FamilySpec,
@@ -15,6 +16,7 @@ from nefshrink import (
     squared_error_loss,
     true_risk,
     ure,
+    variance_function,
 )
 
 from conftest import ALL_FAMILIES, family_case
@@ -126,6 +128,17 @@ class TestUre:
             ure(data, [0.5, 0.5], [0.0, 0.0], spec)
         with pytest.raises(ValueError, match="target"):
             ure(data, [0.5], [0.0], spec)
+
+
+class TestSurrogateRowSums:
+    @pytest.mark.parametrize("n, p", [(11, 4), (7, 37)])
+    def test_row_blocks_sum_as_the_whole_matrix(self, rng, monkeypatch, n, p):
+        monkeypatch.setattr(risk, "_BLOCK_CELLS", 3 * p)  # blocks of 3 rows, one ragged
+        for kind in ALL_FAMILIES:
+            spec, theta, tau = family_case(kind, n, p, rng)
+            data = sample_matrix(spec, theta, tau, seed=2)
+            whole = (variance_function(spec, data.y) / (data.tau + spec.nu2)).sum(axis=1)
+            assert np.array_equal(risk._surrogate_row_sums(data, spec), whole)
 
 
 class TestAure:
