@@ -26,6 +26,11 @@ from .risk import _BLOCK_CELLS
 
 __all__ = ["main"]
 
+# Per cell, _format_table's lookup costs about 0.07 us plus 1.4 us times the
+# share of distinct values, and one % about 0.7 us, so the two cross near a
+# share of 0.45 (65,536-cell blocks, see CHANGES.md); a quarter stays clear.
+_LOOKUP_SHARE = 0.25
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -66,8 +71,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _format_vector(values: np.ndarray) -> str:
-    flat = np.asarray(values).reshape(-1)
-    return ",".join(["%.17g"] * flat.size) % tuple(flat.tolist())
+    """The entries of ``values``, flattened, as ``%.17g`` joined by commas."""
+    return _format_table(np.reshape(values, (1, -1)))[:-1]
 
 
 def _load_matrix(path) -> np.ndarray:
@@ -77,11 +82,33 @@ def _load_matrix(path) -> np.ndarray:
         return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
+def _format_table(matrix: np.ndarray) -> str:
+    """The rows of ``matrix`` as ``np.savetxt(..., delimiter=",", fmt="%.17g")``
+    writes them, each ending in ``\n``.
+
+    With at most ``_LOOKUP_SHARE`` distinct 64-bit patterns per cell, each
+    pattern is formatted once and the cells are joined by lookup; otherwise
+    one ``%`` formats every cell.  The lookup is keyed on bits, not on float
+    equality, so -0.0 and 0.0 keep their own text, and both paths give the
+    same bytes.
+    """
+    rows, cols = matrix.shape
+    cells = np.ascontiguousarray(matrix, dtype=np.float64).reshape(-1).view(np.int64)
+    ordered = np.sort(cells)
+    if 1 + np.count_nonzero(ordered[1:] != ordered[:-1]) > _LOOKUP_SHARE * cells.size:
+        row = ",".join(["%.17g"] * cols) + "\n"
+        return (row * rows) % tuple(cells.view(np.float64).tolist())
+    distinct, codes = np.unique(cells, return_inverse=True)
+    texts = ["%.17g" % value for value in distinct.view(np.float64).tolist()]
+    ends = np.array([t + "," for t in texts] + [t + "\n" for t in texts], dtype=object)
+    codes = codes.reshape(rows, cols)
+    codes[:, -1] += distinct.size  # the last cell of a row ends its line
+    return "".join(ends[codes.reshape(-1)].tolist())
+
+
 def _format_rows(block: np.ndarray) -> bytes:
-    """The rows of ``block`` as ``np.savetxt(..., delimiter=",", fmt="%.17g")``
-    writes them, as bytes, with one ``%`` for the whole block."""
-    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-    return ((row * block.shape[0]) % tuple(block.ravel().tolist())).encode()
+    """``_format_table(block)``, encoded: one block of the estimate file."""
+    return _format_table(block).encode()
 
 
 def _format_blocks(blocks, conn) -> None:
@@ -151,11 +178,13 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
 def _cmd_fit(args) -> int:
     y = _load_matrix(args.matrix)
     spec = make_family(args.family, shape=args.lam, trials=args.trials)
-    # no local name for tau: an integer tau is converted to float by
-    # DataMatrix, and the integer copy is then freed before the fit
+    # no local name for tau, so deleting data frees it before the writer;
+    # every column of the canonical tau is the same, so without --tau a
+    # read-only view of one float column stands in for the n×p matrix
     data = DataMatrix(
         y=y,
-        tau=default_tau(spec, *y.shape) if args.tau is None else _load_matrix(args.tau),
+        tau=(np.broadcast_to(default_tau(spec, y.shape[0], 1).astype(float), y.shape)
+             if args.tau is None else _load_matrix(args.tau)),
     )
     opts = SolverOptions(max_outer_iterations=args.max_iter, tolerance=args.tol)
     result, estimate = fit(data, spec, args.mode, opts)

@@ -97,7 +97,12 @@ def fit(
 ) -> tuple[FitResult, EstimateMatrix]:
     """Minimize the risk estimate of the requested class and materialize
     the fitted estimate.  Only the normal family admits negative
-    observations."""
+    observations.
+
+    In grand-mean mode the target ``result.mu`` is ``data.column_means``, the
+    computed column mean, with no box on it: for a constant column it can
+    read one ulp outside ``data.data_range``.
+    """
     if spec.kind is not FamilyKind.NORMAL and np.any(data.y < 0):
         raise ValueError(f"{spec.kind.value} observations must be nonnegative")
     if mode == "location":

@@ -3,10 +3,14 @@
 import multiprocessing
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nefshrink import cli
 from nefshrink.cli import main
@@ -23,6 +27,12 @@ mode = location
 competitors = no_shrinkage
 K_grid = 2
 """
+
+# signed zeros, infinities, the extreme doubles, two NaN payloads, plain values
+EDGE_VALUES = np.concatenate([
+    [-0.0, 0.0, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 1.5, -2.25],
+    np.array([0x7FF8000000000001, 0xFFF8000000000000], np.uint64).view(np.float64),
+])
 
 
 @pytest.fixture()
@@ -109,7 +119,10 @@ class TestFitCommand:
     def test_vector_line_matches_per_entry_formatting(self):
         values = np.random.default_rng(5).uniform(size=100_000)
         values[:4] = [-0.0, 5e-324, 1e-300, 1.0 / 3.0]
-        for vector in (values, values[:1], values[:0], np.array([[0.5, -2.0]])):
+        constant, two_valued = np.full(100_000, 0.1), np.tile([0.1, -7.25], 3)
+        signed_zeros = np.tile([-0.0, 0.0], 50)
+        for vector in (values, values[:1], values[:0], np.array([[0.5, -2.0]]), constant,
+                       two_valued, np.array([-0.0, 0.0]), signed_zeros):
             expected = ",".join(f"{v:.17g}" for v in vector.reshape(-1))
             assert cli._format_vector(vector) == expected
 
@@ -126,6 +139,29 @@ class TestFitCommand:
             cli._write_matrix(ours, matrix)
             assert ours.read_bytes() == numpys.read_bytes()
             assert multiprocessing.active_children() == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 30), st.integers(1, 6)),
+           pooled=st.integers(0, 30),
+           picks=st.lists(st.integers(2, len(EDGE_VALUES) - 1), max_size=3, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_repeated_and_distinct_blocks_match_savetxt(self, shape, pooled, picks, seed):
+        """The first ``pooled`` rows, drawn from -0.0, 0.0 and up to three
+        more edge values, mostly take the lookup path, the all-distinct rows
+        after them the direct one; a block of 24 cells may mix the two, and the
+        last block may be ragged."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+        matrix[:pooled] = rng.choice(EDGE_VALUES[[0, 1, *picks]], matrix[:pooled].shape)
+        with tempfile.TemporaryDirectory() as tmp:
+            ours, numpys = Path(tmp, "ours.csv"), Path(tmp, "numpy.csv")
+            np.savetxt(numpys, matrix, delimiter=",", fmt="%.17g")
+            for cpus in (1, 2):
+                with mock.patch.object(cli, "_BLOCK_CELLS", 24), \
+                        mock.patch.object(cli, "_usable_cpus", lambda: cpus):
+                    cli._write_matrix(ours, matrix)
+                assert ours.read_bytes() == numpys.read_bytes()
+                assert multiprocessing.active_children() == []
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="the writer forks workers only where there is fork")
@@ -167,6 +203,19 @@ class TestFitCommand:
         keys = [line.split(":")[0] for line in proc.stdout.splitlines()]
         assert keys == ["b", "mu", "objective", "iterations", "converged"]
         assert np.loadtxt(out, delimiter=",").shape == (40, 7)
+
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_all_zero_poisson_input_breaks_the_tie_at_half(self, tmp_path, capsys, mode):
+        """With Y = 0 every weight gives URE 0, and the fit returns b = 0.5."""
+        matrix, out = tmp_path / "y.csv", tmp_path / "e.csv"
+        np.savetxt(matrix, np.zeros((4, 3)), delimiter=",")
+        code = main(["fit", str(matrix), "--family", "poisson", "--mode", mode,
+                     "--out", str(out)])
+        assert code == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert lines["b"] == "0.5,0.5,0.5,0.5"
+        assert lines["objective"] == "0"
+        assert out.read_text() == "0,0,0\n" * 4
 
     def test_fit_memory_peak_is_a_few_matrices(self, tmp_path):
         y = np.random.default_rng(4).poisson(1.5, size=(20_000, 10)).astype(float)

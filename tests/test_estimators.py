@@ -165,6 +165,19 @@ class TestFit:
             else:
                 assert result.objective == aure(data, result.b, spec)
 
+    def test_grand_mean_target_is_the_unboxed_column_mean(self):
+        # the recorded case: seven equal entries whose computed mean reads
+        # 2.0923816610000006, one ulp above the data range 2.092381661
+        y = np.full((7, 1), 2.092381661)
+        tau = np.ones((7, 1))
+        tau[3] = 1e9
+        data = DataMatrix(y, tau)
+        result, est = fit(data, make_family("poisson"), "grand_mean")
+        np.testing.assert_array_equal(result.mu, data.column_means)
+        assert np.abs(result.mu).max() > data.data_range
+        np.testing.assert_array_equal(shrink_to_grand_mean(data, result.b).theta_hat,
+                                      est.theta_hat)
+
     @pytest.mark.parametrize("mode", ["location", "grand_mean"])
     @pytest.mark.parametrize("kind", ["poisson", "gamma", "multinomial", "negmultinomial"])
     def test_rejects_observations_outside_the_support(self, rng, kind, mode):
