@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from nefshrink import cli
 from nefshrink.cli import main
+from nefshrink.families import default_tau, make_family
 from nefshrink.harness import CSV_HEADER
 
 CONFIG = """
@@ -216,6 +217,23 @@ class TestFitCommand:
         assert lines["b"] == "0.5,0.5,0.5,0.5"
         assert lines["objective"] == "0"
         assert out.read_text() == "0,0,0\n" * 4
+
+    @pytest.mark.parametrize("family, trials", [("poisson", None), ("multinomial", 6)])
+    def test_default_tau_fits_as_the_written_default(self, tmp_path, capsys, family, trials):
+        """Without --tau, the view of one tau column fits as the n×p default."""
+        y = np.random.default_rng(6).multinomial(6, [0.2, 0.3, 0.1, 0.4], size=30)[:, :3]
+        matrix, tau = tmp_path / "y.csv", tmp_path / "tau.csv"
+        np.savetxt(matrix, y, delimiter=",", fmt="%d")
+        np.savetxt(tau, default_tau(make_family(family, trials=trials), *y.shape),
+                   delimiter=",", fmt="%d")
+        extra = [] if trials is None else ["--N", str(trials)]
+        runs = []
+        for tau_args in ([], ["--tau", str(tau)]):
+            out = tmp_path / f"e{len(tau_args)}.csv"
+            assert main(["fit", str(matrix), "--family", family, *extra, *tau_args,
+                         "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, out.read_bytes()))
+        assert runs[0] == runs[1]
 
     def test_fit_memory_peak_is_a_few_matrices(self, tmp_path):
         y = np.random.default_rng(4).poisson(1.5, size=(20_000, 10)).astype(float)
