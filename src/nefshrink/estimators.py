@@ -66,9 +66,7 @@ def _combine(data: DataMatrix, b: np.ndarray, mu: np.ndarray) -> np.ndarray:
 def shrink_to_location(data: DataMatrix, b, mu) -> EstimateMatrix:
     """Shrink each row toward ``mu``; ``(b, mu)`` must be feasible."""
     b = check_feasible_weights(b, data.order)
-    mu = check_feasible_location(mu, data.data_range)
-    if mu.size != data.p:
-        raise ValueError(f"expected {data.p} target coordinates, got {mu.size}")
+    mu = check_feasible_location(mu, data)
     return EstimateMatrix(
         theta_hat=_combine(data, b, mu),
         provenance=Provenance.LOCATION_SHRINKAGE,

@@ -35,8 +35,6 @@ from .optimize import (
     SolverOptions,
     check_feasible_location,
     check_feasible_weights,
-    minimize_aure,
-    minimize_ure,
     sample_feasible_weights,
 )
 from .risk import _surrogate_row_sums, grand_mean, squared_error_loss, ure
@@ -57,7 +55,16 @@ __all__ = [
     "read_records_csv",
 ]
 
-CSV_HEADER = "rep,n,p,estimator,loss,risk_estimate,sup_gap,iters,converged"
+# the per-replication statistics, each with the parser of its raw CSV cell;
+# an aggregate row holds the mean and the standard error of every one
+_STATS = {
+    "loss": float,
+    "risk_estimate": float,
+    "sup_gap": float,
+    "iters": int,
+    "converged": lambda cell: cell == "True",
+}
+CSV_HEADER = ",".join(["rep", "n", "p", "estimator", *_STATS])
 
 # stream purposes for seed derivation
 _THETA, _TAU, _SAMPLE, _SUPGAP = 0, 1, 2, 3
@@ -238,83 +245,57 @@ class RateFit:
     n_points: int
 
 
-def _pair_streams(seed, samples: int):
-    """One generator per random pair, so a larger ``samples`` keeps the
-    smaller set as a prefix."""
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in root.spawn(samples)]
-
-
 def estimate_sup_gap(
-    data: DataMatrix,
-    theta,
-    spec: FamilySpec,
-    samples: int,
-    seed,
-    fitted: FitResult | tuple | None = None,
+    data: DataMatrix, theta, spec: FamilySpec, samples: int, seed, fitted: FitResult
 ) -> float:
     """Sampled proxy for the largest |risk estimate - loss| over the
     location-shrinkage feasible set.
 
-    Evaluates the gap at the no- and full-shrinkage corners, at the fitted
-    pair (computed here unless supplied), and at ``samples`` seeded random
-    feasible pairs (monotone weights from sorted uniforms, targets uniform
-    in the data box).  Random pairs are derived one stream per index, so
-    enlarging ``samples`` keeps the smaller set as a prefix.  The result is
-    a lower bound on the true supremum.
+    Evaluates the gap at the no- and full-shrinkage corners toward the
+    clipped grand mean, at the caller's fitted pair, and at ``samples``
+    seeded random feasible pairs (monotone weights from sorted uniforms,
+    targets uniform in the data box).  Random pairs are derived one stream
+    per index, so enlarging ``samples`` keeps the smaller set as a prefix.
+    The result is a lower bound on the true supremum.
     """
-    order = data.order
-    m_range = data.data_range
-    if fitted is None:
-        fitted = minimize_ure(data, spec)
-    b_fit, mu_fit = (fitted.b, fitted.mu) if isinstance(fitted, FitResult) else fitted
-    mu_fit = check_feasible_location(mu_fit, m_range)
-    if mu_fit.size != data.p:
-        raise ValueError(f"expected {data.p} target coordinates, got {mu_fit.size}")
-    mu_center = np.clip(grand_mean(data), -m_range, m_range)
-    weights = [np.zeros(data.n), np.ones(data.n), check_feasible_weights(b_fit, order)]
-    targets = [mu_center, mu_center, mu_fit]
-    for rng in _pair_streams(seed, samples):
-        weights.append(sample_feasible_weights(order, rng))
-        targets.append(rng.uniform(-m_range, m_range, data.p))
-    return _largest_gap(data, theta, spec, np.array(weights), np.array(targets), 1.0)
+    return _sup_gap(data, theta, spec, samples, seed, fitted, location=True)
 
 
 def estimate_sup_gap_grand_mean(
-    data: DataMatrix,
-    theta,
-    spec: FamilySpec,
-    samples: int,
-    seed,
-    fitted: FitResult | np.ndarray | None = None,
+    data: DataMatrix, theta, spec: FamilySpec, samples: int, seed, fitted: FitResult
 ) -> float:
     """Grand-mean analogue of :func:`estimate_sup_gap` (weights only)."""
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
-    order = data.order
-    if fitted is None:
-        fitted = minimize_aure(data, spec)
-    b_fit = fitted.b if isinstance(fitted, FitResult) else fitted
-    weights = [np.zeros(data.n), np.ones(data.n), check_feasible_weights(b_fit, order)]
-    for rng in _pair_streams(seed, samples):
-        weights.append(sample_feasible_weights(order, rng))
-    targets = grand_mean(data)[None, :]
-    return _largest_gap(data, theta, spec, np.array(weights), targets, 1.0 - 1.0 / data.n)
+    return _sup_gap(data, theta, spec, samples, seed, fitted, location=False)
 
 
-def _largest_gap(data, theta, spec, weights, targets, factor: float) -> float:
-    """Largest |risk estimate - loss| over the pairs ``(weights[k], targets[k])``.
+def _sup_gap(data, theta, spec, samples, seed, fitted: FitResult, location: bool) -> float:
+    """Largest |risk estimate - loss| over the corners, the fitted pair and
+    ``samples`` random pairs: URE against a per-pair target in the data box
+    (``location``), or AURE with the target fixed at the grand mean.
 
     The ``b_i^2`` terms of the risk estimate and of the loss cancel, so
     each gap is linear in the weights:
     ``np * gap_k = sum_i r_i - 2 sum_i b_ki q_ki`` with
     ``r_i = S_i - ||y_i - theta_i||^2`` and
     ``q_ki = f S_i - (y_i - theta_i).(y_i - mu_k)``, where ``S_i`` are the
-    row sums of ``V(Y)/(tau + nu2)`` and ``f = factor`` (1 for URE,
-    ``1 - 1/n`` for AURE).  Summing per row first keeps the terms of size
-    ``np`` from cancelling against each other.  ``targets`` may hold a
-    single row shared by every pair.
+    row sums of ``V(Y)/(tau + nu2)`` and ``f`` is 1 for URE and
+    ``1 - 1/n`` for AURE.  Summing per row first keeps the terms of size
+    ``np`` from cancelling against each other.
     """
+    order = data.order
+    m_range = data.data_range
+    if location:
+        mu_center = np.clip(grand_mean(data), -m_range, m_range)
+        targets = [mu_center, mu_center, check_feasible_location(fitted.mu, data)]
+    else:
+        targets = [grand_mean(data)]  # one row shared by every pair
+    weights = [np.zeros(data.n), np.ones(data.n), check_feasible_weights(fitted.b, order)]
+    for rng in np.random.default_rng(seed).spawn(samples):
+        weights.append(sample_feasible_weights(order, rng))
+        if location:
+            targets.append(rng.uniform(-m_range, m_range, data.p))
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if theta.shape != data.y.shape:
         raise ValueError(
@@ -323,8 +304,9 @@ def _largest_gap(data, theta, spec, weights, targets, factor: float) -> float:
     dev = data.y - theta
     s = _surrogate_row_sums(data, spec)
     r = s - (dev**2).sum(axis=1)
-    q = factor * s - (dev * data.y).sum(axis=1) + targets @ dev.T  # (K, n)
-    gaps = r.sum() - 2.0 * (weights * q).sum(axis=1)
+    factor = 1.0 if location else 1.0 - 1.0 / data.n
+    q = factor * s - (dev * data.y).sum(axis=1) + np.array(targets) @ dev.T  # (K, n)
+    gaps = r.sum() - 2.0 * (np.array(weights) * q).sum(axis=1)
     return float(np.abs(gaps).max()) / data.y.size
 
 
@@ -421,25 +403,20 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     streams are keyed by position, and results are collected in task
     order, so the output is identical for any ``workers`` count.
     """
-    records: list[ReplicationRecord] = []
     spec = config.family_spec()
+    tasks = []
     for ni, n in enumerate(config.n_grid):
         p = config.p_for(n)
         theta = _generate_theta(config, spec, n, p, _substream(config.seed, ni, 0, _THETA))
         tau = _generate_tau(config, spec, n, p, _substream(config.seed, ni, 0, _TAU))
-        tasks = [(ni, n, p, theta, tau, rep) for rep in range(config.replications)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                chunks = pool.map(
-                    partial(_run_replication, config),
-                    tasks,
-                    chunksize=max(1, len(tasks) // (4 * workers)),
-                )
-                for rows in chunks:
-                    records.extend(rows)
-        else:
-            for task in tasks:
-                records.extend(_run_replication(config, task))
+        tasks.extend((ni, n, p, theta, tau, rep) for rep in range(config.replications))
+    run = partial(_run_replication, config)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunksize = max(1, len(tasks) // (4 * workers))
+            records = [row for rows in pool.map(run, tasks, chunksize=chunksize) for row in rows]
+    else:
+        records = [row for rows in map(run, tasks) for row in rows]
     return ExperimentResult(
         config=config, records=records, aggregates=aggregate_records(records)
     )
@@ -459,54 +436,30 @@ def aggregate_records(records: list[ReplicationRecord]) -> list[AggregateRecord]
         groups.setdefault((record.n, record.estimator), []).append(record)
     out = []
     for (n, estimator), rows in groups.items():
-        loss = np.array([r.loss for r in rows])
-        risk = np.array([r.risk_estimate for r in rows])
-        sup = np.array([r.sup_gap for r in rows])
-        iters = np.array([float(r.iters) for r in rows])
-        conv = np.array([float(r.converged) for r in rows])
-        stats = [_mean_se(col) for col in (loss, risk, sup, iters, conv)]
+        stats = {}
+        for stat in _STATS:
+            column = np.array([float(getattr(r, stat)) for r in rows])
+            stats["mean_" + stat], stats["se_" + stat] = _mean_se(column)
         out.append(
-            AggregateRecord(
-                n=n,
-                p=rows[0].p,
-                estimator=estimator,
-                count=len(rows),
-                mean_loss=stats[0][0],
-                se_loss=stats[0][1],
-                mean_risk_estimate=stats[1][0],
-                se_risk_estimate=stats[1][1],
-                mean_sup_gap=stats[2][0],
-                se_sup_gap=stats[2][1],
-                mean_iters=stats[3][0],
-                se_iters=stats[3][1],
-                mean_converged=stats[4][0],
-                se_converged=stats[4][1],
-            )
+            AggregateRecord(n=n, p=rows[0].p, estimator=estimator, count=len(rows), **stats)
         )
     return out
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def _csv_line(*cells) -> str:
+    """One CSV row; floats are written losslessly (``%.17g``)."""
+    return ",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in cells)
 
 
 def records_csv_text(result: ExperimentResult) -> str:
     """Serialize raw records plus aggregate rows (rep = mean/se) losslessly."""
     lines = [CSV_HEADER]
     for r in result.records:
-        lines.append(
-            f"{r.rep},{r.n},{r.p},{r.estimator},{_fmt(r.loss)},{_fmt(r.risk_estimate)},"
-            f"{_fmt(r.sup_gap)},{r.iters},{r.converged}"
-        )
+        lines.append(_csv_line(r.rep, r.n, r.p, r.estimator, *(getattr(r, s) for s in _STATS)))
     for a in result.aggregates:
-        lines.append(
-            f"mean,{a.n},{a.p},{a.estimator},{_fmt(a.mean_loss)},{_fmt(a.mean_risk_estimate)},"
-            f"{_fmt(a.mean_sup_gap)},{_fmt(a.mean_iters)},{_fmt(a.mean_converged)}"
-        )
-        lines.append(
-            f"se,{a.n},{a.p},{a.estimator},{_fmt(a.se_loss)},{_fmt(a.se_risk_estimate)},"
-            f"{_fmt(a.se_sup_gap)},{_fmt(a.se_iters)},{_fmt(a.se_converged)}"
-        )
+        for kind in ("mean", "se"):
+            values = (getattr(a, f"{kind}_{s}") for s in _STATS)
+            lines.append(_csv_line(kind, a.n, a.p, a.estimator, *values))
     return "\n".join(lines) + "\n"
 
 
@@ -515,43 +468,30 @@ def write_records_csv(result: ExperimentResult, path) -> None:
 
 
 def read_records_csv(path) -> tuple[list[ReplicationRecord], list[dict]]:
-    """Load a records CSV; returns (raw records, aggregate rows as dicts)."""
-    text = Path(path).read_text()
-    lines = text.strip().splitlines()
+    """Load a records CSV; returns (raw records, aggregate rows as dicts).
+
+    A malformed row is reported with the path and its 1-based line number."""
+    lines = Path(path).read_text().rstrip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected records header in {path}")
+    width = CSV_HEADER.count(",") + 1
     records: list[ReplicationRecord] = []
     agg_rows: list[dict] = []
-    for line in lines[1:]:
-        rep, n, p, estimator, loss, risk, sup, iters, converged = line.split(",")
-        if rep in ("mean", "se"):
-            agg_rows.append(
-                {
-                    "stat": rep,
-                    "n": int(n),
-                    "p": int(p),
-                    "estimator": estimator,
-                    "loss": float(loss),
-                    "risk_estimate": float(risk),
-                    "sup_gap": float(sup),
-                    "iters": float(iters),
-                    "converged": float(converged),
-                }
-            )
-            continue
-        records.append(
-            ReplicationRecord(
-                rep=int(rep),
-                n=int(n),
-                p=int(p),
-                estimator=estimator,
-                loss=float(loss),
-                risk_estimate=float(risk),
-                sup_gap=float(sup),
-                iters=int(iters),
-                converged=converged == "True",
-            )
-        )
+    for lineno, line in enumerate(lines[1:], 2):
+        cells = line.split(",")
+        if len(cells) != width:
+            raise ValueError(f"{path} line {lineno}: expected {width} fields, got {len(cells)}")
+        rep, n, p, estimator, *values = cells
+        try:
+            if rep in ("mean", "se"):
+                stats = {s: float(v) for s, v in zip(_STATS, values)}
+                agg_rows.append({"stat": rep, "n": int(n), "p": int(p), "estimator": estimator,
+                                 **stats})
+            else:
+                stats = {s: parse(v) for (s, parse), v in zip(_STATS.items(), values)}
+                records.append(ReplicationRecord(int(rep), int(n), int(p), estimator, **stats))
+        except ValueError as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     return records, agg_rows
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import DataMatrix, FamilySpec, RowOrder
-from .risk import _row_quadratic, _surrogate_row_sums, grand_mean
+from .risk import _aure_rows, _row_quadratic, _surrogate_row_sums, grand_mean
 
 __all__ = [
     "RowOrder",
@@ -44,13 +44,15 @@ def check_feasible_weights(b, order: RowOrder) -> np.ndarray:
     return b
 
 
-def check_feasible_location(mu, data_range: float) -> np.ndarray:
+def check_feasible_location(mu, data: DataMatrix) -> np.ndarray:
     mu = np.asarray(mu, dtype=float).reshape(-1)
-    if not np.all(np.abs(mu) <= data_range):
+    if not np.all(np.abs(mu) <= data.data_range):
         raise ValueError(
             f"shrinkage target must be finite and within the data range "
-            f"[{-data_range}, {data_range}]"
+            f"[{-data.data_range}, {data.data_range}]"
         )
+    if mu.size != data.p:
+        raise ValueError(f"expected {data.p} target coordinates, got {mu.size}")
     return mu
 
 
@@ -211,15 +213,10 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     ``V(Y_ij)/(tau_ij + nu2)``, so a single weighted isotonic projection of
     the per-row stationary points solves it globally.
     """
-    if data.n < 2:
-        raise ValueError("grand-mean shrinkage requires at least two rows")
-    ybar = grand_mean(data)
-    a = ((data.y - ybar) ** 2).sum(axis=1)
-    s = _surrogate_row_sums(data, spec)
-    b, objective = _weight_step(a, (1.0 - 1.0 / data.n) * s, s, data.order, data.y.size)
+    b, objective = _weight_step(*_aure_rows(data, spec), data.order, data.y.size)
     return FitResult(
         b=b,
-        mu=ybar,
+        mu=grand_mean(data),
         objective=objective,
         iterations=1,
         converged=True,

@@ -100,12 +100,19 @@ def aure(data: DataMatrix, b, spec: FamilySpec) -> float:
 
     Requires ``n >= 2``; at ``b = 0`` it coincides with :func:`ure`.
     """
+    rows = _aure_rows(data, spec)
+    return _row_quadratic(_weight_vector(b, data.n), *rows, data.y.size)
+
+
+def _aure_rows(data: DataMatrix, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """AURE's :func:`_row_quadratic` coefficients ``(a, lin, const)``:
+    ``a_i = ||y_i - Ybar||^2``, ``lin_i = (1 - 1/n) S_i`` and ``const_i = S_i``.
+    Requires ``n >= 2``."""
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
-    b = _weight_vector(b, data.n)
     a = ((data.y - grand_mean(data)) ** 2).sum(axis=1)
     s = _surrogate_row_sums(data, spec)
-    return _row_quadratic(b, a, (1.0 - 1.0 / data.n) * s, s, data.y.size)
+    return a, (1.0 - 1.0 / data.n) * s, s
 
 
 def true_risk(theta, b, mu, spec: FamilySpec, tau) -> float:

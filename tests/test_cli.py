@@ -306,6 +306,15 @@ class TestRatesCommand:
         assert main(["rates", str(records)]) == 0
         assert "slope:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("row", ["0,100,10,fit,1.0", "0,100,10,fit,1.0,1.0,x,1,True"])
+    def test_malformed_row_names_path_and_line(self, tmp_path, capsys, row):
+        records = tmp_path / "records.csv"
+        records.write_text(f"{CSV_HEADER}\n0,100,10,fit,1.0,1.0,0.5,1,True\n{row}\n")
+        assert main(["rates", str(records)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert str(records) in errors[0] and "line 3" in errors[0]
+
     def test_too_few_points(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text(CONFIG)

@@ -8,6 +8,7 @@ import pytest
 from nefshrink import (
     AggregateRecord,
     ExperimentConfig,
+    FitResult,
     RowOrder,
     aggregate_records,
     aure,
@@ -109,6 +110,12 @@ class TestConfigParsing:
             small_config(competitors=("ridge",))
 
 
+def fitted_pair(b, mu):
+    """A :class:`FitResult` holding a given pair, for the sup-gap proxy's
+    ``fitted`` argument; only its weights and target are read."""
+    return FitResult(b=b, mu=mu, objective=np.nan, iterations=0, converged=False)
+
+
 class TestSupGapProxy:
     def _normal_case(self, seed=5):
         rng = np.random.default_rng(seed)
@@ -142,7 +149,8 @@ class TestSupGapProxy:
         assert abs(ure(data, np.zeros(6), mu_c, spec) - realized) == pytest.approx(
             expected, rel=1e-12
         )
-        assert estimate_sup_gap(data, theta, spec, 0, seed=1) >= expected - 1e-15
+        fitted = minimize_ure(data, spec)
+        assert estimate_sup_gap(data, theta, spec, 0, seed=1, fitted=fitted) >= expected - 1e-15
 
     def test_vanishing_loss_leaves_absolute_risk_estimate(self):
         # theta rows all equal mu*: full shrinkage is lossless, gap = |ure|
@@ -152,7 +160,7 @@ class TestSupGapProxy:
         assert data.data_range >= 0.5
         b, mu = np.ones(5), theta[0]
         assert squared_error_loss(shrink_to_location(data, b, mu), theta) == 0.0
-        value = estimate_sup_gap(data, theta, spec, 0, seed=1, fitted=(b, mu))
+        value = estimate_sup_gap(data, theta, spec, 0, seed=1, fitted=fitted_pair(b, mu))
         assert value >= abs(ure(data, b, mu, spec)) - 1e-15
 
     def test_enlarging_the_sample_set_is_monotone_and_nested(self):
@@ -231,12 +239,17 @@ class TestSupGapAgainstPerPairReference:
         mu = grand_mean(data)
         rising = order.expand_group_values(np.linspace(1.0, 0.0, order.n_groups))
         nan_b = np.full(data.n, np.nan)
-        for bad_b, bad_mu in [(rising, mu), (nan_b, mu), (b, np.full(data.p, np.nan))]:
+        bad_pairs = [(rising, mu), (nan_b, mu), (b, np.full(data.p, np.nan)), (b, mu[:-1])]
+        for bad_b, bad_mu in bad_pairs:
             with pytest.raises(ValueError):
-                estimate_sup_gap(data, theta, spec, 2, seed=1, fitted=(bad_b, bad_mu))
+                estimate_sup_gap(
+                    data, theta, spec, 2, seed=1, fitted=fitted_pair(bad_b, bad_mu)
+                )
         for bad_b in (rising, nan_b):
             with pytest.raises(ValueError):
-                estimate_sup_gap_grand_mean(data, theta, spec, 2, seed=1, fitted=bad_b)
+                estimate_sup_gap_grand_mean(
+                    data, theta, spec, 2, seed=1, fitted=fitted_pair(bad_b, mu)
+                )
 
 
 class TestRunExperiment:
