@@ -15,11 +15,10 @@ from .families import (
     default_tau,
     make_family,
     sample_matrix,
-    theoretical_moments,
     validate_mean_matrix,
     variance_function,
 )
-from .risk import aure, grand_mean, squared_error_loss, true_risk, ure
+from .risk import aure, grand_mean, squared_error_loss, ure
 from .optimize import (
     FitResult,
     RowOrder,
@@ -31,7 +30,6 @@ from .optimize import (
 )
 from .estimators import (
     EstimateMatrix,
-    Provenance,
     competitor,
     fit,
     minimize_true_loss,

@@ -11,7 +11,6 @@ true means and exists purely for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .optimize import (
 from .risk import grand_mean
 
 __all__ = [
-    "Provenance",
     "EstimateMatrix",
     "shrink_to_location",
     "shrink_to_grand_mean",
@@ -41,50 +39,29 @@ COMPETITOR_KINDS = ("no_shrinkage", "half_to_zero", "oracle_loss")
 FIT_MODES = ("location", "grand_mean")
 
 
-class Provenance(str, Enum):
-    LOCATION_SHRINKAGE = "location_shrinkage"
-    GRAND_MEAN_SHRINKAGE = "grand_mean_shrinkage"
-    NO_SHRINKAGE = "no_shrinkage"
-    FIXED_COMPETITOR = "fixed_competitor"
-    ORACLE_LOSS = "oracle_loss"
-
-
 @dataclass
 class EstimateMatrix:
-    """An n-by-p estimate with the weights and target that produced it."""
+    """An n-by-p estimate ``(1 - b_i) Y_ij + b_i mu_j`` with the weights ``b``
+    and target ``mu`` that produced it."""
 
     theta_hat: np.ndarray
-    provenance: Provenance
-    b: np.ndarray | None = None
-    mu: np.ndarray | None = None
+    b: np.ndarray
+    mu: np.ndarray
 
 
-def _combine(data: DataMatrix, b: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    return (1.0 - b)[:, None] * data.y + b[:, None] * mu
+def _estimate(data: DataMatrix, b: np.ndarray, mu: np.ndarray) -> EstimateMatrix:
+    return EstimateMatrix((1.0 - b)[:, None] * data.y + b[:, None] * mu, b, mu)
 
 
 def shrink_to_location(data: DataMatrix, b, mu) -> EstimateMatrix:
     """Shrink each row toward ``mu``; ``(b, mu)`` must be feasible."""
     b = check_feasible_weights(b, data.order)
-    mu = check_feasible_location(mu, data)
-    return EstimateMatrix(
-        theta_hat=_combine(data, b, mu),
-        provenance=Provenance.LOCATION_SHRINKAGE,
-        b=b,
-        mu=mu,
-    )
+    return _estimate(data, b, check_feasible_location(mu, data))
 
 
 def shrink_to_grand_mean(data: DataMatrix, b) -> EstimateMatrix:
     """Shrink each row toward the column means."""
-    b = check_feasible_weights(b, data.order)
-    ybar = grand_mean(data)
-    return EstimateMatrix(
-        theta_hat=_combine(data, b, ybar),
-        provenance=Provenance.GRAND_MEAN_SHRINKAGE,
-        b=b,
-        mu=ybar,
-    )
+    return _estimate(data, check_feasible_weights(b, data.order), grand_mean(data))
 
 
 def fit(
@@ -103,6 +80,8 @@ def fit(
     """
     if spec.kind is not FamilyKind.NORMAL and np.any(data.y < 0):
         raise ValueError(f"{spec.kind.value} observations must be nonnegative")
+    if spec.kind is FamilyKind.MULTINOMIAL and np.any(data.y > 1):
+        raise ValueError("multinomial observations must lie in [0, 1]")
     if mode == "location":
         result = minimize_ure(data, spec, opts)
         estimate = shrink_to_location(data, result.b, result.mu)
@@ -127,34 +106,17 @@ def competitor(
     ``oracle_loss`` picks feasible weights and target minimizing the true
     loss and therefore requires ``theta`` (evaluation only, not deployable).
     """
-    n = data.n
-    if kind == "no_shrinkage":
-        return EstimateMatrix(
-            theta_hat=data.y.copy(),
-            provenance=Provenance.NO_SHRINKAGE,
-            b=np.zeros(n),
-            mu=np.zeros(data.p),
-        )
-    if kind == "half_to_zero":
-        b = np.full(n, 0.5)
+    if kind in ("no_shrinkage", "half_to_zero"):
+        b = np.full(data.n, 0.0 if kind == "no_shrinkage" else 0.5)
         mu = np.zeros(data.p)
-        return EstimateMatrix(
-            theta_hat=_combine(data, b, mu),
-            provenance=Provenance.FIXED_COMPETITOR,
-            b=b,
-            mu=mu,
-        )
-    if kind == "oracle_loss":
+    elif kind == "oracle_loss":
         if theta is None:
             raise ValueError("the loss oracle competitor requires the true means")
         result = minimize_true_loss(data, theta, opts)
-        return EstimateMatrix(
-            theta_hat=_combine(data, result.b, result.mu),
-            provenance=Provenance.ORACLE_LOSS,
-            b=result.b,
-            mu=result.mu,
-        )
-    raise ValueError(f"unknown competitor {kind!r}; expected one of {COMPETITOR_KINDS}")
+        b, mu = result.b, result.mu
+    else:
+        raise ValueError(f"unknown competitor {kind!r}; expected one of {COMPETITOR_KINDS}")
+    return _estimate(data, b, mu)
 
 
 def minimize_true_loss(

@@ -4,8 +4,7 @@ Five families (normal, Poisson, gamma, multinomial, negative multinomial)
 share the structure ``Var(Y_ij) = V(theta_ij) / tau_ij`` where
 ``V(t) = nu0 + nu1*t + nu2*t**2`` and the ``tau_ij`` are known positive
 integer within-group sample sizes.  This module defines the family
-descriptors, their mean domains, exact samplers, and closed-form moment
-oracles used throughout the rest of the library, and the immutable
+descriptors, their mean domains and exact samplers, and the immutable
 :class:`DataMatrix` that keeps what its consumers derive from one matrix:
 the tau row order (:class:`RowOrder`), the data range, the column means
 and, per family, the surrogate row sums of :mod:`nefshrink.risk`.
@@ -26,14 +25,10 @@ __all__ = [
     "DataMatrix",
     "make_family",
     "variance_function",
-    "theoretical_moments",
     "validate_mean_matrix",
     "default_tau",
     "sample_matrix",
 ]
-
-FAMILY_TOKENS = ("normal", "poisson", "gamma", "multinomial", "negmultinomial")
-
 
 class FamilyKind(str, Enum):
     """Lowercase serialization tokens for the five supported families."""
@@ -168,17 +163,6 @@ def validate_mean_matrix(spec, theta, allow_poisson_boundary=False):
     return theta
 
 
-def theoretical_moments(spec: FamilySpec, theta, tau):
-    """Exact mean and variance of an observation: ``(theta, V(theta)/tau)``.
-
-    Accepts scalars or arrays; ``theta`` must lie strictly inside the mean
-    domain and ``tau`` must be a positive integer (elementwise).
-    """
-    theta = validate_mean_matrix(spec, theta)
-    tau = _check_tau(tau)
-    return theta, variance_function(spec, theta) / tau
-
-
 def _check_tau(tau):
     tau = np.asarray(tau)
     if not np.all(tau >= 1) or not np.all(tau == np.floor(tau)):
@@ -231,12 +215,6 @@ class RowOrder:
     @property
     def n_groups(self) -> int:
         return int(self.group_ids[-1]) + 1 if self.n else 0
-
-    def group_of_row(self) -> np.ndarray:
-        """Group index per original row."""
-        out = np.empty(self.n, dtype=int)
-        out[self.permutation] = self.group_ids
-        return out
 
     def expand_group_values(self, values) -> np.ndarray:
         """Map one value per group back to a per-row vector."""
@@ -372,10 +350,7 @@ def sample_matrix(spec: FamilySpec, theta, tau, seed) -> DataMatrix:
         y = rng.gamma(k, theta / k)
     elif spec.kind is FamilyKind.MULTINOMIAL:
         counts = _row_trial_counts(tau, 2, "multinomial")
-        row_mass = theta.sum(axis=1)
-        if not np.all(row_mass < 1):
-            raise ValueError("multinomial mean rows must sum to strictly less than 1")
-        pvals = np.hstack([theta, (1.0 - row_mass)[:, None]])
+        pvals = np.hstack([theta, (1.0 - theta.sum(axis=1))[:, None]])
         draws = rng.multinomial(counts, pvals)
         y = draws[:, :p] / counts[:, None]
     else:  # negative multinomial

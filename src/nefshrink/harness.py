@@ -22,7 +22,6 @@ import numpy as np
 
 from .estimators import COMPETITOR_KINDS, FIT_MODES, competitor, fit
 from .families import (
-    FAMILY_TOKENS,
     DataMatrix,
     FamilySpec,
     default_tau,
@@ -95,8 +94,7 @@ class ExperimentConfig:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if self.family not in FAMILY_TOKENS:
-            raise ValueError(f"unknown family token {self.family!r}")
+        self.family_spec()  # validate the family and its parameters eagerly
         if not self.n_grid:
             raise ValueError("n_grid must be non-empty")
         if any(n < 2 for n in self.n_grid):
@@ -160,7 +158,10 @@ class ExperimentConfig:
             if key not in spec:
                 raise ValueError(f"unknown config key {key!r}")
             name, convert = spec[key]
-            kwargs[name] = convert(value)
+            try:
+                kwargs[name] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         for required in ("family", "theta_rule", "n_grid", "p_rule"):
             if required not in kwargs:
                 raise ValueError(f"missing required config key {required!r}")
@@ -365,35 +366,15 @@ def _run_replication(
     sup_seed = _substream(config.seed, ni, rep, _SUPGAP)
     sup_gap_of = estimate_sup_gap if config.mode == "location" else estimate_sup_gap_grand_mean
     sup_gap = sup_gap_of(data, theta, spec, config.sup_gap_samples, sup_seed, fitted=result)
-    rows = [
-        ReplicationRecord(
-            rep=rep,
-            n=n,
-            p=p,
-            estimator="fit",
-            loss=squared_error_loss(estimate, theta),
-            risk_estimate=result.objective,
-            sup_gap=sup_gap,
-            iters=result.iterations,
-            converged=result.converged,
-        )
-    ]
+    scored = [("fit", estimate, result.objective, result.iterations, result.converged)]
     for kind in config.competitors:
         est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None, opts=opts)
-        rows.append(
-            ReplicationRecord(
-                rep=rep,
-                n=n,
-                p=p,
-                estimator=kind,
-                loss=squared_error_loss(est, theta),
-                risk_estimate=ure(data, est.b, est.mu, spec),
-                sup_gap=sup_gap,
-                iters=0,
-                converged=True,
-            )
-        )
-    return rows
+        scored.append((kind, est, ure(data, est.b, est.mu, spec), 0, True))
+    return [
+        ReplicationRecord(rep, n, p, name, squared_error_loss(est.theta_hat, theta), risk,
+                          sup_gap, iters, converged)
+        for name, est, risk, iters, converged in scored
+    ]
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:

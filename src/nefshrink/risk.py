@@ -1,4 +1,4 @@
-"""Squared-error loss, unbiased risk estimates, and the closed-form risk.
+"""Squared-error loss and the unbiased risk estimates.
 
 For shrinkage weights ``b`` (one per row) and a target vector ``mu`` (one
 per column), the location-shrinkage estimator is
@@ -14,20 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .families import DataMatrix, FamilySpec, validate_mean_matrix, variance_function
+from .families import DataMatrix, FamilySpec, variance_function
 
-__all__ = ["squared_error_loss", "ure", "aure", "true_risk", "grand_mean"]
-
-
-def _estimate_array(estimate) -> np.ndarray:
-    # EstimateMatrix instances expose theta_hat; plain arrays pass through.
-    theta_hat = getattr(estimate, "theta_hat", estimate)
-    return np.atleast_2d(np.asarray(theta_hat, dtype=float))
+__all__ = ["squared_error_loss", "ure", "aure", "grand_mean"]
 
 
-def squared_error_loss(estimate, theta) -> float:
+def squared_error_loss(theta_hat, theta) -> float:
     """Average squared error ``(1/np) * sum_ij (theta_hat_ij - theta_ij)**2``."""
-    theta_hat = _estimate_array(estimate)
+    theta_hat = np.atleast_2d(np.asarray(theta_hat, dtype=float))
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if theta_hat.shape != theta.shape:
         raise ValueError(
@@ -113,26 +107,6 @@ def _aure_rows(data: DataMatrix, spec: FamilySpec) -> tuple[np.ndarray, np.ndarr
     a = ((data.y - grand_mean(data)) ** 2).sum(axis=1)
     s = _surrogate_row_sums(data, spec)
     return a, (1.0 - 1.0 / data.n) * s, s
-
-
-def true_risk(theta, b, mu, spec: FamilySpec, tau) -> float:
-    """Exact risk of the location-shrinkage estimator for fixed ``(b, mu)``.
-
-    ``(1/np) * sum_ij [ b_i^2 (theta_ij - mu_j)^2 + (1 - b_i)^2 V(theta_ij)/tau_ij ]``
-
-    Used as a Monte Carlo oracle in tests; it needs the unknown means and
-    is never part of the fitting path.
-    """
-    theta = np.atleast_2d(validate_mean_matrix(spec, theta))
-    tau = np.atleast_2d(np.asarray(tau, dtype=float))
-    n, p = theta.shape
-    b = _weight_vector(b, n)
-    mu = np.asarray(mu, dtype=float).reshape(-1)
-    if mu.shape != (p,):
-        raise ValueError(f"expected {p} target coordinates, got shape {mu.shape}")
-    bias = b[:, None] ** 2 * (theta - mu) ** 2
-    noise = (1.0 - b)[:, None] ** 2 * variance_function(spec, theta) / tau
-    return float(np.mean(bias + noise))
 
 
 def grand_mean(data) -> np.ndarray:

@@ -6,7 +6,8 @@ they check; the tie-group weight step solves the collapsed problem with
 scipy's isotonic regression; the list-stack projection is the earlier pool-adjacent-violators
 loop, kept as the exact reference for the block-stack one, and the
 start-by-start descent recomputes every step, so it is the exact reference
-for the descent that memoizes its steps.
+for the descent that memoizes its steps.  The moment and risk oracles need
+the true means, so only tests can use them.
 """
 
 import itertools
@@ -15,9 +16,53 @@ from math import comb
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from nefshrink import DataMatrix, FamilySpec, FitResult, RowOrder, SolverOptions
+from nefshrink import (
+    DataMatrix,
+    FamilySpec,
+    FitResult,
+    RowOrder,
+    SolverOptions,
+    validate_mean_matrix,
+    variance_function,
+)
+from nefshrink.families import _check_tau
 from nefshrink.optimize import _check_descent, _weight_step
-from nefshrink.risk import _row_quadratic, _surrogate_row_sums, grand_mean
+from nefshrink.risk import _row_quadratic, _surrogate_row_sums, _weight_vector, grand_mean
+
+
+def theoretical_moments(spec: FamilySpec, theta, tau):
+    """Exact mean and variance of an observation: ``(theta, V(theta)/tau)``.
+
+    Accepts scalars or arrays; ``theta`` must lie strictly inside the mean
+    domain and ``tau`` must be a positive integer (elementwise).
+    """
+    theta = validate_mean_matrix(spec, theta)
+    tau = _check_tau(tau)
+    return theta, variance_function(spec, theta) / tau
+
+
+def true_risk(theta, b, mu, spec: FamilySpec, tau) -> float:
+    """Exact risk of the location-shrinkage estimator for fixed ``(b, mu)``.
+
+    ``(1/np) * sum_ij [ b_i^2 (theta_ij - mu_j)^2 + (1 - b_i)^2 V(theta_ij)/tau_ij ]``
+    """
+    theta = np.atleast_2d(validate_mean_matrix(spec, theta))
+    tau = np.atleast_2d(np.asarray(tau, dtype=float))
+    n, p = theta.shape
+    b = _weight_vector(b, n)
+    mu = np.asarray(mu, dtype=float).reshape(-1)
+    if mu.shape != (p,):
+        raise ValueError(f"expected {p} target coordinates, got shape {mu.shape}")
+    bias = b[:, None] ** 2 * (theta - mu) ** 2
+    noise = (1.0 - b)[:, None] ** 2 * variance_function(spec, theta) / tau
+    return float(np.mean(bias + noise))
+
+
+def group_of_row(order: RowOrder) -> np.ndarray:
+    """Tie-group index per original row."""
+    out = np.empty(order.n, dtype=int)
+    out[order.permutation] = order.group_ids
+    return out
 
 
 def _unit_grid(resolution: float) -> np.ndarray:
@@ -60,7 +105,7 @@ def grid_oracle_ure(
             f"grid oracle guard: {total} monotone weight vectors at this resolution"
         )
 
-    group_rows = order.group_of_row()
+    group_rows = group_of_row(order)
     s = _surrogate_row_sums(data, spec)
     y = data.y
     y2 = y * y
@@ -118,7 +163,7 @@ def grid_minimize_separable_quadratic(
         raise ValueError("coefficients and order must have matching length")
     grid = _unit_grid(resolution)
     n_vals = len(grid)
-    gids_by_row = order.group_of_row()
+    gids_by_row = group_of_row(order)
     gq = np.bincount(gids_by_row, weights=quad, minlength=order.n_groups)
     gl = np.bincount(gids_by_row, weights=lin, minlength=order.n_groups)
 
@@ -150,7 +195,7 @@ def reference_weight_step(quad, lin, order: RowOrder) -> np.ndarray:
     scipy's isotonic regression along the order and clipped into [0, 1].
     Rows with ``quad_i = 0`` enter only through their group's sums.
     """
-    rows = order.group_of_row()
+    rows = group_of_row(order)
     quad_g = np.bincount(rows, weights=quad, minlength=order.n_groups)
     lin_g = np.bincount(rows, weights=lin, minlength=order.n_groups)
     if not np.all(quad_g > 0):

@@ -26,12 +26,11 @@ from nefshrink import (
     shrink_to_grand_mean,
     shrink_to_location,
     squared_error_loss,
-    true_risk,
     ure,
 )
 from nefshrink.harness import records_csv_text
 
-from oracles import grid_minimize_separable_quadratic, grid_oracle_ure
+from oracles import grid_minimize_separable_quadratic, grid_oracle_ure, true_risk
 
 MC_SEED = 31_415
 MC_REPLICATIONS = 20_000
@@ -141,10 +140,10 @@ def unbiasedness_tables():
             seed = np.random.SeedSequence(entropy=MC_SEED, spawn_key=(setup["index"], r, 1))
             data = sample_matrix(spec, theta, tau, seed)
             for k, (b, mu) in enumerate(zip(weights, targets)):
-                realized = squared_error_loss(shrink_to_location(data, b, mu), theta)
+                realized = squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta)
                 loc_loss[k, r] = realized
                 ure_diff[k, r] = ure(data, b, mu, spec) - realized
-                gm_loss = squared_error_loss(shrink_to_grand_mean(data, b), theta)
+                gm_loss = squared_error_loss(shrink_to_grand_mean(data, b).theta_hat, theta)
                 aure_diff[k, r] = aure(data, b, spec) - gm_loss
         risks = np.array(
             [true_risk(theta, b, mu, spec, tau) for b, mu in zip(weights, targets)]

@@ -105,6 +105,16 @@ class TestFitCommand:
         assert capsys.readouterr().err == "error: poisson observations must be nonnegative\n"
         assert not out.exists()
 
+    def test_multinomial_observation_above_one_is_rejected(self, tmp_path, capsys):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0.5,2\n3,0.25\n")
+        out = tmp_path / "e.csv"
+        code = main(["fit", str(matrix), "--family", "multinomial", "--N", "4",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: multinomial observations must lie in [0, 1]\n"
+        assert not out.exists()
+
     def test_empty_matrix_prints_one_error_line(self, tmp_path):
         matrix = tmp_path / "y.csv"
         matrix.write_text("")
@@ -221,9 +231,10 @@ class TestFitCommand:
     @pytest.mark.parametrize("family, trials", [("poisson", None), ("multinomial", 6)])
     def test_default_tau_fits_as_the_written_default(self, tmp_path, capsys, family, trials):
         """Without --tau, the view of one tau column fits as the n×p default."""
-        y = np.random.default_rng(6).multinomial(6, [0.2, 0.3, 0.1, 0.4], size=30)[:, :3]
+        counts = np.random.default_rng(6).multinomial(6, [0.2, 0.3, 0.1, 0.4], size=30)[:, :3]
+        y = counts / 6  # the scale sample_matrix draws: shares of the N = 6 trials
         matrix, tau = tmp_path / "y.csv", tmp_path / "tau.csv"
-        np.savetxt(matrix, y, delimiter=",", fmt="%d")
+        np.savetxt(matrix, y, delimiter=",", fmt="%.17g")
         np.savetxt(tau, default_tau(make_family(family, trials=trials), *y.shape),
                    delimiter=",", fmt="%d")
         extra = [] if trials is None else ["--N", str(trials)]
@@ -281,6 +292,15 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o.csv")])
         assert code == 1
         assert "hyperdrive" in capsys.readouterr().err
+
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("n_grid = 4,6", "n_grid = 4,8,x"))
+        code = main(["simulate", "--config", str(config), "--out", str(tmp_path / "o.csv")])
+        assert code == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "n_grid" in errors[0]
 
 
 class TestRatesCommand:

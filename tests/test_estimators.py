@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from nefshrink import (
     DataMatrix,
-    Provenance,
     RowOrder,
     competitor,
     fit,
@@ -49,7 +48,8 @@ class TestShrinkToLocation:
         data = DataMatrix(y, np.ones_like(y))
         est = shrink_to_location(data, np.zeros(3), np.zeros(2))
         np.testing.assert_array_equal(est.theta_hat, y)
-        assert est.provenance is Provenance.LOCATION_SHRINKAGE
+        np.testing.assert_array_equal(est.b, np.zeros(3))
+        np.testing.assert_array_equal(est.mu, np.zeros(2))
 
     def test_full_weights_return_target_rows(self, rng):
         y = rng.normal(size=(3, 2))
@@ -97,7 +97,7 @@ class TestShrinkToGrandMean:
         data = DataMatrix(y, np.ones_like(y))
         est = shrink_to_grand_mean(data, np.ones(4))
         np.testing.assert_allclose(est.theta_hat, np.tile(y.mean(axis=0), (4, 1)))
-        assert est.provenance is Provenance.GRAND_MEAN_SHRINKAGE
+        np.testing.assert_array_equal(est.mu, y.mean(axis=0))
 
     def test_zero_weights_return_data(self, rng):
         y = rng.normal(size=(4, 2))
@@ -187,6 +187,15 @@ class TestFit:
         with pytest.raises(ValueError, match=f"^{kind} observations must be nonnegative$"):
             fit(DataMatrix(y, tau), spec, mode)
 
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_multinomial_observations_must_lie_in_the_unit_interval(self, mode):
+        """Above 1, V(y) = y - y^2 turns negative; 0 and 1 are reachable shares."""
+        spec, tau = make_family("multinomial", trials=4), np.full((2, 2), 4)
+        with pytest.raises(ValueError, match=r"^multinomial observations must lie in \[0, 1\]$"):
+            fit(DataMatrix([[0.5, 2.0], [3.0, 0.25]], tau), spec, mode)
+        result, _ = fit(DataMatrix([[1.0, 0.0], [0.0, 1.0]], tau), spec, mode)
+        assert np.all(np.isfinite(result.b))
+
     def test_normal_observations_may_be_negative(self):
         data = DataMatrix([[-1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)))
         result, _ = fit(data, make_family("normal"), "location")
@@ -210,7 +219,8 @@ class TestCompetitors:
         data = DataMatrix([[2.0, -4.0]], [[1, 1]])
         est = competitor(data, "half_to_zero")
         np.testing.assert_array_equal(est.theta_hat, [[1.0, -2.0]])
-        assert est.provenance is Provenance.FIXED_COMPETITOR
+        np.testing.assert_array_equal(est.b, [0.5])
+        np.testing.assert_array_equal(est.mu, [0.0, 0.0])
 
     def test_oracle_loss_needs_theta(self):
         data = DataMatrix([[1.0]], [[1]])
@@ -229,7 +239,7 @@ class TestCompetitors:
             tau = rng.integers(1, 4, (3, 2))
             data = sample_matrix(spec, theta, tau, seed=100 + trial)
             est = competitor(data, "oracle_loss", theta=theta)
-            oracle_loss = squared_error_loss(est, theta)
+            oracle_loss = squared_error_loss(est.theta_hat, theta)
             order = RowOrder.from_tau(data.tau)
             m = data.data_range
             bvals = np.linspace(0, 1, 11)

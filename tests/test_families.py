@@ -9,7 +9,6 @@ from nefshrink import (
     DataMatrix,
     make_family,
     sample_matrix,
-    theoretical_moments,
     validate_mean_matrix,
     variance_function,
 )
@@ -17,6 +16,7 @@ from nefshrink import (
 from nefshrink.risk import _surrogate_row_sums
 
 from conftest import ALL_FAMILIES, family_case
+from oracles import theoretical_moments
 
 
 class TestMakeFamily:

@@ -26,7 +26,6 @@ from nefshrink import (
     shrink_to_grand_mean,
     shrink_to_location,
     squared_error_loss,
-    theoretical_moments,
     ure,
     write_records_csv,
 )
@@ -34,6 +33,7 @@ from nefshrink import risk
 from nefshrink.harness import parse_config_text, records_csv_text
 
 from conftest import family_case
+from oracles import theoretical_moments
 
 CONFIG_TEXT = """
 # small smoke experiment
@@ -85,6 +85,12 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="cauchy"):
             small_config(family="cauchy")
 
+    def test_family_parameters_are_checked_at_load(self):
+        with pytest.raises(ValueError, match="shape is required for gamma"):
+            small_config(family="gamma")
+        with pytest.raises(ValueError, match="trials are required"):
+            small_config(family="multinomial")
+
     def test_n_grid_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
             small_config(n_grid=(1, 4))
@@ -133,7 +139,7 @@ class TestSupGapProxy:
             (np.ones(6), mu_c),
             (fitted.b, fitted.mu),
         ]:
-            realized = squared_error_loss(shrink_to_location(data, b, mu), theta)
+            realized = squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta)
             gaps.append(abs(ure(data, b, mu, spec) - realized))
         value = estimate_sup_gap(data, theta, spec, 0, seed=1, fitted=fitted)
         assert value == pytest.approx(max(gaps), abs=1e-15)
@@ -159,7 +165,7 @@ class TestSupGapProxy:
         data = sample_matrix(spec, theta, np.ones((5, 2)), seed=8)
         assert data.data_range >= 0.5
         b, mu = np.ones(5), theta[0]
-        assert squared_error_loss(shrink_to_location(data, b, mu), theta) == 0.0
+        assert squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta) == 0.0
         value = estimate_sup_gap(data, theta, spec, 0, seed=1, fitted=fitted_pair(b, mu))
         assert value >= abs(ure(data, b, mu, spec)) - 1e-15
 
@@ -201,10 +207,10 @@ def per_pair_sup_gap(data, theta, spec, samples, seed, fitted, mode):
     gap = 0.0
     for b, mu in pairs:
         if mode == "location":
-            realized = squared_error_loss(shrink_to_location(data, b, mu), theta)
+            realized = squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta)
             gap = max(gap, abs(ure(data, b, mu, spec) - realized))
         else:
-            realized = squared_error_loss(shrink_to_grand_mean(data, b), theta)
+            realized = squared_error_loss(shrink_to_grand_mean(data, b).theta_hat, theta)
             gap = max(gap, abs(aure(data, b, spec) - realized))
     return gap
 
@@ -358,6 +364,19 @@ mode = grand_mean
 competitors = no_shrinkage,oracle_loss
 K_grid = 4
 """, "f80a129bdc1b9572a3b918f949ca905cb2d199cf2cd294b33e29e18c0c9a3b7e"),
+    # a trial family: tau rows of N, the multinomial sampler and its support check
+    "multinomial_location": ("""
+family = multinomial
+N = 4
+theta_rule = uniform:0.01,0.09
+n_grid = 6,12,24
+p_rule = fixed:5
+M = 4
+seed = 13
+mode = location
+competitors = no_shrinkage,half_to_zero,oracle_loss
+K_grid = 4
+""", "22de5d87a277c49e0f4e9797a452c30c5d686ddde404a13dc3130d7481310252"),
 }
 
 

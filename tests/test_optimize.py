@@ -35,6 +35,7 @@ from conftest import family_case
 from oracles import (
     grid_minimize_separable_quadratic,
     grid_oracle_ure,
+    group_of_row,
     reference_coordinate_descent,
     reference_isotonic_box_projection,
     reference_weight_step,
@@ -131,7 +132,7 @@ def projection_cases(draw):
     targets = np.array(draw(st.lists(st.sampled_from(t_palette), min_size=n, max_size=n)))
     weights = np.array(draw(st.lists(st.sampled_from(w_palette), min_size=n, max_size=n)))
     zero_groups = draw(st.lists(st.booleans(), min_size=order.n_groups, max_size=order.n_groups))
-    weights[np.asarray(zero_groups)[order.group_of_row()]] = 0.0
+    weights[np.asarray(zero_groups)[group_of_row(order)]] = 0.0
     return order, targets, weights
 
 
@@ -189,7 +190,7 @@ class TestRowOrder:
 
     def test_expand_and_inverse(self):
         order = RowOrder.from_row_sums([3.0, 1.0, 3.0])
-        np.testing.assert_array_equal(order.group_of_row(), [0, 1, 0])
+        np.testing.assert_array_equal(group_of_row(order), [0, 1, 0])
         np.testing.assert_array_equal(
             order.expand_group_values([0.2, 0.7]), [0.2, 0.7, 0.2]
         )
