@@ -18,11 +18,10 @@ from .families import (
     validate_mean_matrix,
     variance_function,
 )
-from .risk import aure, grand_mean, squared_error_loss, ure
+from .risk import aure, squared_error_loss, ure
 from .optimize import (
     FitResult,
     RowOrder,
-    SolverOptions,
     isotonic_box_projection,
     minimize_aure,
     minimize_ure,

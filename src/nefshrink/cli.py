@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import multiprocessing
 import os
 import sys
@@ -21,7 +20,6 @@ from .harness import (
     run_experiment,
     write_records_csv,
 )
-from .optimize import SolverOptions
 from .risk import _BLOCK_CELLS
 
 __all__ = ["main"]
@@ -51,22 +49,18 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated tau matrix (default: family canonical)")
     p_fit.add_argument("--mode", choices=FIT_MODES, default="location")
     p_fit.add_argument("--max-iter", type=int, default=200)
-    p_fit.add_argument("--tol", type=float, default=1e-10)
     p_fit.add_argument("--out", required=True, help="path for the estimate matrix")
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--config", required=True, help="flat key = value config file")
-    p_sim.add_argument("--seed", type=int, default=None, help="override the config seed")
     p_sim.add_argument("--out", required=True, help="path for the records CSV")
     p_sim.add_argument("--workers", type=int, default=1)
 
     p_rates = sub.add_parser("rates", help="log-log rate diagnostics from a records CSV")
     p_rates.add_argument("records", help="records CSV produced by simulate")
     p_rates.add_argument("--y", choices=("mean_sup_gap", "mean_excess_loss"),
-                         default="mean_sup_gap")
-    p_rates.add_argument("--estimator", default="fit")
-    p_rates.add_argument("--reference", default="oracle_loss",
-                         help="baseline estimator for mean_excess_loss")
+                         default="mean_sup_gap",
+                         help="the fit's sup-gap proxy, or its excess loss over oracle_loss")
     return parser
 
 
@@ -186,11 +180,10 @@ def _cmd_fit(args) -> int:
         tau=(np.broadcast_to(default_tau(spec, y.shape[0], 1).astype(float), y.shape)
              if args.tau is None else _load_matrix(args.tau)),
     )
-    opts = SolverOptions(max_outer_iterations=args.max_iter, tolerance=args.tol)
-    result, estimate = fit(data, spec, args.mode, opts)
+    result, estimate = fit(data, spec, args.mode, args.max_iter)
     del y, data  # the writer needs neither; freed, the fit's peak stays the call's peak
     print(f"b: {_format_vector(result.b)}")
-    target_label = "ybar" if result.target_kind == "grand_mean" else "mu"
+    target_label = "ybar" if args.mode == "grand_mean" else "mu"
     print(f"{target_label}: {_format_vector(result.mu)}")
     print(f"objective: {result.objective:.17g}")
     print(f"iterations: {result.iterations}")
@@ -201,8 +194,6 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
     result = run_experiment(config, workers=args.workers)
     write_records_csv(result, args.out)
     print(f"wrote {len(result.records)} records to {args.out}")
@@ -211,12 +202,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_rates(args) -> int:
     records, _ = read_records_csv(args.records)
-    rate = fit_rate(
-        aggregate_records(records),
-        y=args.y,
-        estimator=args.estimator,
-        reference=args.reference,
-    )
+    rate = fit_rate(aggregate_records(records), y=args.y)
     print(f"points: {rate.n_points}")
     print(f"slope: {rate.slope:.17g}")
     print(f"intercept: {rate.intercept:.17g}")

@@ -17,14 +17,13 @@ import numpy as np
 from .families import DataMatrix, FamilyKind, FamilySpec
 from .optimize import (
     FitResult,
-    SolverOptions,
+    _check_max_iter,
     _coordinate_descent,
     check_feasible_location,
     check_feasible_weights,
     minimize_aure,
     minimize_ure,
 )
-from .risk import grand_mean
 
 __all__ = [
     "EstimateMatrix",
@@ -61,29 +60,38 @@ def shrink_to_location(data: DataMatrix, b, mu) -> EstimateMatrix:
 
 def shrink_to_grand_mean(data: DataMatrix, b) -> EstimateMatrix:
     """Shrink each row toward the column means."""
-    return _estimate(data, check_feasible_weights(b, data.order), grand_mean(data))
+    return _estimate(data, check_feasible_weights(b, data.order), data.column_means)
 
 
 def fit(
     data: DataMatrix,
     spec: FamilySpec,
     mode: str = "location",
-    opts: SolverOptions | None = None,
+    max_iter: int = 200,
 ) -> tuple[FitResult, EstimateMatrix]:
     """Minimize the risk estimate of the requested class and materialize
     the fitted estimate.  Only the normal family admits negative
-    observations.
+    observations, and a multinomial row holds shares of the ``N`` trials:
+    entries in [0, 1] whose sum is at most 1, up to the rounding of
+    ``p`` shares ``c_j / N`` whose counts sum to ``N``.
 
+    In location mode each descent start takes at most ``max_iter`` outer
+    iterations (:func:`~nefshrink.optimize.minimize_ure`); grand-mean mode
+    is one exact projection, but ``max_iter`` must still be at least 1.
     In grand-mean mode the target ``result.mu`` is ``data.column_means``, the
     computed column mean, with no box on it: for a constant column it can
     read one ulp outside ``data.data_range``.
     """
+    _check_max_iter(max_iter)
     if spec.kind is not FamilyKind.NORMAL and np.any(data.y < 0):
         raise ValueError(f"{spec.kind.value} observations must be nonnegative")
-    if spec.kind is FamilyKind.MULTINOMIAL and np.any(data.y > 1):
-        raise ValueError("multinomial observations must lie in [0, 1]")
+    if spec.kind is FamilyKind.MULTINOMIAL:
+        if np.any(data.y > 1):
+            raise ValueError("multinomial observations must lie in [0, 1]")
+        if np.any(data.y.sum(axis=1) > 1.0 + data.p * np.finfo(float).eps):
+            raise ValueError("multinomial observation rows must sum to at most 1")
     if mode == "location":
-        result = minimize_ure(data, spec, opts)
+        result = minimize_ure(data, spec, max_iter)
         estimate = shrink_to_location(data, result.b, result.mu)
     elif mode == "grand_mean":
         result = minimize_aure(data, spec)
@@ -93,18 +101,14 @@ def fit(
     return result, estimate
 
 
-def competitor(
-    data: DataMatrix,
-    kind: str,
-    theta=None,
-    opts: SolverOptions | None = None,
-) -> EstimateMatrix:
+def competitor(data: DataMatrix, kind: str, theta=None, max_iter: int = 200) -> EstimateMatrix:
     """Fixed members of the location class used in dominance experiments.
 
     ``no_shrinkage`` returns the observations (b = 0); ``half_to_zero``
     pulls halfway toward the zero vector (always inside the data box);
     ``oracle_loss`` picks feasible weights and target minimizing the true
-    loss and therefore requires ``theta`` (evaluation only, not deployable).
+    loss and therefore requires ``theta`` (evaluation only, not deployable);
+    its descent takes at most ``max_iter`` outer iterations per start.
     """
     if kind in ("no_shrinkage", "half_to_zero"):
         b = np.full(data.n, 0.0 if kind == "no_shrinkage" else 0.5)
@@ -112,16 +116,14 @@ def competitor(
     elif kind == "oracle_loss":
         if theta is None:
             raise ValueError("the loss oracle competitor requires the true means")
-        result = minimize_true_loss(data, theta, opts)
+        result = minimize_true_loss(data, theta, max_iter)
         b, mu = result.b, result.mu
     else:
         raise ValueError(f"unknown competitor {kind!r}; expected one of {COMPETITOR_KINDS}")
     return _estimate(data, b, mu)
 
 
-def minimize_true_loss(
-    data: DataMatrix, theta, opts: SolverOptions | None = None
-) -> FitResult:
+def minimize_true_loss(data: DataMatrix, theta, max_iter: int = 200) -> FitResult:
     """Feasible ``(b, mu)`` minimizing the realized loss against known means.
 
     With ``d_i = y_i - theta_i`` the loss is the row quadratic
@@ -133,4 +135,4 @@ def minimize_true_loss(
     if theta.shape != data.y.shape:
         raise ValueError("theta shape must match the observation matrix")
     d = data.y - theta
-    return _coordinate_descent(data, (d * data.y).sum(axis=1), d, (d**2).sum(axis=1), opts)
+    return _coordinate_descent(data, (d * data.y).sum(axis=1), d, (d**2).sum(axis=1), max_iter)

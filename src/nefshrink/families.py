@@ -52,9 +52,10 @@ class FamilySpec:
         ``V(t) = nu0 + nu1*t + nu2*t**2``.
     shape : float, optional
         Gamma shape parameter (``lambda``); absent for other families.
-    trials : int or tuple of int, optional
-        Per-row trial counts ``N_i`` for the multinomial and negative
-        multinomial families; a scalar applies to every row.
+    trials : int, optional
+        Trial count ``N`` of every row for the multinomial and negative
+        multinomial families; per-row counts ``N_i`` enter through a tau
+        matrix with constant rows.
     """
 
     kind: FamilyKind
@@ -62,13 +63,13 @@ class FamilySpec:
     nu1: float
     nu2: float
     shape: float | None = None
-    trials: int | tuple[int, ...] | None = None
+    trials: int | None = None
 
 
 def make_family(
     kind: str | FamilyKind,
     shape: float | None = None,
-    trials: int | tuple[int, ...] | None = None,
+    trials: int | None = None,
 ) -> FamilySpec:
     """Build the :class:`FamilySpec` for one of the five families.
 
@@ -106,20 +107,14 @@ def make_family(
             raise ValueError("gamma shape must be positive")
         return FamilySpec(kind, 0.0, 0.0, 1.0 / shape, shape=float(shape))
 
-    trials_norm: int | tuple[int, ...]
-    if np.isscalar(trials):
-        trials_norm = int(trials)
-        counts = np.array([trials_norm])
-    else:
-        trials_norm = tuple(int(t) for t in trials)
-        counts = np.array(trials_norm)
+    trials = int(trials)
     if kind is FamilyKind.MULTINOMIAL:
-        if np.any(counts < 2):
+        if trials < 2:
             raise ValueError("multinomial trial counts must satisfy N_i >= 2")
-        return FamilySpec(kind, 0.0, 1.0, -1.0, trials=trials_norm)
-    if np.any(counts < 1):
+        return FamilySpec(kind, 0.0, 1.0, -1.0, trials=trials)
+    if trials < 1:
         raise ValueError("negative multinomial trial counts must satisfy N_i >= 1")
-    return FamilySpec(kind, 0.0, 1.0, 1.0, trials=trials_norm)
+    return FamilySpec(kind, 0.0, 1.0, 1.0, trials=trials)
 
 
 def variance_function(spec: FamilySpec, t):
@@ -171,16 +166,9 @@ def _check_tau(tau):
 
 
 def default_tau(spec: FamilySpec, n: int, p: int) -> np.ndarray:
-    """Canonical tau matrix: all ones, or rows of N_i for trial-based families."""
+    """Canonical tau matrix: all ones, or all ``N`` for trial-based families."""
     if spec.kind in (FamilyKind.MULTINOMIAL, FamilyKind.NEGMULTINOMIAL):
-        trials = spec.trials
-        if np.isscalar(trials):
-            col = np.full(n, int(trials))
-        else:
-            if len(trials) != n:
-                raise ValueError(f"expected {n} per-row trial counts, got {len(trials)}")
-            col = np.asarray(trials, dtype=int)
-        return np.repeat(col[:, None], p, axis=1)
+        return np.full((n, p), spec.trials)
     return np.ones((n, p), dtype=int)
 
 

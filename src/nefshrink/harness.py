@@ -31,12 +31,12 @@ from .families import (
 )
 from .optimize import (
     FitResult,
-    SolverOptions,
+    _check_max_iter,
     check_feasible_location,
     check_feasible_weights,
     sample_feasible_weights,
 )
-from .risk import _surrogate_row_sums, grand_mean, squared_error_loss, ure
+from .risk import _surrogate_row_sums, squared_error_loss, ure
 
 __all__ = [
     "ExperimentConfig",
@@ -91,7 +91,6 @@ class ExperimentConfig:
     competitors: tuple[str, ...] = ()
     sup_gap_samples: int = 20
     max_iter: int = 200
-    tol: float = 1e-10
 
     def __post_init__(self):
         self.family_spec()  # validate the family and its parameters eagerly
@@ -113,7 +112,7 @@ class ExperimentConfig:
         if self.sup_gap_samples < 0:
             raise ValueError("K_grid must be nonnegative")
         self.p_for(self.n_grid[0])  # validate the p rule eagerly
-        self.solver_options()  # validate max_iter and tol eagerly
+        _check_max_iter(self.max_iter)
 
     def p_for(self, n: int) -> int:
         kind, _, arg = self.p_rule.partition(":")
@@ -130,9 +129,6 @@ class ExperimentConfig:
 
     def family_spec(self) -> FamilySpec:
         return make_family(self.family, shape=self.lam, trials=self.trials)
-
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(max_outer_iterations=self.max_iter, tolerance=self.tol)
 
     @classmethod
     def from_dict(cls, entries: dict[str, str]) -> "ExperimentConfig":
@@ -151,7 +147,6 @@ class ExperimentConfig:
             "competitors": ("competitors", _token_tuple),
             "K_grid": ("sup_gap_samples", int),
             "max_iter": ("max_iter", int),
-            "tol": ("tol", float),
         }
         kwargs = {}
         for key, value in entries.items():
@@ -288,10 +283,10 @@ def _sup_gap(data, theta, spec, samples, seed, fitted: FitResult, location: bool
     order = data.order
     m_range = data.data_range
     if location:
-        mu_center = np.clip(grand_mean(data), -m_range, m_range)
+        mu_center = np.clip(data.column_means, -m_range, m_range)
         targets = [mu_center, mu_center, check_feasible_location(fitted.mu, data)]
     else:
-        targets = [grand_mean(data)]  # one row shared by every pair
+        targets = [data.column_means]  # one row shared by every pair
     weights = [np.zeros(data.n), np.ones(data.n), check_feasible_weights(fitted.b, order)]
     for rng in np.random.default_rng(seed).spawn(samples):
         weights.append(sample_feasible_weights(order, rng))
@@ -360,15 +355,15 @@ def _run_replication(
 ) -> list[ReplicationRecord]:
     ni, n, p, theta, tau, rep = task
     spec = config.family_spec()
-    opts = config.solver_options()
     data = sample_matrix(spec, theta, tau, _substream(config.seed, ni, rep, _SAMPLE))
-    result, estimate = fit(data, spec, config.mode, opts)
+    result, estimate = fit(data, spec, config.mode, config.max_iter)
     sup_seed = _substream(config.seed, ni, rep, _SUPGAP)
     sup_gap_of = estimate_sup_gap if config.mode == "location" else estimate_sup_gap_grand_mean
     sup_gap = sup_gap_of(data, theta, spec, config.sup_gap_samples, sup_seed, fitted=result)
     scored = [("fit", estimate, result.objective, result.iterations, result.converged)]
     for kind in config.competitors:
-        est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None, opts=opts)
+        est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None,
+                         max_iter=config.max_iter)
         scored.append((kind, est, ure(data, est.b, est.mu, spec), 0, True))
     return [
         ReplicationRecord(rep, n, p, name, squared_error_loss(est.theta_hat, theta), risk,
@@ -476,17 +471,13 @@ def read_records_csv(path) -> tuple[list[ReplicationRecord], list[dict]]:
     return records, agg_rows
 
 
-def fit_rate(
-    aggregates: list[AggregateRecord],
-    y: str = "mean_sup_gap",
-    estimator: str = "fit",
-    reference: str = "oracle_loss",
-) -> RateFit:
+def fit_rate(aggregates: list[AggregateRecord], y: str = "mean_sup_gap") -> RateFit:
     """Least squares of ``log(y)`` on ``log(n)`` across the sample-size grid.
 
-    ``y`` is either the mean sup-gap proxy of ``estimator`` or its mean
-    excess loss over ``reference``.  Requires at least three grid points
-    and strictly positive values.
+    ``y`` is either the fit's mean sup-gap proxy or its mean excess loss
+    over the loss oracle (``oracle_loss``), the two quantities the paper
+    judges the fitted estimator by; other estimators' rows are not read.
+    Requires at least three grid points and strictly positive values.
     """
     by_n: dict[int, dict[str, AggregateRecord]] = {}
     for agg in aggregates:
@@ -495,14 +486,14 @@ def fit_rate(
     ys = []
     for n in ns:
         rows = by_n[n]
-        if estimator not in rows:
-            raise ValueError(f"no aggregate rows for estimator {estimator!r} at n={n}")
+        if "fit" not in rows:
+            raise ValueError(f"no aggregate rows for estimator 'fit' at n={n}")
         if y == "mean_sup_gap":
-            ys.append(rows[estimator].mean_sup_gap)
+            ys.append(rows["fit"].mean_sup_gap)
         elif y == "mean_excess_loss":
-            if reference not in rows:
-                raise ValueError(f"no aggregate rows for reference {reference!r} at n={n}")
-            ys.append(rows[estimator].mean_loss - rows[reference].mean_loss)
+            if "oracle_loss" not in rows:
+                raise ValueError(f"no aggregate rows for reference 'oracle_loss' at n={n}")
+            ys.append(rows["fit"].mean_loss - rows["oracle_loss"].mean_loss)
         else:
             raise ValueError(f"unknown rate quantity {y!r}")
     if len(ns) < 3:

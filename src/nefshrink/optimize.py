@@ -19,11 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import DataMatrix, FamilySpec, RowOrder
-from .risk import _aure_rows, _row_quadratic, _surrogate_row_sums, grand_mean
+from .risk import _aure_rows, _row_quadratic, _surrogate_row_sums
 
 __all__ = [
     "RowOrder",
-    "SolverOptions",
     "FitResult",
     "isotonic_box_projection",
     "minimize_ure",
@@ -141,18 +140,14 @@ def sample_feasible_weights(order: RowOrder, rng: np.random.Generator) -> np.nda
     return order.expand_group_values(u)
 
 
-@dataclass
-class SolverOptions:
-    """Knobs for the coordinate-descent location fit."""
+# a descent start stops once an outer iteration gains less than this
+_TOLERANCE = 1e-10
 
-    max_outer_iterations: int = 200
-    tolerance: float = 1e-10
 
-    def __post_init__(self):
-        if self.max_outer_iterations < 1:
-            raise ValueError("max_outer_iterations (max_iter) must be at least 1")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance (tol) must be positive")
+def _check_max_iter(max_iter: int) -> None:
+    """Reject an outer-iteration budget per descent start below 1."""
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
 
 
 @dataclass
@@ -164,7 +159,6 @@ class FitResult:
     objective: float
     iterations: int
     converged: bool
-    target_kind: str = "location"  # "location" | "grand_mean"
 
 
 def _quadratic_targets(a: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -216,11 +210,10 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     b, objective = _weight_step(*_aure_rows(data, spec), data.order, data.y.size)
     return FitResult(
         b=b,
-        mu=grand_mean(data),
+        mu=data.column_means,
         objective=objective,
         iterations=1,
         converged=True,
-        target_kind="grand_mean",
     )
 
 
@@ -228,9 +221,7 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
 _ROW_RESTART_CAP = 12
 
 
-def minimize_ure(
-    data: DataMatrix, spec: FamilySpec, opts: SolverOptions | None = None
-) -> FitResult:
+def minimize_ure(data: DataMatrix, spec: FamilySpec, max_iter: int = 200) -> FitResult:
     """Minimize :func:`~nefshrink.risk.ure` jointly over weights and target.
 
     URE is the row quadratic that :func:`_coordinate_descent` minimizes,
@@ -252,7 +243,8 @@ def minimize_ure(
     toward the zero vector and, for at most ``_ROW_RESTART_CAP`` rows,
     toward every data row.  The descent memoizes its steps by their
     argument, so a restart that coincides with the grand mean or another
-    row costs no further projection.
+    row costs no further projection.  Each start takes at most
+    ``max_iter`` outer iterations.
     """
     s = _surrogate_row_sums(data, spec)
     targets = []
@@ -260,11 +252,11 @@ def minimize_ure(
         targets.append(np.zeros(data.p))
         if data.n <= _ROW_RESTART_CAP:
             targets.extend(data.y)
-    return _coordinate_descent(data, s, None, s, opts, targets)
+    return _coordinate_descent(data, s, None, s, max_iter, targets)
 
 
 def _coordinate_descent(
-    data: DataMatrix, lin, cross, const, opts: SolverOptions | None, targets=()
+    data: DataMatrix, lin, cross, const, max_iter: int = 200, targets=()
 ) -> FitResult:
     """Minimize ``sum_i [b_i^2 ||y_i - mu||^2 - 2 b_i (lin_i - cross_i . mu)
     + const_i] / np`` over feasible ``(b, mu)``; ``cross = None`` means zero.
@@ -274,7 +266,8 @@ def _coordinate_descent(
     the data box (the objective is a separable convex quadratic in each
     ``mu_j``).  A weight step is only accepted if it does not increase the
     objective, so the recorded value is nonincreasing; a start stops once
-    an outer iteration gains less than ``opts.tolerance``.  Starts: no,
+    an outer iteration gains less than ``_TOLERANCE`` (``converged``), or
+    after ``max_iter`` outer iterations, which must be at least 1.  Starts: no,
     half and full shrinkage toward the clipped grand mean, always, then
     half shrinkage toward each clipped entry of ``targets``, the caller's
     restarts (:func:`minimize_ure` passes none for a single tie group,
@@ -288,11 +281,11 @@ def _coordinate_descent(
     the way on memo hits.  The memos hold arrays and floats only, never a
     function, so they are freed when the call returns.
     """
-    opts = opts or SolverOptions()
+    _check_max_iter(max_iter)
     size = data.y.size
     order = data.order
     m_range = data.data_range
-    mu0 = np.clip(grand_mean(data), -m_range, m_range)
+    mu0 = np.clip(data.column_means, -m_range, m_range)
     # b = 0 and b = 1 stay: at a flat grand mean the weight step can return a
     # fixed point, which a start escapes only if it reads that step as an ascent
     starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
@@ -330,7 +323,7 @@ def _coordinate_descent(
     best = None
     for b, mu in starts:
         obj = _row_quadratic(b, *rows_at(mu), const, size)
-        for iterations in range(1, opts.max_outer_iterations + 1):
+        for iterations in range(1, max_iter + 1):
             candidate, cand_obj = weight_step(mu)
             if cand_obj <= obj:
                 b, obj_b = candidate, cand_obj
@@ -338,7 +331,7 @@ def _coordinate_descent(
                 obj_b = obj  # flat-direction fill would backtrack; keep iterate
             mu, obj_mu = target_step(b)
             _check_descent(obj_b, obj_mu)
-            converged = obj - obj_mu < opts.tolerance
+            converged = obj - obj_mu < _TOLERANCE
             obj = obj_mu
             if converged:
                 break

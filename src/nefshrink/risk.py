@@ -16,7 +16,7 @@ import numpy as np
 
 from .families import DataMatrix, FamilySpec, variance_function
 
-__all__ = ["squared_error_loss", "ure", "aure", "grand_mean"]
+__all__ = ["squared_error_loss", "ure", "aure"]
 
 
 def squared_error_loss(theta_hat, theta) -> float:
@@ -104,14 +104,6 @@ def _aure_rows(data: DataMatrix, spec: FamilySpec) -> tuple[np.ndarray, np.ndarr
     Requires ``n >= 2``."""
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
-    a = ((data.y - grand_mean(data)) ** 2).sum(axis=1)
+    a = ((data.y - data.column_means) ** 2).sum(axis=1)
     s = _surrogate_row_sums(data, spec)
     return a, (1.0 - 1.0 / data.n) * s, s
-
-
-def grand_mean(data) -> np.ndarray:
-    """Column means ``Ybar_j = (1/n) sum_i Y_ij``; read-only, kept on a
-    :class:`~nefshrink.families.DataMatrix`."""
-    if isinstance(data, DataMatrix):
-        return data.column_means
-    return np.atleast_2d(np.asarray(data, dtype=float)).mean(axis=0)

@@ -21,13 +21,12 @@ from nefshrink import (
     FamilySpec,
     FitResult,
     RowOrder,
-    SolverOptions,
     validate_mean_matrix,
     variance_function,
 )
 from nefshrink.families import _check_tau
-from nefshrink.optimize import _check_descent, _weight_step
-from nefshrink.risk import _row_quadratic, _surrogate_row_sums, _weight_vector, grand_mean
+from nefshrink.optimize import _TOLERANCE, _check_descent, _weight_step
+from nefshrink.risk import _row_quadratic, _surrogate_row_sums, _weight_vector
 
 
 def theoretical_moments(spec: FamilySpec, theta, tau):
@@ -255,16 +254,15 @@ def reference_isotonic_box_projection(targets, weights, order: RowOrder) -> np.n
 
 
 def reference_coordinate_descent(
-    data: DataMatrix, lin, cross, const, opts: SolverOptions | None, targets=()
+    data: DataMatrix, lin, cross, const, max_iter: int = 200, targets=()
 ) -> FitResult:
     """``nefshrink.optimize._coordinate_descent`` without its memos: every
     start computes each of its steps afresh, and the steps are functions of
     their argument's bytes, so this is the exact reference for the
     memoized loop; the two agree bit for bit."""
-    opts = opts or SolverOptions()
     order = RowOrder.from_tau(data.tau)
     m_range = data.data_range
-    mu0 = np.clip(grand_mean(data), -m_range, m_range)
+    mu0 = np.clip(data.column_means, -m_range, m_range)
     starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
     starts.extend((np.full(data.n, 0.5), np.clip(mu, -m_range, m_range)) for mu in targets)
 
@@ -286,7 +284,7 @@ def reference_coordinate_descent(
         obj = _row_quadratic(b, a, lin_mu, const, data.y.size)
         converged = False
         iterations = 0
-        for iterations in range(1, opts.max_outer_iterations + 1):
+        for iterations in range(1, max_iter + 1):
             candidate, cand_obj = _weight_step(a, lin_mu, const, order, data.y.size)
             if cand_obj <= obj:
                 b, obj_b = candidate, cand_obj
@@ -296,7 +294,7 @@ def reference_coordinate_descent(
             a, lin_mu = rows_at(mu)
             obj_mu = _row_quadratic(b, a, lin_mu, const, data.y.size)
             _check_descent(obj_b, obj_mu)
-            converged = obj - obj_mu < opts.tolerance
+            converged = obj - obj_mu < _TOLERANCE
             obj = obj_mu
             if converged:
                 break

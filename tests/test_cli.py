@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from nefshrink import cli
 from nefshrink.cli import main
 from nefshrink.families import default_tau, make_family
-from nefshrink.harness import CSV_HEADER
+from nefshrink.harness import CSV_HEADER, aggregate_records, fit_rate, read_records_csv
 
 CONFIG = """
 family = normal
@@ -113,6 +113,27 @@ class TestFitCommand:
                      "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == "error: multinomial observations must lie in [0, 1]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_multinomial_row_above_one_is_rejected(self, tmp_path, capsys, mode):
+        matrix = tmp_path / "m.csv"
+        matrix.write_text("0.9,0.9\n0.1,0.2\n")
+        out = tmp_path / "e.csv"
+        code = main(["fit", str(matrix), "--family", "multinomial", "--N", "4",
+                     "--mode", mode, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: multinomial observation rows must sum to at most 1\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_max_iter_below_one_is_one_error_line(self, constant_matrix, tmp_path, capsys, mode):
+        out = tmp_path / "e.csv"
+        code = main(["fit", str(constant_matrix), "--family", "normal", "--mode", mode,
+                     "--max-iter", "0", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: max_iter must be at least 1\n"
         assert not out.exists()
 
     def test_empty_matrix_prints_one_error_line(self, tmp_path):
@@ -271,13 +292,18 @@ class TestSimulateCommand:
         assert out1.read_bytes() == out2.read_bytes()
         assert out1.read_text().splitlines()[0] == CSV_HEADER
 
-    def test_seed_override_changes_output(self, tmp_path, capsys):
+    @pytest.mark.parametrize("entry, message", [
+        ("tol = 1e-9", "unknown config key 'tol'"),
+        ("max_iter = 0", "max_iter must be at least 1"),
+    ])
+    def test_config_fails_at_load(self, tmp_path, capsys, entry, message):
         config = tmp_path / "config.txt"
-        config.write_text(CONFIG)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        main(["simulate", "--config", str(config), "--out", str(out1)])
-        main(["simulate", "--config", str(config), "--seed", "77", "--out", str(out2)])
-        assert out1.read_bytes() != out2.read_bytes()
+        config.write_text(CONFIG + entry + "\n")
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_malformed_config(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
@@ -326,6 +352,28 @@ class TestRatesCommand:
         assert main(["rates", str(records)]) == 0
         assert "slope:" in capsys.readouterr().out
 
+    def test_reads_only_the_fit_rows(self, tmp_path, capsys):
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("n_grid = 4,6", "n_grid = 4,6,8"))
+        records = tmp_path / "records.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(records)]) == 0
+        raw, _ = read_records_csv(records)
+        want = fit_rate(aggregate_records([r for r in raw if r.estimator == "fit"]))
+        lines = []
+        for line in records.read_text().splitlines():
+            cells = line.split(",")
+            if cells[3] == "no_shrinkage":  # a competitor's sup_gap of n^2: slope 2
+                cells[6] = repr(float(cells[1]) ** 2)
+            lines.append(",".join(cells))
+        edited = tmp_path / "edited.csv"
+        edited.write_text("\n".join(lines) + "\n")
+        assert edited.read_text() != records.read_text()
+        capsys.readouterr()
+        assert main(["rates", str(edited)]) == 0
+        out = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["slope"] == f"{want.slope:.17g}"
+        assert out["points"] == "3"
+
     @pytest.mark.parametrize("row", ["0,100,10,fit,1.0", "0,100,10,fit,1.0,1.0,x,1,True"])
     def test_malformed_row_names_path_and_line(self, tmp_path, capsys, row):
         records = tmp_path / "records.csv"
@@ -354,6 +402,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "y.csv", "--family", "normal", "--tol", "1e-9", "--out", "e.csv"],
+        ["simulate", "--config", "c.txt", "--seed", "7", "--out", "o.csv"],
+        ["rates", "records.csv", "--estimator", "x"],
+        ["rates", "records.csv", "--reference", "x"],
+    ])
+    def test_removed_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_subcommand_exits_nonzero(self):
         with pytest.raises(SystemExit) as err:

@@ -10,6 +10,7 @@ from nefshrink import (
     DataMatrix,
     RowOrder,
     competitor,
+    default_tau,
     fit,
     make_family,
     minimize_true_loss,
@@ -195,6 +196,29 @@ class TestFit:
             fit(DataMatrix([[0.5, 2.0], [3.0, 0.25]], tau), spec, mode)
         result, _ = fit(DataMatrix([[1.0, 0.0], [0.0, 1.0]], tau), spec, mode)
         assert np.all(np.isfinite(result.b))
+
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_multinomial_rows_must_sum_to_at_most_one(self, mode):
+        """No N-trial draw gives shares 0.9 and 0.9 in one row."""
+        spec, tau = make_family("multinomial", trials=4), np.full((2, 2), 4)
+        with pytest.raises(ValueError, match="^multinomial observation rows must sum to at most 1$"):
+            fit(DataMatrix([[0.9, 0.9], [0.1, 0.2]], tau), spec, mode)
+
+    def test_sampled_multinomial_rows_pass(self):
+        """A draw that uses all N trials sums its shares c_j / N to 1 up to
+        rounding, and some such rows read one ulp above 1; every sampled
+        row must still fit, in both modes."""
+        above_one = 0
+        for trials, p in [(2, 1), (7, 5), (10, 9), (13, 4), (49, 30)]:
+            rng = np.random.default_rng(100 * trials + p)
+            spec, n = make_family("multinomial", trials=trials), 300
+            theta = rng.dirichlet(np.ones(p), n) * 0.99  # most draws use all N trials
+            data = sample_matrix(spec, theta, default_tau(spec, n, p), seed=trials + p)
+            above_one += np.count_nonzero(data.y.sum(axis=1) > 1.0)
+            for mode in ("location", "grand_mean"):
+                result, _ = fit(data, spec, mode)
+                assert data.order.is_feasible(result.b)
+        assert above_one > 0
 
     def test_normal_observations_may_be_negative(self):
         data = DataMatrix([[-1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)))

@@ -51,7 +51,7 @@ class TestMakeFamily:
 
     def test_trial_count_floors(self):
         with pytest.raises(ValueError, match="N_i >= 2"):
-            make_family("multinomial", trials=(1, 4))
+            make_family("multinomial", trials=1)
         with pytest.raises(ValueError, match="N_i >= 1"):
             make_family("negmultinomial", trials=0)
         with pytest.raises(ValueError, match="trials"):

@@ -9,7 +9,6 @@ from nefshrink import (
     FamilySpec,
     FamilyKind,
     aure,
-    grand_mean,
     make_family,
     sample_matrix,
     shrink_to_location,
@@ -174,7 +173,7 @@ class TestAure:
             spec, theta, tau = family_case(kind, 5, 3, rng)
             data = sample_matrix(spec, theta, tau, seed=4)
             b = np.full(5, float(rng.uniform(0, 1)))
-            ybar = grand_mean(data)
+            ybar = data.column_means
             v = (spec.nu0 + spec.nu1 * data.y + spec.nu2 * data.y**2) / (data.tau + spec.nu2)
             expected = 2.0 * float(b @ v.sum(axis=1)) / (5 * data.y.size)
             gap = aure(data, b, spec) - ure(data, b, ybar, spec)
@@ -225,18 +224,15 @@ class TestTrueRisk:
 class TestGrandMean:
     def test_column_means(self):
         data = DataMatrix([[1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)))
-        np.testing.assert_array_equal(grand_mean(data), [2.0, 3.0])
+        np.testing.assert_array_equal(data.column_means, [2.0, 3.0])
 
     def test_constant_matrix(self):
         data = DataMatrix(np.full((3, 2), 7.0), np.ones((3, 2)))
-        np.testing.assert_array_equal(grand_mean(data), [7.0, 7.0])
+        np.testing.assert_array_equal(data.column_means, [7.0, 7.0])
 
     def test_single_row(self):
         data = DataMatrix([[5.0, -1.0]], np.ones((1, 2)))
-        np.testing.assert_array_equal(grand_mean(data), [5.0, -1.0])
-
-    def test_accepts_plain_arrays(self):
-        np.testing.assert_array_equal(grand_mean([[1.0, 3.0]]), [1.0, 3.0])
+        np.testing.assert_array_equal(data.column_means, [5.0, -1.0])
 
 
 class TestUnbiasednessSmoke:
