@@ -20,6 +20,7 @@ from .harness import (
     run_experiment,
     write_records_csv,
 )
+from .optimize import _MAX_ITER
 from .risk import _BLOCK_CELLS
 
 __all__ = ["main"]
@@ -48,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--tau", default=None,
                        help="comma-separated tau matrix (default: family canonical)")
     p_fit.add_argument("--mode", choices=FIT_MODES, default="location")
-    p_fit.add_argument("--max-iter", type=int, default=200)
+    p_fit.add_argument("--max-iter", type=int, default=_MAX_ITER)
     p_fit.add_argument("--out", required=True, help="path for the estimate matrix")
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")

@@ -17,6 +17,7 @@ import numpy as np
 from .families import DataMatrix, FamilyKind, FamilySpec
 from .optimize import (
     FitResult,
+    _MAX_ITER,
     _check_max_iter,
     _coordinate_descent,
     check_feasible_location,
@@ -67,7 +68,7 @@ def fit(
     data: DataMatrix,
     spec: FamilySpec,
     mode: str = "location",
-    max_iter: int = 200,
+    max_iter: int = _MAX_ITER,
 ) -> tuple[FitResult, EstimateMatrix]:
     """Minimize the risk estimate of the requested class and materialize
     the fitted estimate.  Only the normal family admits negative
@@ -82,7 +83,6 @@ def fit(
     computed column mean, with no box on it: for a constant column it can
     read one ulp outside ``data.data_range``.
     """
-    _check_max_iter(max_iter)
     if spec.kind is not FamilyKind.NORMAL and np.any(data.y < 0):
         raise ValueError(f"{spec.kind.value} observations must be nonnegative")
     if spec.kind is FamilyKind.MULTINOMIAL:
@@ -94,6 +94,7 @@ def fit(
         result = minimize_ure(data, spec, max_iter)
         estimate = shrink_to_location(data, result.b, result.mu)
     elif mode == "grand_mean":
+        _check_max_iter(max_iter)
         result = minimize_aure(data, spec)
         estimate = shrink_to_grand_mean(data, result.b)
     else:
@@ -101,7 +102,7 @@ def fit(
     return result, estimate
 
 
-def competitor(data: DataMatrix, kind: str, theta=None, max_iter: int = 200) -> EstimateMatrix:
+def competitor(data: DataMatrix, kind: str, theta=None, max_iter: int = _MAX_ITER) -> EstimateMatrix:
     """Fixed members of the location class used in dominance experiments.
 
     ``no_shrinkage`` returns the observations (b = 0); ``half_to_zero``
@@ -123,7 +124,7 @@ def competitor(data: DataMatrix, kind: str, theta=None, max_iter: int = 200) -> 
     return _estimate(data, b, mu)
 
 
-def minimize_true_loss(data: DataMatrix, theta, max_iter: int = 200) -> FitResult:
+def minimize_true_loss(data: DataMatrix, theta, max_iter: int = _MAX_ITER) -> FitResult:
     """Feasible ``(b, mu)`` minimizing the realized loss against known means.
 
     With ``d_i = y_i - theta_i`` the loss is the row quadratic

@@ -31,6 +31,7 @@ from .families import (
 )
 from .optimize import (
     FitResult,
+    _MAX_ITER,
     _check_max_iter,
     check_feasible_location,
     check_feasible_weights,
@@ -90,7 +91,7 @@ class ExperimentConfig:
     mode: str = "location"
     competitors: tuple[str, ...] = ()
     sup_gap_samples: int = 20
-    max_iter: int = 200
+    max_iter: int = _MAX_ITER
 
     def __post_init__(self):
         self.family_spec()  # validate the family and its parameters eagerly

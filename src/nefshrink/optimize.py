@@ -142,6 +142,8 @@ def sample_feasible_weights(order: RowOrder, rng: np.random.Generator) -> np.nda
 
 # a descent start stops once an outer iteration gains less than this
 _TOLERANCE = 1e-10
+# the default budget of outer iterations per descent start
+_MAX_ITER = 200
 
 
 def _check_max_iter(max_iter: int) -> None:
@@ -221,7 +223,7 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
 _ROW_RESTART_CAP = 12
 
 
-def minimize_ure(data: DataMatrix, spec: FamilySpec, max_iter: int = 200) -> FitResult:
+def minimize_ure(data: DataMatrix, spec: FamilySpec, max_iter: int = _MAX_ITER) -> FitResult:
     """Minimize :func:`~nefshrink.risk.ure` jointly over weights and target.
 
     URE is the row quadratic that :func:`_coordinate_descent` minimizes,
@@ -256,7 +258,7 @@ def minimize_ure(data: DataMatrix, spec: FamilySpec, max_iter: int = 200) -> Fit
 
 
 def _coordinate_descent(
-    data: DataMatrix, lin, cross, const, max_iter: int = 200, targets=()
+    data: DataMatrix, lin, cross, const, max_iter: int, targets=()
 ) -> FitResult:
     """Minimize ``sum_i [b_i^2 ||y_i - mu||^2 - 2 b_i (lin_i - cross_i . mu)
     + const_i] / np`` over feasible ``(b, mu)``; ``cross = None`` means zero.

@@ -254,7 +254,7 @@ def reference_isotonic_box_projection(targets, weights, order: RowOrder) -> np.n
 
 
 def reference_coordinate_descent(
-    data: DataMatrix, lin, cross, const, max_iter: int = 200, targets=()
+    data: DataMatrix, lin, cross, const, max_iter: int, targets=()
 ) -> FitResult:
     """``nefshrink.optimize._coordinate_descent`` without its memos: every
     start computes each of its steps afresh, and the steps are functions of
