@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 
 from .estimators import FIT_MODES, fit
-from .families import DataMatrix, default_tau, make_family
+from .families import _BLOCK_CELLS, DataMatrix, default_tau, make_family
 from .harness import (
     ExperimentConfig,
     aggregate_records,
@@ -21,7 +21,6 @@ from .harness import (
     write_records_csv,
 )
 from .optimize import _MAX_ITER
-from .risk import _BLOCK_CELLS
 
 __all__ = ["main"]
 
@@ -173,15 +172,13 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
 def _cmd_fit(args) -> int:
     y = _load_matrix(args.matrix)
     spec = make_family(args.family, shape=args.lam, trials=args.trials)
-    # no local name for tau, so deleting data frees it before the writer;
-    # every column of the canonical tau is the same, so without --tau a
-    # read-only view of one float column stands in for the n×p matrix
+    # no local name for tau, so deleting data frees it before the writer
     data = DataMatrix(
         y=y,
-        tau=(np.broadcast_to(default_tau(spec, y.shape[0], 1).astype(float), y.shape)
-             if args.tau is None else _load_matrix(args.tau)),
+        tau=default_tau(spec, *y.shape) if args.tau is None else _load_matrix(args.tau),
+        spec=spec,
     )
-    result, estimate = fit(data, spec, args.mode, args.max_iter)
+    result, estimate = fit(data, args.mode, args.max_iter)
     del y, data  # the writer needs neither; freed, the fit's peak stays the call's peak
     print(f"b: {_format_vector(result.b)}")
     target_label = "ybar" if args.mode == "grand_mean" else "mu"

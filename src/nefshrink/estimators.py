@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import DataMatrix, FamilyKind, FamilySpec
+from .families import DataMatrix
 from .optimize import (
     FitResult,
     _MAX_ITER,
@@ -66,15 +66,11 @@ def shrink_to_grand_mean(data: DataMatrix, b) -> EstimateMatrix:
 
 def fit(
     data: DataMatrix,
-    spec: FamilySpec,
     mode: str = "location",
     max_iter: int = _MAX_ITER,
 ) -> tuple[FitResult, EstimateMatrix]:
     """Minimize the risk estimate of the requested class and materialize
-    the fitted estimate.  Only the normal family admits negative
-    observations, and a multinomial row holds shares of the ``N`` trials:
-    entries in [0, 1] whose sum is at most 1, up to the rounding of
-    ``p`` shares ``c_j / N`` whose counts sum to ``N``.
+    the fitted estimate.
 
     In location mode each descent start takes at most ``max_iter`` outer
     iterations (:func:`~nefshrink.optimize.minimize_ure`); grand-mean mode
@@ -83,33 +79,25 @@ def fit(
     computed column mean, with no box on it: for a constant column it can
     read one ulp outside ``data.data_range``.
     """
-    if spec.kind is not FamilyKind.NORMAL and np.any(data.y < 0):
-        raise ValueError(f"{spec.kind.value} observations must be nonnegative")
-    if spec.kind is FamilyKind.MULTINOMIAL:
-        if np.any(data.y > 1):
-            raise ValueError("multinomial observations must lie in [0, 1]")
-        if np.any(data.y.sum(axis=1) > 1.0 + data.p * np.finfo(float).eps):
-            raise ValueError("multinomial observation rows must sum to at most 1")
     if mode == "location":
-        result = minimize_ure(data, spec, max_iter)
+        result = minimize_ure(data, max_iter)
         estimate = shrink_to_location(data, result.b, result.mu)
     elif mode == "grand_mean":
         _check_max_iter(max_iter)
-        result = minimize_aure(data, spec)
+        result = minimize_aure(data)
         estimate = shrink_to_grand_mean(data, result.b)
     else:
         raise ValueError(f"unknown fit mode {mode!r}; expected one of {FIT_MODES}")
     return result, estimate
 
 
-def competitor(data: DataMatrix, kind: str, theta=None, max_iter: int = _MAX_ITER) -> EstimateMatrix:
+def competitor(data: DataMatrix, kind: str, theta=None) -> EstimateMatrix:
     """Fixed members of the location class used in dominance experiments.
 
     ``no_shrinkage`` returns the observations (b = 0); ``half_to_zero``
     pulls halfway toward the zero vector (always inside the data box);
     ``oracle_loss`` picks feasible weights and target minimizing the true
-    loss and therefore requires ``theta`` (evaluation only, not deployable);
-    its descent takes at most ``max_iter`` outer iterations per start.
+    loss and therefore requires ``theta`` (evaluation only, not deployable).
     """
     if kind in ("no_shrinkage", "half_to_zero"):
         b = np.full(data.n, 0.0 if kind == "no_shrinkage" else 0.5)
@@ -117,7 +105,7 @@ def competitor(data: DataMatrix, kind: str, theta=None, max_iter: int = _MAX_ITE
     elif kind == "oracle_loss":
         if theta is None:
             raise ValueError("the loss oracle competitor requires the true means")
-        result = minimize_true_loss(data, theta, max_iter)
+        result = minimize_true_loss(data, theta)
         b, mu = result.b, result.mu
     else:
         raise ValueError(f"unknown competitor {kind!r}; expected one of {COMPETITOR_KINDS}")

@@ -5,9 +5,11 @@ share the structure ``Var(Y_ij) = V(theta_ij) / tau_ij`` where
 ``V(t) = nu0 + nu1*t + nu2*t**2`` and the ``tau_ij`` are known positive
 integer within-group sample sizes.  This module defines the family
 descriptors, their mean domains and exact samplers, and the immutable
-:class:`DataMatrix` that keeps what its consumers derive from one matrix:
-the tau row order (:class:`RowOrder`), the data range, the column means
-and, per family, the surrogate row sums of :mod:`nefshrink.risk`.
+:class:`DataMatrix`: observations, their tau matrix and their family,
+checked once against the family's support, which keeps what its consumers
+derive from one matrix: the tau row order (:class:`RowOrder`), the data
+range, the column means and the surrogate row sums ``S_i`` that the risk
+estimates of :mod:`nefshrink.risk` read.
 """
 
 from __future__ import annotations
@@ -166,10 +168,9 @@ def _check_tau(tau):
 
 
 def default_tau(spec: FamilySpec, n: int, p: int) -> np.ndarray:
-    """Canonical tau matrix: all ones, or all ``N`` for trial-based families."""
-    if spec.kind in (FamilyKind.MULTINOMIAL, FamilyKind.NEGMULTINOMIAL):
-        return np.full((n, p), spec.trials)
-    return np.ones((n, p), dtype=int)
+    """Canonical tau matrix: all ones, or all ``N`` for trial-based families,
+    as a read-only float view of one value."""
+    return np.broadcast_to(float(spec.trials or 1), (n, p))
 
 
 @dataclass(frozen=True)
@@ -227,20 +228,31 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+# cells per row block of a whole-matrix pass: a few MiB of temporaries at a time
+_BLOCK_CELLS = 1 << 16
+
+
 @dataclass(frozen=True)
 class DataMatrix:
-    """An n-by-p observation matrix together with its tau matrix.
+    """An n-by-p observation matrix together with its tau matrix and family.
+
+    The observations must lie in the family's support: only the normal
+    family admits negative observations, and a multinomial row holds
+    shares of the ``N`` trials, entries in [0, 1] whose sum is at most 1,
+    up to the rounding of ``p`` shares ``c_j / N`` whose counts sum to
+    ``N``.
 
     Immutable: the fields cannot be reassigned, and the quantities that
     consumers derive from the matrix (``order``, ``data_range``,
-    ``column_means`` and, through :mod:`nefshrink.risk`, the surrogate row
-    sums per family) are computed on first use and kept, as read-only
-    arrays.  A float ``y`` or ``tau`` is kept as passed, not copied, so it
-    must not be changed after construction, or the kept values go stale.
+    ``column_means`` and ``surrogate_row_sums``) are computed on first use
+    and kept, as read-only arrays.  A float ``y`` or ``tau`` is kept as
+    passed, not copied, so it must not be changed after construction, or
+    the kept values go stale.
     """
 
     y: np.ndarray
     tau: np.ndarray
+    spec: FamilySpec
 
     def __post_init__(self):
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
@@ -253,6 +265,14 @@ class DataMatrix:
             raise ValueError("observation matrix must be non-empty")
         if not np.all(np.isfinite(y)):
             raise ValueError("observations must be finite")
+        kind = self.spec.kind
+        if kind is not FamilyKind.NORMAL and np.any(y < 0):
+            raise ValueError(f"{kind.value} observations must be nonnegative")
+        if kind is FamilyKind.MULTINOMIAL:
+            if np.any(y > 1):
+                raise ValueError("multinomial observations must lie in [0, 1]")
+            if np.any(y.sum(axis=1) > 1.0 + y.shape[1] * np.finfo(float).eps):
+                raise ValueError("multinomial observation rows must sum to at most 1")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "tau", tau)
 
@@ -283,10 +303,23 @@ class DataMatrix:
         return _read_only(self.y.mean(axis=0))
 
     @cached_property
-    def _surrogate_sums(self) -> dict:
-        """Row sums ``S_i`` per :class:`FamilySpec`, kept by
-        :func:`nefshrink.risk._surrogate_row_sums`."""
-        return {}
+    def surrogate_row_sums(self) -> np.ndarray:
+        """Row sums ``S_i`` of ``V(Y_ij)/(tau_ij + nu2)``, the unbiased variance surrogate.
+
+        Summed one block of about ``_BLOCK_CELLS`` cells of rows at a time, so
+        the n-by-p temporaries never exist at full size; each row's sum is its
+        own reduction, so the result is bit-identical to the whole-matrix sum.
+        """
+        spec = self.spec
+        s = np.empty(self.n)
+        rows_per_block = max(1, _BLOCK_CELLS // self.p)
+        for start in range(0, self.n, rows_per_block):
+            block = slice(start, start + rows_per_block)
+            denom = self.tau[block] + spec.nu2
+            if not np.all(denom > 0):
+                raise ValueError("tau + nu2 must be positive for every entry")
+            s[block] = (variance_function(spec, self.y[block]) / denom).sum(axis=1)
+        return _read_only(s)
 
 
 def _row_trial_counts(tau: np.ndarray, minimum: int, label: str) -> np.ndarray:
@@ -346,4 +379,4 @@ def sample_matrix(spec: FamilySpec, theta, tau, seed) -> DataMatrix:
         mix = rng.gamma(counts.astype(float), 1.0)
         y = rng.poisson(mix[:, None] * theta) / counts[:, None]
 
-    return DataMatrix(y=y, tau=tau)
+    return DataMatrix(y=y, tau=tau, spec=spec)

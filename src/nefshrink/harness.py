@@ -31,13 +31,11 @@ from .families import (
 )
 from .optimize import (
     FitResult,
-    _MAX_ITER,
-    _check_max_iter,
     check_feasible_location,
     check_feasible_weights,
     sample_feasible_weights,
 )
-from .risk import _surrogate_row_sums, squared_error_loss, ure
+from .risk import squared_error_loss, ure
 
 __all__ = [
     "ExperimentConfig",
@@ -91,7 +89,6 @@ class ExperimentConfig:
     mode: str = "location"
     competitors: tuple[str, ...] = ()
     sup_gap_samples: int = 20
-    max_iter: int = _MAX_ITER
 
     def __post_init__(self):
         self.family_spec()  # validate the family and its parameters eagerly
@@ -113,7 +110,6 @@ class ExperimentConfig:
         if self.sup_gap_samples < 0:
             raise ValueError("K_grid must be nonnegative")
         self.p_for(self.n_grid[0])  # validate the p rule eagerly
-        _check_max_iter(self.max_iter)
 
     def p_for(self, n: int) -> int:
         kind, _, arg = self.p_rule.partition(":")
@@ -147,7 +143,6 @@ class ExperimentConfig:
             "mode": ("mode", str),
             "competitors": ("competitors", _token_tuple),
             "K_grid": ("sup_gap_samples", int),
-            "max_iter": ("max_iter", int),
         }
         kwargs = {}
         for key, value in entries.items():
@@ -242,9 +237,7 @@ class RateFit:
     n_points: int
 
 
-def estimate_sup_gap(
-    data: DataMatrix, theta, spec: FamilySpec, samples: int, seed, fitted: FitResult
-) -> float:
+def estimate_sup_gap(data: DataMatrix, theta, samples: int, seed, fitted: FitResult) -> float:
     """Sampled proxy for the largest |risk estimate - loss| over the
     location-shrinkage feasible set.
 
@@ -255,19 +248,19 @@ def estimate_sup_gap(
     per index, so enlarging ``samples`` keeps the smaller set as a prefix.
     The result is a lower bound on the true supremum.
     """
-    return _sup_gap(data, theta, spec, samples, seed, fitted, location=True)
+    return _sup_gap(data, theta, samples, seed, fitted, location=True)
 
 
 def estimate_sup_gap_grand_mean(
-    data: DataMatrix, theta, spec: FamilySpec, samples: int, seed, fitted: FitResult
+    data: DataMatrix, theta, samples: int, seed, fitted: FitResult
 ) -> float:
     """Grand-mean analogue of :func:`estimate_sup_gap` (weights only)."""
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
-    return _sup_gap(data, theta, spec, samples, seed, fitted, location=False)
+    return _sup_gap(data, theta, samples, seed, fitted, location=False)
 
 
-def _sup_gap(data, theta, spec, samples, seed, fitted: FitResult, location: bool) -> float:
+def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> float:
     """Largest |risk estimate - loss| over the corners, the fitted pair and
     ``samples`` random pairs: URE against a per-pair target in the data box
     (``location``), or AURE with the target fixed at the grand mean.
@@ -299,7 +292,7 @@ def _sup_gap(data, theta, spec, samples, seed, fitted: FitResult, location: bool
             f"mean shape {theta.shape} does not match the observation shape {data.y.shape}"
         )
     dev = data.y - theta
-    s = _surrogate_row_sums(data, spec)
+    s = data.surrogate_row_sums
     r = s - (dev**2).sum(axis=1)
     factor = 1.0 if location else 1.0 - 1.0 / data.n
     q = factor * s - (dev * data.y).sum(axis=1) + np.array(targets) @ dev.T  # (K, n)
@@ -319,9 +312,6 @@ def _generate_theta(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, 
     elif name == "uniform":
         lo, hi = (float(tok) for tok in args.split(","))
         theta = np.random.default_rng(seed_seq).uniform(lo, hi, (n, p))
-    elif name == "normal":
-        center, sd = (float(tok) for tok in args.split(","))
-        theta = np.random.default_rng(seed_seq).normal(center, sd, (n, p))
     else:
         raise ValueError(f"unknown theta rule {rule!r}")
     try:
@@ -334,13 +324,11 @@ def _generate_theta(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, 
 def _generate_tau(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, seed_seq) -> np.ndarray:
     """The rule's tau for ``n`` rows as floats, so the replications that
     share it are sampled without a copy each."""
-    if spec.trials is not None:
-        if config.tau_rule != "ones":
-            raise ValueError("tau for trial-based families is determined by N")
-        return default_tau(spec, n, p).astype(float)
     rule = config.tau_rule
     if rule == "ones":
-        return np.ones((n, p))
+        return default_tau(spec, n, p)
+    if spec.trials is not None:
+        raise ValueError("tau for trial-based families is determined by N")
     name, _, args = rule.partition(":")
     if name == "randint":
         lo, hi = (int(tok) for tok in args.split(","))
@@ -357,15 +345,14 @@ def _run_replication(
     ni, n, p, theta, tau, rep = task
     spec = config.family_spec()
     data = sample_matrix(spec, theta, tau, _substream(config.seed, ni, rep, _SAMPLE))
-    result, estimate = fit(data, spec, config.mode, config.max_iter)
+    result, estimate = fit(data, config.mode)
     sup_seed = _substream(config.seed, ni, rep, _SUPGAP)
     sup_gap_of = estimate_sup_gap if config.mode == "location" else estimate_sup_gap_grand_mean
-    sup_gap = sup_gap_of(data, theta, spec, config.sup_gap_samples, sup_seed, fitted=result)
+    sup_gap = sup_gap_of(data, theta, config.sup_gap_samples, sup_seed, fitted=result)
     scored = [("fit", estimate, result.objective, result.iterations, result.converged)]
     for kind in config.competitors:
-        est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None,
-                         max_iter=config.max_iter)
-        scored.append((kind, est, ure(data, est.b, est.mu, spec), 0, True))
+        est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None)
+        scored.append((kind, est, ure(data, est.b, est.mu), 0, True))
     return [
         ReplicationRecord(rep, n, p, name, squared_error_loss(est.theta_hat, theta), risk,
                           sup_gap, iters, converged)

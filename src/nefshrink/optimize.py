@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import DataMatrix, FamilySpec, RowOrder
-from .risk import _aure_rows, _row_quadratic, _surrogate_row_sums
+from .families import DataMatrix, RowOrder
+from .risk import _aure_rows, _row_quadratic
 
 __all__ = [
     "RowOrder",
@@ -201,7 +201,7 @@ def _weight_step(a, lin, const, order: RowOrder, size: int) -> tuple[np.ndarray,
     return b, _row_quadratic(b, a, lin, const, size)
 
 
-def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
+def minimize_aure(data: DataMatrix) -> FitResult:
     """Exact minimizer of :func:`~nefshrink.risk.aure` over the feasible set.
 
     The objective is separable per row: ``A_i b_i^2 - 2 (1 - 1/n) S_i b_i``
@@ -209,7 +209,7 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
     ``V(Y_ij)/(tau_ij + nu2)``, so a single weighted isotonic projection of
     the per-row stationary points solves it globally.
     """
-    b, objective = _weight_step(*_aure_rows(data, spec), data.order, data.y.size)
+    b, objective = _weight_step(*_aure_rows(data), data.order, data.y.size)
     return FitResult(
         b=b,
         mu=data.column_means,
@@ -223,7 +223,7 @@ def minimize_aure(data: DataMatrix, spec: FamilySpec) -> FitResult:
 _ROW_RESTART_CAP = 12
 
 
-def minimize_ure(data: DataMatrix, spec: FamilySpec, max_iter: int = _MAX_ITER) -> FitResult:
+def minimize_ure(data: DataMatrix, max_iter: int = _MAX_ITER) -> FitResult:
     """Minimize :func:`~nefshrink.risk.ure` jointly over weights and target.
 
     URE is the row quadratic that :func:`_coordinate_descent` minimizes,
@@ -248,7 +248,7 @@ def minimize_ure(data: DataMatrix, spec: FamilySpec, max_iter: int = _MAX_ITER) 
     row costs no further projection.  Each start takes at most
     ``max_iter`` outer iterations.
     """
-    s = _surrogate_row_sums(data, spec)
+    s = data.surrogate_row_sums
     targets = []
     if data.order.n_groups > 1:
         targets.append(np.zeros(data.p))

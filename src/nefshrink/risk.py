@@ -6,15 +6,17 @@ per column), the location-shrinkage estimator is
 average squared deviation from the true means; :func:`ure` computes a
 statistic whose expectation equals the risk (the expected loss) for any
 fixed feasible ``(b, mu)``, and :func:`aure` does the same for the class
-that shrinks toward the grand mean.  Neither estimate is clamped at zero:
-negative values are legitimate, only the expectation matters.
+that shrinks toward the grand mean.  Both read the family only through
+the surrogate row sums ``S_i`` that the :class:`~nefshrink.families.DataMatrix`
+derives from its own family and keeps.  Neither estimate is clamped at
+zero: negative values are legitimate, only the expectation matters.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .families import DataMatrix, FamilySpec, variance_function
+from .families import DataMatrix
 
 __all__ = ["squared_error_loss", "ure", "aure"]
 
@@ -37,33 +39,6 @@ def _weight_vector(b, n: int) -> np.ndarray:
     return b
 
 
-# cells per row block of a whole-matrix pass: a few MiB of temporaries at a time
-_BLOCK_CELLS = 1 << 16
-
-
-def _surrogate_row_sums(data: DataMatrix, spec: FamilySpec) -> np.ndarray:
-    """Row sums ``S_i`` of ``V(Y_ij)/(tau_ij + nu2)``, the unbiased variance surrogate.
-
-    Summed one block of about ``_BLOCK_CELLS`` cells of rows at a time, so
-    the n-by-p temporaries never exist at full size; each row's sum is its
-    own reduction, so the result is bit-identical to the whole-matrix sum.
-    Derived once per matrix and family and kept, read-only, on ``data``.
-    """
-    kept = data._surrogate_sums
-    if spec not in kept:
-        s = np.empty(data.n)
-        rows_per_block = max(1, _BLOCK_CELLS // data.p)
-        for start in range(0, data.n, rows_per_block):
-            block = slice(start, start + rows_per_block)
-            denom = data.tau[block] + spec.nu2
-            if not np.all(denom > 0):
-                raise ValueError("tau + nu2 must be positive for every entry")
-            s[block] = (variance_function(spec, data.y[block]) / denom).sum(axis=1)
-        s.flags.writeable = False
-        kept[spec] = s
-    return kept[spec]
-
-
 def _row_quadratic(b, a, lin, const, size: int) -> float:
     """``sum_i [b_i^2 a_i - 2 b_i lin_i + const_i] / size``, a quadratic in each row's
     weight.  With ``a_i = ||y_i - mu||^2`` and ``S_i`` the surrogate row sums,
@@ -72,7 +47,7 @@ def _row_quadratic(b, a, lin, const, size: int) -> float:
     return float(np.sum(b * b * a - 2.0 * b * lin + const) / size)
 
 
-def ure(data: DataMatrix, b, mu, spec: FamilySpec) -> float:
+def ure(data: DataMatrix, b, mu) -> float:
     """Unbiased estimate of the risk of shrinking toward the location ``mu``.
 
     ``(1/np) * sum_ij [ b_i^2 (Y_ij - mu_j)^2 + (1 - 2 b_i) V(Y_ij)/(tau_ij + nu2) ]``
@@ -82,11 +57,11 @@ def ure(data: DataMatrix, b, mu, spec: FamilySpec) -> float:
     if mu.shape != (data.p,):
         raise ValueError(f"expected {data.p} target coordinates, got shape {mu.shape}")
     a = ((data.y - mu) ** 2).sum(axis=1)
-    s = _surrogate_row_sums(data, spec)
+    s = data.surrogate_row_sums
     return _row_quadratic(b, a, s, s, data.y.size)
 
 
-def aure(data: DataMatrix, b, spec: FamilySpec) -> float:
+def aure(data: DataMatrix, b) -> float:
     """Unbiased estimate of the risk of shrinking toward the grand mean.
 
     ``(1/np) * sum_ij [ b_i^2 (Y_ij - Ybar_j)^2
@@ -94,16 +69,16 @@ def aure(data: DataMatrix, b, spec: FamilySpec) -> float:
 
     Requires ``n >= 2``; at ``b = 0`` it coincides with :func:`ure`.
     """
-    rows = _aure_rows(data, spec)
+    rows = _aure_rows(data)
     return _row_quadratic(_weight_vector(b, data.n), *rows, data.y.size)
 
 
-def _aure_rows(data: DataMatrix, spec: FamilySpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _aure_rows(data: DataMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """AURE's :func:`_row_quadratic` coefficients ``(a, lin, const)``:
     ``a_i = ||y_i - Ybar||^2``, ``lin_i = (1 - 1/n) S_i`` and ``const_i = S_i``.
     Requires ``n >= 2``."""
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
     a = ((data.y - data.column_means) ** 2).sum(axis=1)
-    s = _surrogate_row_sums(data, spec)
+    s = data.surrogate_row_sums
     return a, (1.0 - 1.0 / data.n) * s, s

@@ -26,7 +26,7 @@ from nefshrink import (
 )
 from nefshrink.families import _check_tau
 from nefshrink.optimize import _TOLERANCE, _check_descent, _weight_step
-from nefshrink.risk import _row_quadratic, _surrogate_row_sums, _weight_vector
+from nefshrink.risk import _row_quadratic, _weight_vector
 
 
 def theoretical_moments(spec: FamilySpec, theta, tau):
@@ -79,9 +79,7 @@ def _box_grid(bound: float, resolution: float) -> np.ndarray:
 _MAX_ORACLE_POINTS = 30_000_000
 
 
-def grid_oracle_ure(
-    data: DataMatrix, spec: FamilySpec, resolution: float
-) -> tuple[np.ndarray, np.ndarray, float]:
+def grid_oracle_ure(data: DataMatrix, resolution: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Exhaustive lattice minimizer of the location-shrinkage risk estimate.
 
     Enumerates every feasible monotone weight vector on a ``resolution``
@@ -105,7 +103,7 @@ def grid_oracle_ure(
         )
 
     group_rows = group_of_row(order)
-    s = _surrogate_row_sums(data, spec)
+    s = data.surrogate_row_sums
     y = data.y
     y2 = y * y
     s_total = float(s.sum())

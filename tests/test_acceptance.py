@@ -142,9 +142,9 @@ def unbiasedness_tables():
             for k, (b, mu) in enumerate(zip(weights, targets)):
                 realized = squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta)
                 loc_loss[k, r] = realized
-                ure_diff[k, r] = ure(data, b, mu, spec) - realized
+                ure_diff[k, r] = ure(data, b, mu) - realized
                 gm_loss = squared_error_loss(shrink_to_grand_mean(data, b).theta_hat, theta)
-                aure_diff[k, r] = aure(data, b, spec) - gm_loss
+                aure_diff[k, r] = aure(data, b) - gm_loss
         risks = np.array(
             [true_risk(theta, b, mu, spec, tau) for b, mu in zip(weights, targets)]
         )
@@ -236,33 +236,34 @@ def _solver_instances(count, n_max, p_max, seed):
             spec = make_family("gamma", shape=2.0)
             theta = rng.uniform(0.5, 2.5, (n, p))
         tau = rng.integers(1, 4, (n, p))
-        out.append((spec, sample_matrix(spec, theta, tau, seed=int(rng.integers(1 << 30)))))
+        out.append(sample_matrix(spec, theta, tau, seed=int(rng.integers(1 << 30))))
     return out
 
 
 def test_criterion_4_solver_vs_oracle():
     worst_coarse = 0.0
-    for spec, data in _solver_instances(50, n_max=3, p_max=2, seed=41):
-        result = minimize_ure(data, spec)
-        _, _, oracle = grid_oracle_ure(data, spec, 1e-2)
+    for data in _solver_instances(50, n_max=3, p_max=2, seed=41):
+        result = minimize_ure(data)
+        _, _, oracle = grid_oracle_ure(data, 1e-2)
         worst_coarse = max(worst_coarse, result.objective - oracle)
     worst_fine = 0.0
-    for spec, data in _solver_instances(10, n_max=2, p_max=2, seed=43):
-        result = minimize_ure(data, spec)
-        _, _, oracle = grid_oracle_ure(data, spec, 1e-3)
+    for data in _solver_instances(10, n_max=2, p_max=2, seed=43):
+        result = minimize_ure(data)
+        _, _, oracle = grid_oracle_ure(data, 1e-3)
         worst_fine = max(worst_fine, result.objective - oracle)
     worst_aure = 0.0
-    for spec, data in _solver_instances(50, n_max=5, p_max=2, seed=47):
+    for data in _solver_instances(50, n_max=5, p_max=2, seed=47):
         if data.n < 2:
             continue
-        result = minimize_aure(data, spec)
+        result = minimize_aure(data)
         order = RowOrder.from_tau(data.tau)
         ybar = data.y.mean(axis=0)
         quad = ((data.y - ybar) ** 2).sum(axis=1)
+        spec = data.spec
         v = (spec.nu0 + spec.nu1 * data.y + spec.nu2 * data.y**2) / (data.tau + spec.nu2)
         lin = -2.0 * (1.0 - 1.0 / data.n) * v.sum(axis=1)
         b_grid, _ = grid_minimize_separable_quadratic(quad, lin, order, 1e-4)
-        worst_aure = max(worst_aure, abs(result.objective - aure(data, b_grid, spec)))
+        worst_aure = max(worst_aure, abs(result.objective - aure(data, b_grid)))
     ok = worst_coarse <= 1e-4 and worst_fine <= 1e-6 and worst_aure <= 1e-8
     _criterion(
         4,

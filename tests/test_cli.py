@@ -251,7 +251,7 @@ class TestFitCommand:
 
     @pytest.mark.parametrize("family, trials", [("poisson", None), ("multinomial", 6)])
     def test_default_tau_fits_as_the_written_default(self, tmp_path, capsys, family, trials):
-        """Without --tau, the view of one tau column fits as the n×p default."""
+        """Without --tau, the read-only default tau view fits as the written n×p default."""
         counts = np.random.default_rng(6).multinomial(6, [0.2, 0.3, 0.1, 0.4], size=30)[:, :3]
         y = counts / 6  # the scale sample_matrix draws: shares of the N = 6 trials
         matrix, tau = tmp_path / "y.csv", tmp_path / "tau.csv"
@@ -294,7 +294,7 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("entry, message", [
         ("tol = 1e-9", "unknown config key 'tol'"),
-        ("max_iter = 0", "max_iter must be at least 1"),
+        ("max_iter = 0", "unknown config key 'max_iter'"),
     ])
     def test_config_fails_at_load(self, tmp_path, capsys, entry, message):
         config = tmp_path / "config.txt"

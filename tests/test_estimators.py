@@ -40,13 +40,16 @@ def edge_cases(draw):
     y = sample_matrix(spec, theta, tau, seed=int(rng.integers(1 << 30))).y
     constant = rng.uniform(size=p) < draw(st.sampled_from([0.0, 0.5, 1.0]))
     y[:, constant] = y[0, constant]
-    return spec, DataMatrix(y, tau)
+    return DataMatrix(y, tau, spec)
+
+
+NORMAL, POISSON = make_family("normal"), make_family("poisson")
 
 
 class TestShrinkToLocation:
     def test_zero_weights_return_data(self, rng):
         y = rng.normal(size=(3, 2))
-        data = DataMatrix(y, np.ones_like(y))
+        data = DataMatrix(y, np.ones_like(y), NORMAL)
         est = shrink_to_location(data, np.zeros(3), np.zeros(2))
         np.testing.assert_array_equal(est.theta_hat, y)
         np.testing.assert_array_equal(est.b, np.zeros(3))
@@ -54,13 +57,13 @@ class TestShrinkToLocation:
 
     def test_full_weights_return_target_rows(self, rng):
         y = rng.normal(size=(3, 2))
-        data = DataMatrix(y, np.ones_like(y))
+        data = DataMatrix(y, np.ones_like(y), NORMAL)
         mu = np.array([0.5, -0.5])
         est = shrink_to_location(data, np.ones(3), mu)
         np.testing.assert_array_equal(est.theta_hat, np.tile(mu, (3, 1)))
 
     def test_quarter_pull(self):
-        data = DataMatrix([[4.0]], [[1]])
+        data = DataMatrix([[4.0]], [[1]], NORMAL)
         est = shrink_to_location(data, [0.25], [0.0])
         assert est.theta_hat[0, 0] == 3.0
 
@@ -76,7 +79,7 @@ class TestShrinkToLocation:
             assert np.all(est >= lo - 1e-15) and np.all(est <= hi + 1e-15)
 
     def test_rejects_infeasible_weights(self):
-        data = DataMatrix([[1.0], [2.0]], [[2], [1]])  # b1 <= b2 required
+        data = DataMatrix([[1.0], [2.0]], [[2], [1]], NORMAL)  # b1 <= b2 required
         with pytest.raises(ValueError, match="monotone"):
             shrink_to_location(data, [0.9, 0.1], [0.0])
         with pytest.raises(ValueError, match="monotone"):
@@ -85,7 +88,7 @@ class TestShrinkToLocation:
             shrink_to_location(data, [np.nan, np.nan], [0.0])
 
     def test_rejects_target_outside_box(self):
-        data = DataMatrix([[1.0, -2.0]], [[1, 1]])
+        data = DataMatrix([[1.0, -2.0]], [[1, 1]], NORMAL)
         with pytest.raises(ValueError, match="data range"):
             shrink_to_location(data, [0.5], [3.0, 0.0])
         with pytest.raises(ValueError, match="data range"):
@@ -95,46 +98,46 @@ class TestShrinkToLocation:
 class TestShrinkToGrandMean:
     def test_full_weights_collapse_to_column_means(self, rng):
         y = rng.normal(size=(4, 2))
-        data = DataMatrix(y, np.ones_like(y))
+        data = DataMatrix(y, np.ones_like(y), NORMAL)
         est = shrink_to_grand_mean(data, np.ones(4))
         np.testing.assert_allclose(est.theta_hat, np.tile(y.mean(axis=0), (4, 1)))
         np.testing.assert_array_equal(est.mu, y.mean(axis=0))
 
     def test_zero_weights_return_data(self, rng):
         y = rng.normal(size=(4, 2))
-        data = DataMatrix(y, np.ones_like(y))
+        data = DataMatrix(y, np.ones_like(y), NORMAL)
         np.testing.assert_array_equal(shrink_to_grand_mean(data, np.zeros(4)).theta_hat, y)
 
     def test_midpoint_pull(self):
-        data = DataMatrix([[0.0, 0.0], [2.0, 2.0]], np.ones((2, 2)))
+        data = DataMatrix([[0.0, 0.0], [2.0, 2.0]], np.ones((2, 2)), NORMAL)
         est = shrink_to_grand_mean(data, [0.5, 0.5])
         np.testing.assert_array_equal(est.theta_hat, [[0.5, 0.5], [1.5, 1.5]])
 
     def test_constant_weights_preserve_column_means(self, rng):
         y = rng.normal(size=(5, 3))
-        data = DataMatrix(y, np.ones_like(y))
+        data = DataMatrix(y, np.ones_like(y), NORMAL)
         est = shrink_to_grand_mean(data, np.full(5, 0.3))
         np.testing.assert_allclose(est.theta_hat.mean(axis=0), y.mean(axis=0))
 
 
 class TestFit:
     def test_constant_matrix_estimate_equals_data(self):
-        data = DataMatrix(np.full((3, 2), 4.0), np.ones((3, 2)))
-        result, est = fit(data, make_family("poisson"), "location")
+        data = DataMatrix(np.full((3, 2), 4.0), np.ones((3, 2)), POISSON)
+        result, est = fit(data, "location")
         np.testing.assert_allclose(est.theta_hat, data.y)
         np.testing.assert_array_equal(result.b, np.ones(3))
 
     def test_location_objective_matches_oracle_on_seeded_instance(self, rng):
         spec, theta, tau = family_case("normal", 2, 2, rng)
         data = sample_matrix(spec, theta, tau, seed=21)
-        result, est = fit(data, spec, "location")
-        _, _, oracle_val = grid_oracle_ure(data, spec, 1e-3)
+        result, est = fit(data, "location")
+        _, _, oracle_val = grid_oracle_ure(data, 1e-3)
         assert result.objective <= oracle_val + 1e-4
         assert oracle_val <= result.objective + 1e-4
 
     def test_grand_mean_mode_on_identical_rows(self):
-        data = DataMatrix(np.tile([1.0, 3.0], (4, 1)), np.ones((4, 2)))
-        result, est = fit(data, make_family("poisson"), "grand_mean")
+        data = DataMatrix(np.tile([1.0, 3.0], (4, 1)), np.ones((4, 2)), POISSON)
+        result, est = fit(data, "grand_mean")
         np.testing.assert_array_equal(result.b, np.ones(4))
         np.testing.assert_allclose(est.theta_hat, np.tile([1.0, 3.0], (4, 1)))
 
@@ -142,11 +145,9 @@ class TestFit:
         for mode in ("location", "grand_mean"):
             spec, theta, tau = family_case("gamma", 5, 3, rng)
             data = sample_matrix(spec, theta, tau, seed=31)
-            result, est = fit(data, spec, mode)
+            result, est = fit(data, mode)
             recomputed = (
-                ure(data, result.b, result.mu, spec)
-                if mode == "location"
-                else aure(data, result.b, spec)
+                ure(data, result.b, result.mu) if mode == "location" else aure(data, result.b)
             )
             assert result.objective == recomputed
             expected = (1 - result.b)[:, None] * data.y + result.b[:, None] * result.mu
@@ -154,17 +155,16 @@ class TestFit:
 
     @settings(max_examples=150, deadline=None)
     @given(edge_cases())
-    def test_edge_inputs_fit_finite_feasible_and_consistent(self, case):
-        spec, data = case
+    def test_edge_inputs_fit_finite_feasible_and_consistent(self, data):
         for mode in ("location", "grand_mean")[: data.n]:  # grand mean needs two rows
-            result, _ = fit(data, spec, mode)
+            result, _ = fit(data, mode)
             assert np.all(np.isfinite(result.b)) and np.all(np.isfinite(result.mu))
             assert data.order.is_feasible(result.b)
             if mode == "location":  # the grand mean is a column mean, not boxed
                 assert np.all(np.abs(result.mu) <= data.data_range)
-                assert result.objective == ure(data, result.b, result.mu, spec)
+                assert result.objective == ure(data, result.b, result.mu)
             else:
-                assert result.objective == aure(data, result.b, spec)
+                assert result.objective == aure(data, result.b)
 
     def test_grand_mean_target_is_the_unboxed_column_mean(self):
         # the recorded case: seven equal entries whose computed mean reads
@@ -172,8 +172,8 @@ class TestFit:
         y = np.full((7, 1), 2.092381661)
         tau = np.ones((7, 1))
         tau[3] = 1e9
-        data = DataMatrix(y, tau)
-        result, est = fit(data, make_family("poisson"), "grand_mean")
+        data = DataMatrix(y, tau, POISSON)
+        result, est = fit(data, "grand_mean")
         np.testing.assert_array_equal(result.mu, data.column_means)
         assert np.abs(result.mu).max() > data.data_range
         np.testing.assert_array_equal(shrink_to_grand_mean(data, result.b).theta_hat,
@@ -186,15 +186,18 @@ class TestFit:
         y = np.array(theta)
         y[1, 0] = -0.25
         with pytest.raises(ValueError, match=f"^{kind} observations must be nonnegative$"):
-            fit(DataMatrix(y, tau), spec, mode)
+            DataMatrix(y, tau, spec)
+        y[1, 0] = 0.0  # the edge of the support
+        data = DataMatrix(y, tau, spec)
+        assert data.order.is_feasible(fit(data, mode)[0].b)
 
     @pytest.mark.parametrize("mode", ["location", "grand_mean"])
     def test_multinomial_observations_must_lie_in_the_unit_interval(self, mode):
         """Above 1, V(y) = y - y^2 turns negative; 0 and 1 are reachable shares."""
         spec, tau = make_family("multinomial", trials=4), np.full((2, 2), 4)
         with pytest.raises(ValueError, match=r"^multinomial observations must lie in \[0, 1\]$"):
-            fit(DataMatrix([[0.5, 2.0], [3.0, 0.25]], tau), spec, mode)
-        result, _ = fit(DataMatrix([[1.0, 0.0], [0.0, 1.0]], tau), spec, mode)
+            DataMatrix([[0.5, 2.0], [3.0, 0.25]], tau, spec)
+        result, _ = fit(DataMatrix([[1.0, 0.0], [0.0, 1.0]], tau, spec), mode)
         assert np.all(np.isfinite(result.b))
 
     @pytest.mark.parametrize("mode", ["location", "grand_mean"])
@@ -202,7 +205,9 @@ class TestFit:
         """No N-trial draw gives shares 0.9 and 0.9 in one row."""
         spec, tau = make_family("multinomial", trials=4), np.full((2, 2), 4)
         with pytest.raises(ValueError, match="^multinomial observation rows must sum to at most 1$"):
-            fit(DataMatrix([[0.9, 0.9], [0.1, 0.2]], tau), spec, mode)
+            DataMatrix([[0.9, 0.9], [0.1, 0.2]], tau, spec)
+        result, _ = fit(DataMatrix([[0.5, 0.5], [0.1, 0.2]], tau, spec), mode)  # a full row
+        assert np.all(np.isfinite(result.b))
 
     def test_sampled_multinomial_rows_pass(self):
         """A draw that uses all N trials sums its shares c_j / N to 1 up to
@@ -216,43 +221,43 @@ class TestFit:
             data = sample_matrix(spec, theta, default_tau(spec, n, p), seed=trials + p)
             above_one += np.count_nonzero(data.y.sum(axis=1) > 1.0)
             for mode in ("location", "grand_mean"):
-                result, _ = fit(data, spec, mode)
+                result, _ = fit(data, mode)
                 assert data.order.is_feasible(result.b)
         assert above_one > 0
 
     def test_normal_observations_may_be_negative(self):
-        data = DataMatrix([[-1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)))
-        result, _ = fit(data, make_family("normal"), "location")
+        data = DataMatrix([[-1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)), NORMAL)
+        result, _ = fit(data, "location")
         assert RowOrder.from_tau(data.tau).is_feasible(result.b)
 
     def test_unknown_mode(self):
-        data = DataMatrix([[1.0]], [[1]])
+        data = DataMatrix([[1.0]], [[1]], NORMAL)
         with pytest.raises(ValueError, match="mode"):
-            fit(data, make_family("normal"), "ridge")
+            fit(data, "ridge")
 
 
 class TestCompetitors:
     def test_no_shrinkage_returns_data(self, rng):
         y = rng.normal(size=(3, 2))
-        data = DataMatrix(y, np.ones_like(y))
+        data = DataMatrix(y, np.ones_like(y), NORMAL)
         est = competitor(data, "no_shrinkage")
         np.testing.assert_array_equal(est.theta_hat, y)
         np.testing.assert_array_equal(est.b, np.zeros(3))
 
     def test_half_to_zero_halves(self):
-        data = DataMatrix([[2.0, -4.0]], [[1, 1]])
+        data = DataMatrix([[2.0, -4.0]], [[1, 1]], NORMAL)
         est = competitor(data, "half_to_zero")
         np.testing.assert_array_equal(est.theta_hat, [[1.0, -2.0]])
         np.testing.assert_array_equal(est.b, [0.5])
         np.testing.assert_array_equal(est.mu, [0.0, 0.0])
 
     def test_oracle_loss_needs_theta(self):
-        data = DataMatrix([[1.0]], [[1]])
+        data = DataMatrix([[1.0]], [[1]], NORMAL)
         with pytest.raises(ValueError, match="true means"):
             competitor(data, "oracle_loss")
 
     def test_unknown_kind(self):
-        data = DataMatrix([[1.0]], [[1]])
+        data = DataMatrix([[1.0]], [[1]], NORMAL)
         with pytest.raises(ValueError, match="stein"):
             competitor(data, "stein")
 

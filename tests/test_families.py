@@ -13,8 +13,6 @@ from nefshrink import (
     variance_function,
 )
 
-from nefshrink.risk import _surrogate_row_sums
-
 from conftest import ALL_FAMILIES, family_case
 from oracles import theoretical_moments
 
@@ -209,56 +207,71 @@ class TestSampledMoments:
         assert np.all(np.abs(surrogate.mean(axis=0) - var) <= 4 * se)
 
 
+NORMAL = make_family("normal")
+
+
 class TestDataMatrix:
     def test_shape_and_properties(self):
-        data = DataMatrix([[1.0, -2.0], [3.0, 4.0]], np.ones((2, 2)))
+        data = DataMatrix([[1.0, -2.0], [3.0, 4.0]], np.ones((2, 2)), NORMAL)
         assert (data.n, data.p) == (2, 2)
         assert data.data_range == 4.0
 
     def test_rejects_mismatched_tau(self):
         with pytest.raises(ValueError, match="shape"):
-            DataMatrix([[1.0, 2.0]], np.ones((2, 2)))
+            DataMatrix([[1.0, 2.0]], np.ones((2, 2)), NORMAL)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
-            DataMatrix([[np.nan]], [[1]])
+            DataMatrix([[np.nan]], [[1]], NORMAL)
 
     def test_fields_cannot_be_reassigned(self):
-        data = DataMatrix([[1.0, 2.0]], [[1, 2]])
+        data = DataMatrix([[1.0, 2.0]], [[1, 2]], NORMAL)
         with pytest.raises(dataclasses.FrozenInstanceError):
             data.y = np.zeros((1, 2))
         with pytest.raises(dataclasses.FrozenInstanceError):
             data.tau = np.ones((1, 2))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.spec = make_family("poisson")
 
     def test_float_observations_are_not_copied(self):
         y = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert DataMatrix(y, np.ones((2, 2))).y is y
+        assert DataMatrix(y, np.ones((2, 2)), NORMAL).y is y
 
     def test_float_tau_is_not_copied(self):
         tau = np.array([[1.0, 2.0], [3.0, 1.0]])
-        assert DataMatrix(np.ones((2, 2)), tau).tau is tau
+        assert DataMatrix(np.ones((2, 2)), tau, NORMAL).tau is tau
 
     def test_integer_tau_is_converted_and_fractional_tau_rejected(self):
         tau = np.array([[1, 2], [3, 1]])
-        data = DataMatrix(np.ones((2, 2)), tau)
+        data = DataMatrix(np.ones((2, 2)), tau, NORMAL)
         assert data.tau.dtype == float
         np.testing.assert_array_equal(data.tau, tau)
         with pytest.raises(ValueError, match="positive integers"):
-            DataMatrix(np.ones((2, 2)), np.array([[1.0, 2.5], [3.0, 1.0]]))
+            DataMatrix(np.ones((2, 2)), np.array([[1.0, 2.5], [3.0, 1.0]]), NORMAL)
         with pytest.raises(ValueError, match="positive integers"):
-            DataMatrix(np.ones((2, 2)), np.array([[1.0, 0.0], [3.0, 1.0]]))
+            DataMatrix(np.ones((2, 2)), np.array([[1.0, 0.0], [3.0, 1.0]]), NORMAL)
+
+    def test_poisson_observation_below_zero_is_rejected_at_construction(self):
+        # before any estimator or risk estimate can read it
+        with pytest.raises(ValueError, match="^poisson observations must be nonnegative$"):
+            DataMatrix([[1.0, -1.0], [2.0, 0.0]], np.ones((2, 2)), make_family("poisson"))
+
+    def test_multinomial_row_above_one_is_rejected_at_construction(self):
+        spec, tau = make_family("multinomial", trials=4), np.full((2, 2), 4)
+        with pytest.raises(ValueError, match="^multinomial observation rows must sum to at most 1$"):
+            DataMatrix([[0.9, 0.9], [0.1, 0.2]], tau, spec)
 
     def test_derived_values_are_kept_read_only(self):
-        spec = make_family("poisson")
-        data = DataMatrix([[1.0, 2.0], [3.0, 0.0], [2.0, 2.0]], [[1, 2], [2, 2], [1, 1]])
+        data = DataMatrix([[1.0, 2.0], [3.0, 0.0], [2.0, 2.0]], [[1, 2], [2, 2], [1, 1]],
+                          make_family("poisson"))
         kept = {
             "permutation": data.order.permutation,
             "group_ids": data.order.group_ids,
             "column_means": data.column_means,
-            "row_sums": _surrogate_row_sums(data, spec),
+            "row_sums": data.surrogate_row_sums,
         }
         assert data.order is data.order
-        assert _surrogate_row_sums(data, spec) is kept["row_sums"]
+        assert data.surrogate_row_sums is kept["row_sums"]
         np.testing.assert_array_equal(kept["permutation"], [1, 0, 2])
         np.testing.assert_array_equal(kept["column_means"], [2.0, 4.0 / 3.0])
         np.testing.assert_array_equal(kept["row_sums"], [2.0, 1.5, 4.0])  # sum y / tau

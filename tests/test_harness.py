@@ -28,7 +28,7 @@ from nefshrink import (
     ure,
     write_records_csv,
 )
-from nefshrink import risk
+from nefshrink import families
 from nefshrink.harness import parse_config_text, records_csv_text
 
 from conftest import family_case
@@ -45,7 +45,6 @@ seed = 99
 mode = location
 competitors = no_shrinkage,half_to_zero
 K_grid = 3
-max_iter = 150
 """
 
 
@@ -65,7 +64,6 @@ class TestConfigParsing:
         assert config.replications == 3
         assert config.competitors == ("no_shrinkage", "half_to_zero")
         assert config.sup_gap_samples == 3
-        assert config.max_iter == 150
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ValueError, match="walrus"):
@@ -102,8 +100,10 @@ class TestConfigParsing:
             small_config(p_rule="power", gamma=None)
 
     def test_solver_settings_validation(self):
-        with pytest.raises(ValueError, match="max_iter must be at least 1"):
-            small_config(max_iter=0)
+        # the descent's budget and tolerance are fit's own, not config keys
+        for key in ("max_iter", "tol"):
+            with pytest.raises(ValueError, match=f"^unknown config key '{key}'$"):
+                ExperimentConfig.from_dict({**parse_config_text(CONFIG_TEXT), key: "150"})
 
     def test_mode_and_competitor_validation(self):
         with pytest.raises(ValueError, match="mode"):
@@ -122,12 +122,11 @@ class TestSupGapProxy:
     def _normal_case(self, seed=5):
         rng = np.random.default_rng(seed)
         spec, theta, tau = family_case("normal", 6, 3, rng)
-        data = sample_matrix(spec, theta, tau, seed=seed)
-        return spec, theta, data
+        return theta, sample_matrix(spec, theta, tau, seed=seed)
 
     def test_zero_samples_reduce_to_corners_and_fit(self):
-        spec, theta, data = self._normal_case()
-        fitted = minimize_ure(data, spec)
+        theta, data = self._normal_case()
+        fitted = minimize_ure(data)
         mu_c = np.clip(data.column_means, -data.data_range, data.data_range)
         gaps = []
         for b, mu in [
@@ -136,23 +135,23 @@ class TestSupGapProxy:
             (fitted.b, fitted.mu),
         ]:
             realized = squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta)
-            gaps.append(abs(ure(data, b, mu, spec) - realized))
-        value = estimate_sup_gap(data, theta, spec, 0, seed=1, fitted=fitted)
+            gaps.append(abs(ure(data, b, mu) - realized))
+        value = estimate_sup_gap(data, theta, 0, seed=1, fitted=fitted)
         assert value == pytest.approx(max(gaps), abs=1e-15)
 
     def test_no_shrinkage_corner_isolates_variance_mismatch(self):
         # at b = 0 the gap is |(1/np) sum [V(Y)/(tau+nu2) - (Y-theta)^2]|
-        spec, theta, data = self._normal_case(seed=6)
+        theta, data = self._normal_case(seed=6)
         expected = abs(
             np.mean(1.0 - (data.y - theta) ** 2)  # normal: V/(tau+nu2) = 1
         )
         realized = squared_error_loss(data.y, theta)
         mu_c = np.clip(data.column_means, -data.data_range, data.data_range)
-        assert abs(ure(data, np.zeros(6), mu_c, spec) - realized) == pytest.approx(
+        assert abs(ure(data, np.zeros(6), mu_c) - realized) == pytest.approx(
             expected, rel=1e-12
         )
-        fitted = minimize_ure(data, spec)
-        assert estimate_sup_gap(data, theta, spec, 0, seed=1, fitted=fitted) >= expected - 1e-15
+        fitted = minimize_ure(data)
+        assert estimate_sup_gap(data, theta, 0, seed=1, fitted=fitted) >= expected - 1e-15
 
     def test_vanishing_loss_leaves_absolute_risk_estimate(self):
         # theta rows all equal mu*: full shrinkage is lossless, gap = |ure|
@@ -162,35 +161,35 @@ class TestSupGapProxy:
         assert data.data_range >= 0.5
         b, mu = np.ones(5), theta[0]
         assert squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta) == 0.0
-        value = estimate_sup_gap(data, theta, spec, 0, seed=1, fitted=fitted_pair(b, mu))
-        assert value >= abs(ure(data, b, mu, spec)) - 1e-15
+        value = estimate_sup_gap(data, theta, 0, seed=1, fitted=fitted_pair(b, mu))
+        assert value >= abs(ure(data, b, mu)) - 1e-15
 
     def test_enlarging_the_sample_set_is_monotone_and_nested(self):
-        spec, theta, data = self._normal_case(seed=7)
-        fitted = minimize_ure(data, spec)
+        theta, data = self._normal_case(seed=7)
+        fitted = minimize_ure(data)
         values = [
-            estimate_sup_gap(data, theta, spec, k, seed=3, fitted=fitted)
+            estimate_sup_gap(data, theta, k, seed=3, fitted=fitted)
             for k in (0, 2, 5, 10)
         ]
         assert all(a <= b + 1e-15 for a, b in zip(values, values[1:]))
 
     def test_deterministic_given_seed(self):
-        spec, theta, data = self._normal_case(seed=9)
-        fitted = minimize_ure(data, spec)
-        a = estimate_sup_gap(data, theta, spec, 6, seed=11, fitted=fitted)
-        b = estimate_sup_gap(data, theta, spec, 6, seed=11, fitted=fitted)
+        theta, data = self._normal_case(seed=9)
+        fitted = minimize_ure(data)
+        a = estimate_sup_gap(data, theta, 6, seed=11, fitted=fitted)
+        b = estimate_sup_gap(data, theta, 6, seed=11, fitted=fitted)
         assert a == b
 
     def test_grand_mean_variant(self):
         rng = np.random.default_rng(10)
         spec, theta, tau = family_case("poisson", 5, 3, rng)
         data = sample_matrix(spec, theta, tau, seed=10)
-        fitted = minimize_aure(data, spec)
-        value = estimate_sup_gap_grand_mean(data, theta, spec, 4, seed=2, fitted=fitted)
+        fitted = minimize_aure(data)
+        value = estimate_sup_gap_grand_mean(data, theta, 4, seed=2, fitted=fitted)
         assert value >= 0.0
 
 
-def per_pair_sup_gap(data, theta, spec, samples, seed, fitted, mode):
+def per_pair_sup_gap(data, theta, samples, seed, fitted, mode):
     """The sup-gap proxy pair by pair: shrink, risk estimate, loss."""
     order = RowOrder.from_tau(data.tau)
     m_range = data.data_range
@@ -204,10 +203,10 @@ def per_pair_sup_gap(data, theta, spec, samples, seed, fitted, mode):
     for b, mu in pairs:
         if mode == "location":
             realized = squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta)
-            gap = max(gap, abs(ure(data, b, mu, spec) - realized))
+            gap = max(gap, abs(ure(data, b, mu) - realized))
         else:
             realized = squared_error_loss(shrink_to_grand_mean(data, b).theta_hat, theta)
-            gap = max(gap, abs(aure(data, b, spec) - realized))
+            gap = max(gap, abs(aure(data, b) - realized))
     return gap
 
 
@@ -219,23 +218,23 @@ class TestSupGapAgainstPerPairReference:
         data = sample_matrix(spec, theta, tau, seed=seed)
         groups = RowOrder.from_tau(tau).n_groups
         assert 1 < groups < data.n
-        return spec, theta, data
+        return theta, data
 
     @pytest.mark.parametrize("kind", ["normal", "poisson"])
     @pytest.mark.parametrize("mode", ["location", "grand_mean"])
     def test_matches_reference(self, kind, mode):
-        spec, theta, data = self._tied_case(kind, seed=12)
+        theta, data = self._tied_case(kind, seed=12)
         if mode == "location":
-            fitted = minimize_ure(data, spec)
-            value = estimate_sup_gap(data, theta, spec, 6, seed=4, fitted=fitted)
+            fitted = minimize_ure(data)
+            value = estimate_sup_gap(data, theta, 6, seed=4, fitted=fitted)
         else:
-            fitted = minimize_aure(data, spec)
-            value = estimate_sup_gap_grand_mean(data, theta, spec, 6, seed=4, fitted=fitted)
-        reference = per_pair_sup_gap(data, theta, spec, 6, 4, fitted, mode)
+            fitted = minimize_aure(data)
+            value = estimate_sup_gap_grand_mean(data, theta, 6, seed=4, fitted=fitted)
+        reference = per_pair_sup_gap(data, theta, 6, 4, fitted, mode)
         assert value == pytest.approx(reference, rel=1e-12, abs=0)
 
     def test_rejects_infeasible_or_nan_fitted_pair(self):
-        spec, theta, data = self._tied_case("poisson", seed=13)
+        theta, data = self._tied_case("poisson", seed=13)
         order = RowOrder.from_tau(data.tau)
         b = sample_feasible_weights(order, np.random.default_rng(0))
         mu = data.column_means
@@ -244,14 +243,10 @@ class TestSupGapAgainstPerPairReference:
         bad_pairs = [(rising, mu), (nan_b, mu), (b, np.full(data.p, np.nan)), (b, mu[:-1])]
         for bad_b, bad_mu in bad_pairs:
             with pytest.raises(ValueError):
-                estimate_sup_gap(
-                    data, theta, spec, 2, seed=1, fitted=fitted_pair(bad_b, bad_mu)
-                )
+                estimate_sup_gap(data, theta, 2, seed=1, fitted=fitted_pair(bad_b, bad_mu))
         for bad_b in (rising, nan_b):
             with pytest.raises(ValueError):
-                estimate_sup_gap_grand_mean(
-                    data, theta, spec, 2, seed=1, fitted=fitted_pair(bad_b, mu)
-                )
+                estimate_sup_gap_grand_mean(data, theta, 2, seed=1, fitted=fitted_pair(bad_b, mu))
 
 
 class TestRunExperiment:
@@ -386,7 +381,7 @@ class TestPerMatrixDerivations:
         # fit, sup-gap proxy and competitor scoring share one derivation
         config = small_config(mode=mode, competitors=competitors, tau_rule="randint:1,2")
         calls = {"from_tau": 0, "variance_function": 0}
-        from_tau, variance_function = RowOrder.from_tau.__func__, risk.variance_function
+        from_tau, variance_function = RowOrder.from_tau.__func__, families.variance_function
 
         def counting_from_tau(cls, tau):
             calls["from_tau"] += 1
@@ -397,7 +392,7 @@ class TestPerMatrixDerivations:
             return variance_function(spec, t)
 
         monkeypatch.setattr(RowOrder, "from_tau", classmethod(counting_from_tau))
-        monkeypatch.setattr(risk, "variance_function", counting_variance_function)
+        monkeypatch.setattr(families, "variance_function", counting_variance_function)
         run_experiment(config)
         replications = config.replications * len(config.n_grid)
         assert calls == {"from_tau": replications, "variance_function": replications}

@@ -26,8 +26,7 @@ from nefshrink import (
     variance_function,
 )
 
-from nefshrink import estimators, optimize
-from nefshrink.risk import _surrogate_row_sums
+from nefshrink import estimators, families, optimize
 
 from conftest import family_case
 from oracles import (
@@ -52,8 +51,7 @@ def random_tau_instance(rng, n, p, kind="poisson"):
     if spec.trials is not None:
         raise ValueError("use a non-trial family here")
     tau = rng.integers(1, 4, (n, p))
-    data = sample_matrix(spec, theta, tau, seed=int(rng.integers(1 << 30)))
-    return spec, data
+    return sample_matrix(spec, theta, tau, seed=int(rng.integers(1 << 30)))
 
 
 def is_feasible_loop(order, b):
@@ -152,7 +150,7 @@ def descent_cases(draw, single_group=False):
         tau = rng.integers(1, 4, (n, p))
         tau[:, 0] += 4 * p * rng.permutation(n)  # shifts larger than any other spread
     data = sample_matrix(spec, theta, tau.astype(float), seed=int(rng.integers(1 << 30)))
-    return spec, theta, data
+    return theta, data
 
 
 class TestRowOrder:
@@ -350,36 +348,37 @@ class TestSeparableGridOracle:
 
 class TestMinimizeAure:
     def test_identical_rows_push_to_full_shrinkage(self):
-        data = DataMatrix(np.tile([2.0, 3.0], (4, 1)), np.ones((4, 2)))
-        result = minimize_aure(data, make_family("poisson"))
+        data = DataMatrix(np.tile([2.0, 3.0], (4, 1)), np.ones((4, 2)), make_family("poisson"))
+        result = minimize_aure(data)
         np.testing.assert_array_equal(result.b, np.ones(4))
         assert result.converged
 
     def test_closed_form_two_row_case(self):
-        data = DataMatrix([[0.0, 0.0], [10.0, 10.0]], np.ones((2, 2)))
-        result = minimize_aure(data, make_family("normal"))
+        data = DataMatrix([[0.0, 0.0], [10.0, 10.0]], np.ones((2, 2)), make_family("normal"))
+        result = minimize_aure(data)
         np.testing.assert_allclose(result.b, [0.02, 0.02], rtol=1e-12)
-        assert result.objective == pytest.approx(aure(data, result.b, make_family("normal")), abs=0)
+        assert result.objective == pytest.approx(aure(data, result.b), abs=0)
 
     def test_dominates_coarse_lattice(self, rng):
         values = np.linspace(0.0, 1.0, 21)
         for trial in range(10):
-            spec, data = random_tau_instance(rng, 3, 2)
-            result = minimize_aure(data, spec)
+            data = random_tau_instance(rng, 3, 2)
+            result = minimize_aure(data)
             for b in enumerate_feasible(RowOrder.from_tau(data.tau), values):
-                assert result.objective <= aure(data, b, spec) + 1e-12
+                assert result.objective <= aure(data, b) + 1e-12
 
     def test_matches_fine_dynamic_program(self, rng):
         for trial in range(5):
-            spec, data = random_tau_instance(rng, 4, 2, kind="normal")
-            result = minimize_aure(data, spec)
+            data = random_tau_instance(rng, 4, 2, kind="normal")
+            result = minimize_aure(data)
             order = RowOrder.from_tau(data.tau)
             ybar = data.y.mean(axis=0)
             a = ((data.y - ybar) ** 2).sum(axis=1)
+            spec = data.spec
             v = (spec.nu0 + spec.nu1 * data.y + spec.nu2 * data.y**2) / (data.tau + spec.nu2)
             s = (1.0 - 1.0 / data.n) * v.sum(axis=1)
             b_dp, _ = grid_minimize_separable_quadratic(a, -2.0 * s, order, 1e-4)
-            assert abs(result.objective - aure(data, b_dp, spec)) < 1e-8
+            assert abs(result.objective - aure(data, b_dp)) < 1e-8
             assert np.abs(result.b - b_dp).max() < 1e-3
 
     @settings(max_examples=100, deadline=None)
@@ -393,70 +392,68 @@ class TestMinimizeAure:
     # row order ybar is an ulp off and they keep their pull
     @example(perm=[*range(14), 15, 16, 14, *range(17, 21)], p=1, kind="poisson", seed=1)
     def test_row_permutation_equivariance(self, perm, p, kind, seed):
-        spec, data = random_tau_instance(np.random.default_rng(seed), len(perm), p, kind)
-        result = minimize_aure(data, spec)
-        result_p = minimize_aure(DataMatrix(data.y[perm], data.tau[perm]), spec)
+        data = random_tau_instance(np.random.default_rng(seed), len(perm), p, kind)
+        result = minimize_aure(data)
+        result_p = minimize_aure(DataMatrix(data.y[perm], data.tau[perm], data.spec))
         # bincount sums inside a tie group follow row order
         np.testing.assert_allclose(result_p.b, result.b[perm], rtol=1e-12, atol=0)
         assert result_p.objective == pytest.approx(result.objective, rel=1e-12)
 
     def test_needs_two_rows(self):
-        data = DataMatrix([[1.0, 2.0]], np.ones((1, 2)))
+        data = DataMatrix([[1.0, 2.0]], np.ones((1, 2)), make_family("normal"))
         with pytest.raises(ValueError, match="two rows"):
-            minimize_aure(data, make_family("normal"))
+            minimize_aure(data)
 
 
 class TestMinimizeUre:
     def test_constant_matrix_fully_shrinks(self):
-        spec = make_family("normal")
-        data = DataMatrix(np.full((3, 2), 5.0), np.ones((3, 2)))
-        result = minimize_ure(data, spec)
+        data = DataMatrix(np.full((3, 2), 5.0), np.ones((3, 2)), make_family("normal"))
+        result = minimize_ure(data)
         np.testing.assert_array_equal(result.b, np.ones(3))
         np.testing.assert_array_equal(result.mu, np.full(2, 5.0))
         assert result.objective == pytest.approx(-1.0)
         assert result.converged
 
     def test_single_row_fixed_point_and_oracle(self):
-        spec = make_family("normal")
-        data = DataMatrix([[2.0, -1.0]], np.ones((1, 2)))
-        result = minimize_ure(data, spec)
+        data = DataMatrix([[2.0, -1.0]], np.ones((1, 2)), make_family("normal"))
+        result = minimize_ure(data)
         # stationarity: b = clip(S/A(mu)), mu = clip(weighted mean) = Y when b > 0
         s = 2.0  # V = 1 per cell
         a = float(((data.y[0] - result.mu) ** 2).sum())
         if a > 0:
             assert result.b[0] == pytest.approx(min(1.0, max(0.0, s / a)))
-        _, _, oracle_val = grid_oracle_ure(data, spec, 1e-3)
+        _, _, oracle_val = grid_oracle_ure(data, 1e-3)
         assert result.objective <= oracle_val + 1e-6
 
     def test_poisson_instance_beats_coarse_oracle(self, rng):
-        spec, data = random_tau_instance(rng, 3, 2)
-        result = minimize_ure(data, spec)
-        _, _, oracle_val = grid_oracle_ure(data, spec, 1e-2)
+        data = random_tau_instance(rng, 3, 2)
+        result = minimize_ure(data)
+        _, _, oracle_val = grid_oracle_ure(data, 1e-2)
         assert result.objective <= oracle_val + 1e-6
 
     def test_two_sided_agreement_with_fine_oracle(self, rng):
         for trial in range(12):
             n = 1 + trial % 2
-            spec, data = random_tau_instance(rng, n, 2, kind="normal")
-            result = minimize_ure(data, spec)
-            _, _, oracle_val = grid_oracle_ure(data, spec, 1e-3)
+            data = random_tau_instance(rng, n, 2, kind="normal")
+            result = minimize_ure(data)
+            _, _, oracle_val = grid_oracle_ure(data, 1e-3)
             assert result.objective <= oracle_val + 1e-9
             assert oracle_val <= result.objective + 1e-4
 
     def test_output_feasible_and_consistent(self, rng):
         for trial in range(10):
-            spec, data = random_tau_instance(rng, 6, 3)
-            result = minimize_ure(data, spec)
+            data = random_tau_instance(rng, 6, 3)
+            result = minimize_ure(data)
             assert RowOrder.from_tau(data.tau).is_feasible(result.b)
             assert np.all(np.abs(result.mu) <= data.data_range)
-            assert result.objective == ure(data, result.b, result.mu, spec)
+            assert result.objective == ure(data, result.b, result.mu)
 
     def test_row_permutation_equivariance(self, rng):
-        spec, data = random_tau_instance(rng, 5, 2)
-        result = minimize_ure(data, spec)
+        data = random_tau_instance(rng, 5, 2)
+        result = minimize_ure(data)
         perm = np.random.default_rng(0).permutation(5)
-        permuted = DataMatrix(data.y[perm], data.tau[perm])
-        result_p = minimize_ure(permuted, spec)
+        permuted = DataMatrix(data.y[perm], data.tau[perm], data.spec)
+        result_p = minimize_ure(permuted)
         np.testing.assert_allclose(result_p.b, result.b[perm], atol=1e-12)
         assert result_p.objective == pytest.approx(result.objective, rel=1e-12)
 
@@ -467,18 +464,18 @@ class TestMinimizeUre:
             calls.append(1)
             return variance_function(spec, t)
 
-        spec, data = random_tau_instance(rng, 6, 3)
-        monkeypatch.setattr("nefshrink.risk.variance_function", counting)
-        minimize_ure(data, spec)
+        data = random_tau_instance(rng, 6, 3)
+        monkeypatch.setattr(families, "variance_function", counting)
+        minimize_ure(data)
         assert len(calls) == 1
-        minimize_aure(data, spec)
+        minimize_aure(data)
         assert len(calls) == 1
-        minimize_aure(DataMatrix(data.y, data.tau), spec)
+        minimize_aure(DataMatrix(data.y, data.tau, data.spec))
         assert len(calls) == 2
 
     def test_iteration_budget_reports_nonconvergence(self, rng):
-        spec, data = random_tau_instance(rng, 8, 3)
-        result = minimize_ure(data, spec, max_iter=1)
+        data = random_tau_instance(rng, 8, 3)
+        result = minimize_ure(data, max_iter=1)
         assert not result.converged
         assert RowOrder.from_tau(data.tau).is_feasible(result.b)
 
@@ -488,7 +485,7 @@ class TestSharedDescent:
     @given(descent_cases())
     def test_fits_are_feasible_and_descend_from_every_start(self, case):
         # URE and the realized loss are minimized by the same descent
-        spec, theta, data = case
+        theta, data = case
         order = RowOrder.from_tau(data.tau)
         mu0 = np.clip(data.column_means, -data.data_range, data.data_range)
 
@@ -496,7 +493,7 @@ class TestSharedDescent:
             return squared_error_loss((1 - b)[:, None] * data.y + b[:, None] * mu, theta)
 
         oracle = minimize_true_loss(data, theta)
-        fits = [(minimize_ure(data, spec), lambda b, mu: ure(data, b, mu, spec)), (oracle, loss)]
+        fits = [(minimize_ure(data), lambda b, mu: ure(data, b, mu)), (oracle, loss)]
         for result, objective in fits:
             assert order.is_feasible(result.b)
             assert np.all(np.abs(result.mu) <= data.data_range)
@@ -520,7 +517,7 @@ def flat_start_case():
     rng = np.random.default_rng(4501)
     n, p = rng.integers(1, 21), rng.integers(1, 5)
     spec, theta, _ = family_case("poisson", n, p, rng)
-    return spec, theta, DataMatrix(y=np.full((n, p), 3.5), tau=np.ones((n, p)))
+    return theta, DataMatrix(y=np.full((n, p), 3.5), tau=np.ones((n, p)), spec=spec)
 
 
 class TestDistinctDescents:
@@ -530,12 +527,12 @@ class TestDistinctDescents:
     def test_matches_the_start_by_start_reference(self, case, max_iter, constant):
         # n <= 12 adds a restart per row; a constant matrix has flat rows
         # (a_i = 0) and every row restart coincides with the grand mean
-        spec, theta, data = case
+        theta, data = case
         if constant:
-            data = DataMatrix(y=np.full_like(data.y, data.y[0, 0]), tau=data.tau)
+            data = DataMatrix(y=np.full_like(data.y, data.y[0, 0]), tau=data.tau, spec=data.spec)
 
         def fits():
-            return minimize_ure(data, spec, max_iter), minimize_true_loss(data, theta, max_iter)
+            return minimize_ure(data, max_iter), minimize_true_loss(data, theta, max_iter)
 
         fast = fits()
         with mock.patch.object(optimize, "_coordinate_descent", reference_coordinate_descent), \
@@ -573,19 +570,30 @@ class TestDistinctDescents:
         spec, theta, _ = family_case("poisson", 400, 10, rng)
         tau = rng.integers(1, 1001, (400, 10)).astype(float)
         data = sample_matrix(spec, theta, tau, seed=7)
-        minimize_ure(data, spec)  # the matrix keeps its order and S_i from here on
+        minimize_ure(data)  # the matrix keeps its order and S_i from here on
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
             for _ in range(20):
                 minimize_true_loss(data, theta)
-                minimize_ure(data, spec)
+                minimize_ure(data)
             live, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             gc.enable()
         assert live < 1 << 20
+
+
+def rounding_residue_case():
+    """A 7x3 Poisson draw with one tau row (3, 1, 3) whose sum S equals its
+    spread up to an ulp, so c is 1 up to rounding and URE there,
+    sum S (1 - c) / np, is rounding residue: the fit read 0.0 and the
+    certificate 1.2688263138573217e-16."""
+    counts = np.array([[3, 1, 12], [4, 2, 9], [1, 4, 6], [9, 3, 3], [7, 1, 4], [5, 5, 10],
+                       [9, 3, 3]])
+    tau = np.tile([3.0, 1.0, 3.0], (7, 1))
+    return DataMatrix(counts / tau, tau, make_family("poisson"))
 
 
 class TestSingleTieGroup:
@@ -604,7 +612,7 @@ class TestSingleTieGroup:
             return isotonic_box_projection(*args)
 
         monkeypatch.setattr(optimize, "isotonic_box_projection", counting)
-        result = minimize_ure(data, spec)
+        result = minimize_ure(data)
         assert data.order.n_groups == 1
         assert result.iterations > 1
         assert len(calls) <= result.iterations
@@ -614,22 +622,24 @@ class TestSingleTieGroup:
             assert len(calls) == 1
 
     @settings(max_examples=150, deadline=None)
-    @given(descent_cases(single_group=True))
-    def test_grand_mean_descent_is_global(self, case):
+    @given(descent_cases(single_group=True).map(lambda case: case[1]))
+    @example(data=rounding_residue_case())
+    def test_grand_mean_descent_is_global(self, data):
         # every feasible b is a constant c, and for every c > 0 the column
         # mean minimizes URE over mu, so the minimum is at mu = ybar and
         # c = clip(sum S / sum ||y_i - ybar||^2, 0, 1)
-        spec, _, data = case
-        s = _surrogate_row_sums(data, spec)
-        result = minimize_ure(data, spec)
+        s = data.surrogate_row_sums
+        result = minimize_ure(data)
         rich = optimize._coordinate_descent(
             data, s, None, s, optimize._MAX_ITER, [np.zeros(data.p), *data.y])
         assert result.objective <= rich.objective + 1e-12 * (1.0 + abs(rich.objective))
         ybar = data.column_means
         spread = float(((data.y - ybar) ** 2).sum())
         c = 1.0 if spread == 0.0 else min(max(float(s.sum()) / spread, 0.0), 1.0)
-        certificate = ure(data, np.full(data.n, c), ybar, spec)
-        assert result.objective == pytest.approx(certificate, rel=1e-12, abs=0)
+        certificate = ure(data, np.full(data.n, c), ybar)
+        # at c = 1 both values are the rounding residue of cancelling terms this size
+        scale = (float(s.sum()) + spread) / data.y.size
+        assert result.objective == pytest.approx(certificate, rel=1e-12, abs=1e-12 * scale)
 
     def test_several_tie_groups_keep_their_restarts(self, monkeypatch):
         seen = []
@@ -642,11 +652,11 @@ class TestSingleTieGroup:
         monkeypatch.setattr(optimize, "_coordinate_descent", recording)
         rng = np.random.default_rng(11)
         for n in (6, 13):
-            spec, data = random_tau_instance(rng, n, 3)
+            data = random_tau_instance(rng, n, 3)
             assert data.order.n_groups > 1
-            minimize_ure(data, spec)
+            minimize_ure(data)
         spec, theta, tau = family_case("poisson", 6, 3, rng)
-        minimize_ure(sample_matrix(spec, theta, tau, seed=3), spec)
+        minimize_ure(sample_matrix(spec, theta, tau, seed=3))
         small, large, single = seen
         # the zero target first, then every row up to _ROW_RESTART_CAP rows
         assert len(small) == 7 and not small[0].any()
@@ -656,33 +666,32 @@ class TestSingleTieGroup:
 
 class TestGridOracleUre:
     def test_tiny_case_matches_literal_enumeration(self):
-        spec = make_family("normal")
-        data = DataMatrix([[2.0]], np.ones((1, 1)))
-        b, mu, val = grid_oracle_ure(data, spec, 0.5)
+        data = DataMatrix([[2.0]], np.ones((1, 1)), make_family("normal"))
+        b, mu, val = grid_oracle_ure(data, 0.5)
         best = np.inf
         for bv in (0.0, 0.5, 1.0):
             for mv in np.arange(-2.0, 2.0 + 0.25, 0.5):
-                best = min(best, ure(data, [bv], [mv], spec))
+                best = min(best, ure(data, [bv], [mv]))
         assert val == pytest.approx(best, abs=1e-15)
-        assert val == ure(data, b, mu, spec)
+        assert val == ure(data, b, mu)
 
     def test_refinement_never_increases(self, rng):
-        spec, data = random_tau_instance(rng, 2, 2)
-        _, _, coarse = grid_oracle_ure(data, spec, 0.25)
-        _, _, fine = grid_oracle_ure(data, spec, 0.125)
+        data = random_tau_instance(rng, 2, 2)
+        _, _, coarse = grid_oracle_ure(data, 0.25)
+        _, _, fine = grid_oracle_ure(data, 0.125)
         assert fine <= coarse
 
     def test_size_guards(self):
         spec = make_family("normal")
-        big = DataMatrix(np.zeros((6, 2)) + 1.0, np.ones((6, 2)))
+        big = DataMatrix(np.zeros((6, 2)) + 1.0, np.ones((6, 2)), spec)
         with pytest.raises(ValueError, match="n <= 5"):
-            grid_oracle_ure(big, spec, 0.5)
-        wide = DataMatrix(np.ones((2, 4)), np.ones((2, 4)))
+            grid_oracle_ure(big, 0.5)
+        wide = DataMatrix(np.ones((2, 4)), np.ones((2, 4)), spec)
         with pytest.raises(ValueError, match="n <= 5"):
-            grid_oracle_ure(wide, spec, 0.5)
-        tall = DataMatrix(np.ones((5, 2)), np.arange(1, 11).reshape(5, 2))
+            grid_oracle_ure(wide, 0.5)
+        tall = DataMatrix(np.ones((5, 2)), np.arange(1, 11).reshape(5, 2), spec)
         with pytest.raises(ValueError, match="monotone weight vectors"):
-            grid_oracle_ure(tall, spec, 1e-3)
+            grid_oracle_ure(tall, 1e-3)
 
 
 class TestSampleFeasibleWeights:
@@ -703,13 +712,12 @@ class TestSampleFeasibleWeights:
 
 class TestIterationBudget:
     def test_budget_below_one_is_rejected(self, rng):
-        spec, data = random_tau_instance(rng, 4, 2)
+        data = random_tau_instance(rng, 4, 2)
         calls = [
-            lambda: minimize_ure(data, spec, max_iter=0),
+            lambda: minimize_ure(data, max_iter=0),
             lambda: minimize_true_loss(data, data.y, max_iter=0),
-            lambda: estimators.competitor(data, "oracle_loss", data.y, max_iter=0),
-            lambda: estimators.fit(data, spec, "location", max_iter=0),
-            lambda: estimators.fit(data, spec, "grand_mean", max_iter=0),
+            lambda: estimators.fit(data, "location", max_iter=0),
+            lambda: estimators.fit(data, "grand_mean", max_iter=0),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="max_iter must be at least 1"):

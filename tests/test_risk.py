@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from nefshrink import risk
+from nefshrink import families
 from nefshrink import (
     DataMatrix,
     FamilySpec,
@@ -66,12 +66,12 @@ class TestSquaredErrorLoss:
 class TestUre:
     def test_normal_no_shrinkage_is_one(self, rng):
         y = rng.normal(size=(3, 4))
-        data = DataMatrix(y, np.ones_like(y))
-        assert ure(data, np.zeros(3), np.zeros(4), make_family("normal")) == pytest.approx(1.0)
+        data = DataMatrix(y, np.ones_like(y), make_family("normal"))
+        assert ure(data, np.zeros(3), np.zeros(4)) == pytest.approx(1.0)
 
     def test_normal_full_shrinkage_onto_data(self):
-        data = DataMatrix(np.ones((2, 2)), np.ones((2, 2)))
-        value = ure(data, [1.0, 1.0], [1.0, 1.0], make_family("normal"))
+        data = DataMatrix(np.ones((2, 2)), np.ones((2, 2)), make_family("normal"))
+        value = ure(data, [1.0, 1.0], [1.0, 1.0])
         assert value == -1.0
 
     def test_poisson_half_shrinkage(self):
@@ -79,8 +79,8 @@ class TestUre:
         tau = [[1, 1], [1, 1]]
         expected = ure_by_hand(y, tau, [0.5, 0.5], [2.0, 2.0], (0.0, 1.0, 0.0))
         assert expected == 0.375  # frozen from the hand oracle
-        data = DataMatrix(y, tau)
-        assert ure(data, [0.5, 0.5], [2.0, 2.0], make_family("poisson")) == expected
+        data = DataMatrix(y, tau, make_family("poisson"))
+        assert ure(data, [0.5, 0.5], [2.0, 2.0]) == expected
 
     def test_matches_hand_oracle_on_random_inputs(self, rng):
         for kind in ALL_FAMILIES:
@@ -90,7 +90,7 @@ class TestUre:
             mu = rng.uniform(-1, 1, 3)
             by_hand = ure_by_hand(data.y.tolist(), data.tau.tolist(), b.tolist(),
                                   mu.tolist(), (spec.nu0, spec.nu1, spec.nu2))
-            assert ure(data, b, mu, spec) == pytest.approx(by_hand, rel=1e-12)
+            assert ure(data, b, mu) == pytest.approx(by_hand, rel=1e-12)
 
     def test_quadratic_in_each_weight(self, rng):
         # three-point interpolation reproduces a fourth point to machine precision,
@@ -104,7 +104,7 @@ class TestUre:
             def at(v):
                 b = base.copy()
                 b[i] = v
-                return ure(data, b, mu, spec)
+                return ure(data, b, mu)
 
             f0, f_half, f1 = at(0.0), at(0.5), at(1.0)
             lead = 2 * (f1 - 2 * f_half + f0)
@@ -115,48 +115,47 @@ class TestUre:
             assert at(0.3) == pytest.approx(f0 + 0.3 * linear + 0.09 * lead, rel=1e-12)
 
     def test_rejects_nonpositive_denominator(self):
-        data = DataMatrix([[1.0, 2.0]], [[1, 1]])
         bad = FamilySpec(FamilyKind.MULTINOMIAL, 0.0, 1.0, -1.0, trials=1)
+        data = DataMatrix([[0.25, 0.5]], [[1, 1]], bad)
         with pytest.raises(ValueError, match="positive"):
-            ure(data, [0.5], [0.0, 0.0], bad)
+            ure(data, [0.5], [0.0, 0.0])
 
     def test_weight_and_target_shapes(self):
-        data = DataMatrix([[1.0, 2.0]], [[1, 1]])
-        spec = make_family("normal")
+        data = DataMatrix([[1.0, 2.0]], [[1, 1]], make_family("normal"))
         with pytest.raises(ValueError, match="weights"):
-            ure(data, [0.5, 0.5], [0.0, 0.0], spec)
+            ure(data, [0.5, 0.5], [0.0, 0.0])
         with pytest.raises(ValueError, match="target"):
-            ure(data, [0.5], [0.0], spec)
+            ure(data, [0.5], [0.0])
 
 
 class TestSurrogateRowSums:
     @pytest.mark.parametrize("n, p", [(11, 4), (7, 37)])
     def test_row_blocks_sum_as_the_whole_matrix(self, rng, monkeypatch, n, p):
-        monkeypatch.setattr(risk, "_BLOCK_CELLS", 3 * p)  # blocks of 3 rows, one ragged
+        monkeypatch.setattr(families, "_BLOCK_CELLS", 3 * p)  # blocks of 3 rows, one ragged
         for kind in ALL_FAMILIES:
             spec, theta, tau = family_case(kind, n, p, rng)
             data = sample_matrix(spec, theta, tau, seed=2)
             whole = (variance_function(spec, data.y) / (data.tau + spec.nu2)).sum(axis=1)
-            assert np.array_equal(risk._surrogate_row_sums(data, spec), whole)
+            assert np.array_equal(data.surrogate_row_sums, whole)
 
 
 class TestAure:
     def test_no_shrinkage_is_one_for_normal(self, rng):
         y = rng.normal(size=(4, 3))
-        data = DataMatrix(y, np.ones_like(y))
-        assert aure(data, np.zeros(4), make_family("normal")) == pytest.approx(1.0)
+        data = DataMatrix(y, np.ones_like(y), make_family("normal"))
+        assert aure(data, np.zeros(4)) == pytest.approx(1.0)
 
     def test_two_row_hand_value(self):
-        data = DataMatrix([[0.0], [2.0]], np.ones((2, 1)))
-        assert aure(data, [1.0, 1.0], make_family("normal")) == 1.0
+        data = DataMatrix([[0.0], [2.0]], np.ones((2, 1)), make_family("normal"))
+        assert aure(data, [1.0, 1.0]) == 1.0
 
     def test_equals_ure_at_zero_weights(self, rng):
         for kind in ALL_FAMILIES:
             spec, theta, tau = family_case(kind, 5, 3, rng)
             data = sample_matrix(spec, theta, tau, seed=2)
             mu = rng.uniform(-1, 1, 3)
-            assert aure(data, np.zeros(5), spec) == pytest.approx(
-                ure(data, np.zeros(5), mu, spec), rel=1e-14
+            assert aure(data, np.zeros(5)) == pytest.approx(
+                ure(data, np.zeros(5), mu), rel=1e-14
             )
 
     def test_matches_hand_oracle(self, rng):
@@ -165,7 +164,7 @@ class TestAure:
         b = np.full(4, 0.7)
         by_hand = aure_by_hand(data.y.tolist(), data.tau.tolist(), b.tolist(),
                                (spec.nu0, spec.nu1, spec.nu2))
-        assert aure(data, b, spec) == pytest.approx(by_hand, rel=1e-12)
+        assert aure(data, b) == pytest.approx(by_hand, rel=1e-12)
 
     def test_gap_to_ure_at_grand_mean(self, rng):
         # aure(b) - ure(b, ybar) == (2/(n*n*p)) sum_ij b_i V(Y_ij)/(tau_ij + nu2)
@@ -176,13 +175,13 @@ class TestAure:
             ybar = data.column_means
             v = (spec.nu0 + spec.nu1 * data.y + spec.nu2 * data.y**2) / (data.tau + spec.nu2)
             expected = 2.0 * float(b @ v.sum(axis=1)) / (5 * data.y.size)
-            gap = aure(data, b, spec) - ure(data, b, ybar, spec)
+            gap = aure(data, b) - ure(data, b, ybar)
             assert gap == pytest.approx(expected, rel=1e-10, abs=1e-15)
 
     def test_needs_two_rows(self):
-        data = DataMatrix([[1.0, 2.0]], [[1, 1]])
+        data = DataMatrix([[1.0, 2.0]], [[1, 1]], make_family("normal"))
         with pytest.raises(ValueError, match="two rows"):
-            aure(data, [0.5], make_family("normal"))
+            aure(data, [0.5])
 
 
 class TestTrueRisk:
@@ -223,15 +222,15 @@ class TestTrueRisk:
 
 class TestGrandMean:
     def test_column_means(self):
-        data = DataMatrix([[1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)))
+        data = DataMatrix([[1.0, 2.0], [3.0, 4.0]], np.ones((2, 2)), make_family("normal"))
         np.testing.assert_array_equal(data.column_means, [2.0, 3.0])
 
     def test_constant_matrix(self):
-        data = DataMatrix(np.full((3, 2), 7.0), np.ones((3, 2)))
+        data = DataMatrix(np.full((3, 2), 7.0), np.ones((3, 2)), make_family("normal"))
         np.testing.assert_array_equal(data.column_means, [7.0, 7.0])
 
     def test_single_row(self):
-        data = DataMatrix([[5.0, -1.0]], np.ones((1, 2)))
+        data = DataMatrix([[5.0, -1.0]], np.ones((1, 2)), make_family("normal"))
         np.testing.assert_array_equal(data.column_means, [5.0, -1.0])
 
 
@@ -248,6 +247,6 @@ class TestUnbiasednessSmoke:
         for r in range(m):
             data = sample_matrix(spec, theta, tau, seed=offset + r)
             realized = squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta)
-            diffs[r] = ure(data, b, mu, spec) - realized
+            diffs[r] = ure(data, b, mu) - realized
         se = diffs.std(ddof=1) / np.sqrt(m)
         assert abs(diffs.mean()) < 5 * se
