@@ -72,9 +72,12 @@ def fit(
     """Minimize the risk estimate of the requested class and materialize
     the fitted estimate.
 
-    In location mode each descent start takes at most ``max_iter`` outer
-    iterations (:func:`~nefshrink.optimize.minimize_ure`); grand-mean mode
-    is one exact projection, but ``max_iter`` must still be at least 1.
+    In location mode with several tie groups each descent start takes at
+    most ``max_iter`` outer iterations
+    (:func:`~nefshrink.optimize.minimize_ure`).  Location mode with one tie
+    group is solved in closed form, and grand-mean mode is one exact
+    projection; both report iteration 1 and have no descent to cap, but
+    ``max_iter`` must still be at least 1.
     In grand-mean mode the target ``result.mu`` is ``data.column_means``, the
     computed column mean, with no box on it: for a constant column it can
     read one ulp outside ``data.data_range``.

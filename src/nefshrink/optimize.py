@@ -10,6 +10,8 @@ regression with box clipping, implemented here as pool-adjacent-violators
 over the tie groups.  A target is fitted by one coordinate descent over
 that row quadratic with a closed-form clipped target step; the URE fit
 and the loss oracle differ only in the row coefficients they hand it.
+With a single tie group the URE fit needs no descent: its global
+minimizer is one weight step at the clipped column mean.
 """
 
 from __future__ import annotations
@@ -236,8 +238,9 @@ def minimize_ure(data: DataMatrix, max_iter: int = _MAX_ITER) -> FitResult:
     every ``c > 0`` the column mean minimizes it
     over ``mu``, and at ``c = 0`` it does not depend on ``mu``, so the
     global minimum is ``c = clip(sum_i S_i / sum_i ||y_i - ybar||^2, 0, 1)``
-    at ``mu = ybar``.  The descent's grand-mean starts reach it with their
-    first weight step, so no restart runs.
+    at ``mu = ybar``.  That fit is returned in closed form, as one weight
+    step at the clipped column mean reported as iteration 1, with no
+    descent; ``max_iter`` must still be at least 1.
 
     With several tie groups joint minimization is biconvex, not convex,
     and descent from the grand mean alone can miss targets that sit near
@@ -249,11 +252,15 @@ def minimize_ure(data: DataMatrix, max_iter: int = _MAX_ITER) -> FitResult:
     ``max_iter`` outer iterations.
     """
     s = data.surrogate_row_sums
-    targets = []
-    if data.order.n_groups > 1:
-        targets.append(np.zeros(data.p))
-        if data.n <= _ROW_RESTART_CAP:
-            targets.extend(data.y)
+    if data.order.n_groups == 1:
+        _check_max_iter(max_iter)
+        mu = np.clip(data.column_means, -data.data_range, data.data_range)
+        a = ((data.y - mu) ** 2).sum(axis=1)
+        b, objective = _weight_step(a, s, s, data.order, data.y.size)
+        return FitResult(b, mu, objective, iterations=1, converged=True)
+    targets = [np.zeros(data.p)]
+    if data.n <= _ROW_RESTART_CAP:
+        targets.extend(data.y)
     return _coordinate_descent(data, s, None, s, max_iter, targets)
 
 
@@ -272,9 +279,10 @@ def _coordinate_descent(
     after ``max_iter`` outer iterations, which must be at least 1.  Starts: no,
     half and full shrinkage toward the clipped grand mean, always, then
     half shrinkage toward each clipped entry of ``targets``, the caller's
-    restarts (:func:`minimize_ure` passes none for a single tie group,
-    where the grand mean is global, and the loss oracle passes none); the
-    best final iterate wins, the earliest start on ties.
+    restarts (:func:`minimize_ure` passes the zero target and, for small
+    matrices, every row, and calls this only with several tie groups; the
+    loss oracle passes none); the best final iterate wins, the earliest
+    start on ties.
 
     The rows and the weight step depend only on ``mu``, and the target step
     and the objective it reaches only on ``b``, so each is computed once per

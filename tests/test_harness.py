@@ -355,7 +355,8 @@ mode = grand_mean
 competitors = no_shrinkage,oracle_loss
 K_grid = 4
 """, "f80a129bdc1b9572a3b918f949ca905cb2d199cf2cd294b33e29e18c0c9a3b7e"),
-    # a trial family: tau rows of N, the multinomial sampler and its support check
+    # a trial family: tau rows of N, the multinomial sampler and its support check;
+    # one tie group, so its fit rows come from the closed-form location fit
     "multinomial_location": ("""
 family = multinomial
 N = 4
@@ -367,7 +368,7 @@ seed = 13
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "22de5d87a277c49e0f4e9797a452c30c5d686ddde404a13dc3130d7481310252"),
+""", "a73258b37a5adfc5928789085e980c67812caa504828be62011cefae04af5970"),
 }
 
 

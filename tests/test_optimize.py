@@ -598,10 +598,9 @@ def rounding_residue_case():
 
 class TestSingleTieGroup:
     @pytest.mark.parametrize("n", [5, 40])
-    def test_projects_once_per_iteration(self, n, monkeypatch):
-        # no restarts: the three grand-mean starts share one first weight
-        # step and one descent; no row sits on the grand mean, so every
-        # weight step is the public projection, at most one per iteration
+    def test_fits_in_closed_form_without_descent(self, n, monkeypatch):
+        # one weight step at the clipped grand mean, reported as iteration 1;
+        # no row sits on the grand mean, so the step is the public projection
         rng = np.random.default_rng(n)
         spec, theta, tau = family_case("normal", n, 3, rng)
         data = sample_matrix(spec, theta, tau, seed=5)
@@ -611,15 +610,15 @@ class TestSingleTieGroup:
             calls.append(1)
             return isotonic_box_projection(*args)
 
+        def no_descent(*args):
+            raise AssertionError("a single tie group needs no descent")
+
         monkeypatch.setattr(optimize, "isotonic_box_projection", counting)
+        monkeypatch.setattr(optimize, "_coordinate_descent", no_descent)
         result = minimize_ure(data)
         assert data.order.n_groups == 1
-        assert result.iterations > 1
-        assert len(calls) <= result.iterations
-        if n == 5:
-            # the target after iteration 1 is bitwise the grand mean, so
-            # iteration 2 reuses the first weight step
-            assert len(calls) == 1
+        assert len(calls) == 1
+        assert result.iterations == 1 and result.converged
 
     @settings(max_examples=150, deadline=None)
     @given(descent_cases(single_group=True).map(lambda case: case[1]))
@@ -640,6 +639,14 @@ class TestSingleTieGroup:
         # at c = 1 both values are the rounding residue of cancelling terms this size
         scale = (float(s.sum()) + spread) / data.y.size
         assert result.objective == pytest.approx(certificate, rel=1e-12, abs=1e-12 * scale)
+        # the fit is that constant at the clipped column mean; when URE is 0
+        # for every c (no spread, all S_i = 0) the tie breaks at 0.5
+        np.testing.assert_array_equal(
+            result.mu, np.clip(ybar, -data.data_range, data.data_range))
+        assert np.all(result.b == result.b[0])
+        expected = 0.5 if spread == 0.0 and not s.any() else c
+        assert result.b[0] == pytest.approx(expected, rel=1e-12)
+        assert result.iterations == 1 and result.converged
 
     def test_several_tie_groups_keep_their_restarts(self, monkeypatch):
         seen = []
@@ -656,12 +663,11 @@ class TestSingleTieGroup:
             assert data.order.n_groups > 1
             minimize_ure(data)
         spec, theta, tau = family_case("poisson", 6, 3, rng)
-        minimize_ure(sample_matrix(spec, theta, tau, seed=3))
-        small, large, single = seen
+        minimize_ure(sample_matrix(spec, theta, tau, seed=3))  # one tie group: no descent
+        small, large = seen
         # the zero target first, then every row up to _ROW_RESTART_CAP rows
         assert len(small) == 7 and not small[0].any()
         assert len(large) == 1 and not large[0].any()
-        assert single == []
 
 
 class TestGridOracleUre:
