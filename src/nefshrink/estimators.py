@@ -120,8 +120,8 @@ def minimize_true_loss(data: DataMatrix, theta, max_iter: int = _MAX_ITER) -> Fi
 
     With ``d_i = y_i - theta_i`` the loss is the row quadratic
     ``sum_i [||d_i||^2 - 2 b_i d_i . (y_i - mu) + b_i^2 ||y_i - mu||^2] / np``,
-    minimized by the risk-estimate fit's descent from its three
-    constant-weight starts.  Benchmark-side only.
+    minimized by the risk-estimate fit's descent from full shrinkage toward
+    the clipped grand mean, with no restarts.  Benchmark-side only.
     """
     theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if theta.shape != data.y.shape:

@@ -246,10 +246,8 @@ def minimize_ure(data: DataMatrix, max_iter: int = _MAX_ITER) -> FitResult:
     and descent from the grand mean alone can miss targets that sit near
     one data cluster, so the descent also restarts with half shrinkage
     toward the zero vector and, for at most ``_ROW_RESTART_CAP`` rows,
-    toward every data row.  The descent memoizes its steps by their
-    argument, so a restart that coincides with the grand mean or another
-    row costs no further projection.  Each start takes at most
-    ``max_iter`` outer iterations.
+    toward every data row, after its start from full shrinkage toward the
+    grand mean.  Each start takes at most ``max_iter`` outer iterations.
     """
     s = data.surrogate_row_sums
     if data.order.n_groups == 1:
@@ -276,50 +274,45 @@ def _coordinate_descent(
     ``mu_j``).  A weight step is only accepted if it does not increase the
     objective, so the recorded value is nonincreasing; a start stops once
     an outer iteration gains less than ``_TOLERANCE`` (``converged``), or
-    after ``max_iter`` outer iterations, which must be at least 1.  Starts: no,
-    half and full shrinkage toward the clipped grand mean, always, then
-    half shrinkage toward each clipped entry of ``targets``, the caller's
+    after ``max_iter`` outer iterations, which must be at least 1.  Starts:
+    full shrinkage toward the clipped grand mean, always, then half
+    shrinkage toward each clipped entry of ``targets``, the caller's
     restarts (:func:`minimize_ure` passes the zero target and, for small
     matrices, every row, and calls this only with several tie groups; the
     loss oracle passes none); the best final iterate wins, the earliest
     start on ties.
 
-    The rows and the weight step depend only on ``mu``, and the target step
-    and the objective it reaches only on ``b``, so each is computed once per
-    call for each bitwise distinct argument: starts that share a target
-    share its weight step, and starts whose iterates meet walk the rest of
-    the way on memo hits.  The memos hold arrays and floats only, never a
-    function, so they are freed when the call returns.
+    The weight step at a fixed ``mu`` never reads ``b`` and is the exact
+    minimizer over feasible ``b``, so any constant-weight start toward the
+    grand mean takes the same first step; they part only where that step
+    reads as an ascent by rounding, and there full shrinkage is the start
+    whose target step still moves ``mu`` (zero weights keep ``mu0``).  Each
+    start carries the rows of its current target from the target step into
+    the next weight step, so a descent holds O(n) state whatever its
+    iteration count.
     """
     _check_max_iter(max_iter)
     size = data.y.size
     order = data.order
     m_range = data.data_range
     mu0 = np.clip(data.column_means, -m_range, m_range)
-    # b = 0 and b = 1 stay: at a flat grand mean the weight step can return a
-    # fixed point, which a start escapes only if it reads that step as an ascent
-    starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
+    starts = [(np.ones(data.n), mu0)]
     starts.extend((np.full(data.n, 0.5), np.clip(mu, -m_range, m_range)) for mu in targets)
-    rows: dict[bytes, tuple] = {}  # mu -> (||y_i - mu||^2, lin_i - cross_i . mu)
-    steps: dict[bytes, tuple] = {}  # mu -> the weight step there and its value
-    moves: dict[bytes, tuple] = {}  # b -> the target step from it and its value
 
     def rows_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        key = mu.tobytes()
-        if key not in rows:
-            a = ((data.y - mu) ** 2).sum(axis=1)
-            rows[key] = a, lin if cross is None else lin - cross @ mu
-        return rows[key]
+        """``(||y_i - mu||^2, lin_i - cross_i . mu)``."""
+        return ((data.y - mu) ** 2).sum(axis=1), lin if cross is None else lin - cross @ mu
 
-    def weight_step(mu: np.ndarray) -> tuple[np.ndarray, float]:
-        key = mu.tobytes()
-        if key not in steps:
-            steps[key] = _weight_step(*rows_at(mu), const, order, size)
-        return steps[key]
-
-    def target_step(b: np.ndarray) -> tuple[np.ndarray, float]:
-        key = b.tobytes()
-        if key not in moves:
+    best = None
+    for b, mu in starts:
+        rows = rows_at(mu)
+        obj = _row_quadratic(b, *rows, const, size)
+        for iterations in range(1, max_iter + 1):
+            candidate, cand_obj = _weight_step(*rows, const, order, size)
+            if cand_obj <= obj:
+                b, obj_b = candidate, cand_obj
+            else:
+                obj_b = obj  # flat-direction fill would backtrack; keep iterate
             b2 = b**2
             wsum = float(b2.sum())
             if wsum == 0.0:
@@ -327,19 +320,8 @@ def _coordinate_descent(
             else:
                 num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
                 mu = np.clip(num / wsum, -m_range, m_range)
-            moves[key] = mu, _row_quadratic(b, *rows_at(mu), const, size)
-        return moves[key]
-
-    best = None
-    for b, mu in starts:
-        obj = _row_quadratic(b, *rows_at(mu), const, size)
-        for iterations in range(1, max_iter + 1):
-            candidate, cand_obj = weight_step(mu)
-            if cand_obj <= obj:
-                b, obj_b = candidate, cand_obj
-            else:
-                obj_b = obj  # flat-direction fill would backtrack; keep iterate
-            mu, obj_mu = target_step(b)
+            rows = rows_at(mu)
+            obj_mu = _row_quadratic(b, *rows, const, size)
             _check_descent(obj_b, obj_mu)
             converged = obj - obj_mu < _TOLERANCE
             obj = obj_mu

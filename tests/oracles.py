@@ -3,11 +3,10 @@
 The lattice oracles enumerate the feasible set on a value lattice,
 independently of the pool-adjacent-violators and coordinate-descent routes
 they check; the tie-group weight step solves the collapsed problem with
-scipy's isotonic regression; the list-stack projection is the earlier pool-adjacent-violators
-loop, kept as the exact reference for the block-stack one, and the
-start-by-start descent recomputes every step, so it is the exact reference
-for the descent that memoizes its steps.  The moment and risk oracles need
-the true means, so only tests can use them.
+scipy's isotonic regression; and the list-stack projection is the earlier
+pool-adjacent-violators loop, kept as the exact reference for the
+block-stack one.  The moment and risk oracles need the true means, so only
+tests can use them.
 """
 
 import itertools
@@ -19,14 +18,12 @@ from scipy.optimize import isotonic_regression
 from nefshrink import (
     DataMatrix,
     FamilySpec,
-    FitResult,
     RowOrder,
     validate_mean_matrix,
     variance_function,
 )
 from nefshrink.families import _check_tau
-from nefshrink.optimize import _TOLERANCE, _check_descent, _weight_step
-from nefshrink.risk import _row_quadratic, _weight_vector
+from nefshrink.risk import _weight_vector
 
 
 def theoretical_moments(spec: FamilySpec, theta, tau):
@@ -249,53 +246,3 @@ def reference_isotonic_box_projection(targets, weights, order: RowOrder) -> np.n
         left = right + 1
 
     return np.clip(order.expand_group_values(group_values), 0.0, 1.0)
-
-
-def reference_coordinate_descent(
-    data: DataMatrix, lin, cross, const, max_iter: int, targets=()
-) -> FitResult:
-    """``nefshrink.optimize._coordinate_descent`` without its memos: every
-    start computes each of its steps afresh, and the steps are functions of
-    their argument's bytes, so this is the exact reference for the
-    memoized loop; the two agree bit for bit."""
-    order = RowOrder.from_tau(data.tau)
-    m_range = data.data_range
-    mu0 = np.clip(data.column_means, -m_range, m_range)
-    starts = [(np.full(data.n, c), mu0) for c in (0.5, 0.0, 1.0)]
-    starts.extend((np.full(data.n, 0.5), np.clip(mu, -m_range, m_range)) for mu in targets)
-
-    def rows_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        a = ((data.y - mu) ** 2).sum(axis=1)
-        return a, lin if cross is None else lin - cross @ mu
-
-    def target_step(b: np.ndarray) -> np.ndarray:
-        b2 = b**2
-        wsum = float(b2.sum())
-        if wsum == 0.0:
-            return mu0.copy()
-        num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
-        return np.clip(num / wsum, -m_range, m_range)
-
-    best = None
-    for b, mu in starts:
-        a, lin_mu = rows_at(mu)
-        obj = _row_quadratic(b, a, lin_mu, const, data.y.size)
-        converged = False
-        iterations = 0
-        for iterations in range(1, max_iter + 1):
-            candidate, cand_obj = _weight_step(a, lin_mu, const, order, data.y.size)
-            if cand_obj <= obj:
-                b, obj_b = candidate, cand_obj
-            else:
-                obj_b = obj  # flat-direction fill would backtrack; keep iterate
-            mu = target_step(b)
-            a, lin_mu = rows_at(mu)
-            obj_mu = _row_quadratic(b, a, lin_mu, const, data.y.size)
-            _check_descent(obj_b, obj_mu)
-            converged = obj - obj_mu < _TOLERANCE
-            obj = obj_mu
-            if converged:
-                break
-        if best is None or obj < best.objective:
-            best = FitResult(b, mu, obj, iterations, converged)
-    return best

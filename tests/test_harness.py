@@ -342,7 +342,7 @@ seed = 11
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "d4beab4bea6f7c21c1ae587cec37a796923676b658b12173982be5fa273d1866"),
+""", "eba1eb6f9d7892feb6c05205a3d03e4981028a903c92c631b5c920ee7d55c77d"),
     "grand_mean_oracle": ("""
 family = poisson
 theta_rule = uniform:0.5,2

@@ -4,7 +4,6 @@ import gc
 import itertools
 import time
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,7 +32,6 @@ from oracles import (
     grid_minimize_separable_quadratic,
     grid_oracle_ure,
     group_of_row,
-    reference_coordinate_descent,
     reference_isotonic_box_projection,
     reference_weight_step,
 )
@@ -481,19 +479,22 @@ class TestMinimizeUre:
 
 
 class TestSharedDescent:
-    @settings(max_examples=150, deadline=None)
-    @given(descent_cases())
-    def test_fits_are_feasible_and_descend_from_every_start(self, case):
-        # URE and the realized loss are minimized by the same descent
+    @settings(max_examples=200, deadline=None)
+    @given(descent_cases(), st.sampled_from([1, 2, 200]), st.booleans())
+    def test_fits_are_feasible_and_descend_from_every_start(self, case, max_iter, constant):
+        # URE and the realized loss are minimized by the same descent; n <= 12
+        # adds a restart per row, and a constant matrix has flat rows (a_i = 0)
         theta, data = case
+        if constant:
+            data = DataMatrix(y=np.full_like(data.y, data.y[0, 0]), tau=data.tau, spec=data.spec)
         order = RowOrder.from_tau(data.tau)
         mu0 = np.clip(data.column_means, -data.data_range, data.data_range)
 
         def loss(b, mu):
             return squared_error_loss((1 - b)[:, None] * data.y + b[:, None] * mu, theta)
 
-        oracle = minimize_true_loss(data, theta)
-        fits = [(minimize_ure(data), lambda b, mu: ure(data, b, mu)), (oracle, loss)]
+        oracle = minimize_true_loss(data, theta, max_iter)
+        fits = [(minimize_ure(data, max_iter), lambda b, mu: ure(data, b, mu)), (oracle, loss)]
         for result, objective in fits:
             assert order.is_feasible(result.b)
             assert np.all(np.abs(result.mu) <= data.data_range)
@@ -507,13 +508,46 @@ class TestSharedDescent:
         assert oracle.objective == pytest.approx(
             loss(oracle.b, oracle.mu), rel=1e-12, abs=1e-12 * scale)
 
+    def test_flat_grand_mean_start_still_escapes(self):
+        # the weight step at the flat grand mean is the fixed point b = 0;
+        # the full-shrinkage start reads it as an ascent, keeps b = 1 and
+        # descends from there
+        theta, data = flat_start_case()
+        assert minimize_true_loss(data, theta).objective == 0.6101659961418955
+
+    def test_memory_does_not_grow_with_the_iteration_count(self):
+        # a clustered normal matrix with 29 tie groups, on which both fits run
+        # dozens of outer iterations; each start holds only its current iterate
+        rng = np.random.default_rng(4)
+        n, p, k = rng.integers(10, 200), rng.integers(1, 6), rng.integers(2, 6)
+        centres = rng.normal(0.0, 5.0, (k, p))
+        theta = centres[rng.integers(0, k, n)] + rng.normal(0.0, 0.1, (n, p))
+        tau = rng.integers(1, 11, (n, p)).astype(float)
+        data = sample_matrix(make_family("normal"), theta, tau, seed=4)
+        assert (data.n, data.p) == (148, 5)
+        minimize_ure(data)  # the matrix keeps its order and S_i from here on
+
+        def peak(max_iter, fit):
+            tracemalloc.start()
+            try:
+                result = fit(max_iter)
+                return tracemalloc.get_traced_memory()[1], result
+            finally:
+                tracemalloc.stop()
+
+        for fit in (lambda m: minimize_ure(data, m), lambda m: minimize_true_loss(data, theta, m)):
+            short, _ = peak(2, fit)
+            long, result = peak(200, fit)
+            assert result.iterations > 20
+            assert long <= 2 * short
+
 
 def flat_start_case():
     """A constant Poisson matrix, where every row is flat at the grand mean.
 
     The loss oracle's pull sum there is -1.8e-15, so its weight step returns
-    the fixed point b = 0 (loss 4.1067); only the b = 1 start, which reads
-    that step one ulp higher and rejects it, reaches 0.6102."""
+    the fixed point b = 0 (loss 4.1067); the b = 1 start reads that step one
+    ulp higher than its own objective, rejects it and reaches 0.6102."""
     rng = np.random.default_rng(4501)
     n, p = rng.integers(1, 21), rng.integers(1, 5)
     spec, theta, _ = family_case("poisson", n, p, rng)
@@ -521,33 +555,9 @@ def flat_start_case():
 
 
 class TestDistinctDescents:
-    @settings(max_examples=200, deadline=None)
-    @given(descent_cases(), st.sampled_from([1, 2, 200]), st.booleans())
-    @example(case=flat_start_case(), max_iter=200, constant=False)
-    def test_matches_the_start_by_start_reference(self, case, max_iter, constant):
-        # n <= 12 adds a restart per row; a constant matrix has flat rows
-        # (a_i = 0) and every row restart coincides with the grand mean
-        theta, data = case
-        if constant:
-            data = DataMatrix(y=np.full_like(data.y, data.y[0, 0]), tau=data.tau, spec=data.spec)
-
-        def fits():
-            return minimize_ure(data, max_iter), minimize_true_loss(data, theta, max_iter)
-
-        fast = fits()
-        with mock.patch.object(optimize, "_coordinate_descent", reference_coordinate_descent), \
-                mock.patch.object(estimators, "_coordinate_descent", reference_coordinate_descent):
-            slow = fits()
-        for got, want in zip(fast, slow):
-            assert np.array_equal(got.b, want.b)
-            assert np.array_equal(got.mu, want.mu)
-            assert got.objective == want.objective
-            assert got.iterations == want.iterations
-            assert got.converged == want.converged
-
     def test_loss_oracle_projects_once_per_iteration(self, monkeypatch):
-        # the three grand-mean starts share their first weight step and the
-        # state it leads to, so each later weight step is projected once
+        # one grand-mean start and no restarts: one projection per outer
+        # iteration
         rng = np.random.default_rng(2024)
         spec, theta, _ = family_case("poisson", 200, 5, rng)
         tau = rng.integers(1, 1001, (200, 5)).astype(float)  # randint:1,1000
@@ -564,8 +574,8 @@ class TestDistinctDescents:
         assert len(calls) == result.iterations
 
     def test_frees_its_memo_without_the_cycle_collector(self):
-        # the memos hold no function, so reference counting frees each
-        # call's rows, weight steps and targets when it returns
+        # the descent forms no reference cycle, so reference counting frees
+        # each call's rows, weight steps and targets when it returns
         rng = np.random.default_rng(2024)
         spec, theta, _ = family_case("poisson", 400, 10, rng)
         tau = rng.integers(1, 1001, (400, 10)).astype(float)
