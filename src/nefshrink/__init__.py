@@ -38,7 +38,6 @@ from .estimators import (
 from .harness import (
     AggregateRecord,
     ExperimentConfig,
-    ExperimentResult,
     RateFit,
     ReplicationRecord,
     aggregate_records,

@@ -192,15 +192,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     config = ExperimentConfig.from_file(args.config)
-    result = run_experiment(config, workers=args.workers)
-    write_records_csv(result, args.out)
-    print(f"wrote {len(result.records)} records to {args.out}")
+    records = run_experiment(config, workers=args.workers)
+    write_records_csv(records, args.out)
+    print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def _cmd_rates(args) -> int:
-    records, _ = read_records_csv(args.records)
-    rate = fit_rate(aggregate_records(records), y=args.y)
+    rate = fit_rate(aggregate_records(read_records_csv(args.records)), y=args.y)
     print(f"points: {rate.n_points}")
     print(f"slope: {rate.slope:.17g}")
     print(f"intercept: {rate.intercept:.17g}")

@@ -25,6 +25,7 @@ from .optimize import (
     minimize_aure,
     minimize_ure,
 )
+from .risk import _loss_rows
 
 __all__ = [
     "EstimateMatrix",
@@ -115,16 +116,13 @@ def competitor(data: DataMatrix, kind: str, theta=None) -> EstimateMatrix:
     return _estimate(data, b, mu)
 
 
-def minimize_true_loss(data: DataMatrix, theta, max_iter: int = _MAX_ITER) -> FitResult:
+def minimize_true_loss(data: DataMatrix, theta) -> FitResult:
     """Feasible ``(b, mu)`` minimizing the realized loss against known means.
 
     With ``d_i = y_i - theta_i`` the loss is the row quadratic
-    ``sum_i [||d_i||^2 - 2 b_i d_i . (y_i - mu) + b_i^2 ||y_i - mu||^2] / np``,
-    minimized by the risk-estimate fit's descent from full shrinkage toward
-    the clipped grand mean, with no restarts.  Benchmark-side only.
+    ``sum_i [||d_i||^2 - 2 b_i d_i . (y_i - mu) + b_i^2 ||y_i - mu||^2] / np``
+    (:func:`~nefshrink.risk._loss_rows`), minimized by the risk-estimate
+    fit's descent from full shrinkage toward the clipped grand mean, with no
+    restarts and at most ``_MAX_ITER`` outer iterations.  Benchmark-side only.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if theta.shape != data.y.shape:
-        raise ValueError("theta shape must match the observation matrix")
-    d = data.y - theta
-    return _coordinate_descent(data, (d * data.y).sum(axis=1), d, (d**2).sum(axis=1), max_iter)
+    return _coordinate_descent(data, *_loss_rows(data, theta), _MAX_ITER)

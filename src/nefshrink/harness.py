@@ -35,13 +35,12 @@ from .optimize import (
     check_feasible_weights,
     sample_feasible_weights,
 )
-from .risk import squared_error_loss, ure
+from .risk import _loss_rows, squared_error_loss, ure
 
 __all__ = [
     "ExperimentConfig",
     "ReplicationRecord",
     "AggregateRecord",
-    "ExperimentResult",
     "RateFit",
     "estimate_sup_gap",
     "estimate_sup_gap_grand_mean",
@@ -80,7 +79,6 @@ class ExperimentConfig:
     theta_rule: str
     n_grid: tuple[int, ...]
     p_rule: str
-    gamma: float | None = None
     lam: float | None = None
     trials: int | None = None
     tau_rule: str = "ones"
@@ -102,27 +100,32 @@ class ExperimentConfig:
             raise ValueError("replication count must be at least 1")
         if self.mode not in FIT_MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {FIT_MODES}")
-        for kind in self.competitors:
+        for k, kind in enumerate(self.competitors):
             if kind not in COMPETITOR_KINDS:
                 raise ValueError(
                     f"unknown competitor {kind!r}; expected one of {COMPETITOR_KINDS}"
                 )
+            if kind in self.competitors[:k]:
+                raise ValueError(f"competitor {kind!r} is listed twice")
         if self.sup_gap_samples < 0:
             raise ValueError("K_grid must be nonnegative")
         self.p_for(self.n_grid[0])  # validate the p rule eagerly
 
     def p_for(self, n: int) -> int:
+        """``fixed:<p>`` gives every n the same p; ``power:<gamma>`` gives
+        ``max(1, floor(n^gamma))``."""
         kind, _, arg = self.p_rule.partition(":")
-        if kind == "fixed":
-            p = int(arg)
-            if p < 1:
-                raise ValueError("fixed p must be positive")
-            return p
-        if kind == "power":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("p_rule 'power' requires a positive gamma")
-            return max(1, int(np.floor(n**self.gamma)))
-        raise ValueError(f"unknown p rule {self.p_rule!r}; use 'fixed:<int>' or 'power'")
+        if kind not in ("fixed", "power"):
+            raise ValueError(
+                f"unknown p rule {self.p_rule!r}; use 'fixed:<int>' or 'power:<gamma>'"
+            )
+        try:
+            value = int(arg) if kind == "fixed" else float(arg)
+        except ValueError:
+            value = 0
+        if not value > 0:
+            raise ValueError(f"p rule {self.p_rule!r} needs a positive value after '{kind}:'")
+        return value if kind == "fixed" else max(1, int(np.floor(n**value)))
 
     def family_spec(self) -> FamilySpec:
         return make_family(self.family, shape=self.lam, trials=self.trials)
@@ -136,7 +139,6 @@ class ExperimentConfig:
             "theta_rule": ("theta_rule", str),
             "n_grid": ("n_grid", _int_tuple),
             "p_rule": ("p_rule", str),
-            "gamma": ("gamma", float),
             "tau_rule": ("tau_rule", str),
             "M": ("replications", int),
             "seed": ("seed", int),
@@ -206,27 +208,15 @@ class ReplicationRecord:
 
 @dataclass
 class AggregateRecord:
+    """The mean and standard error of each ``_STATS`` column over one
+    (n, estimator) group of ``count`` records, keyed by the column name."""
+
     n: int
     p: int
     estimator: str
     count: int
-    mean_loss: float
-    se_loss: float
-    mean_risk_estimate: float
-    se_risk_estimate: float
-    mean_sup_gap: float
-    se_sup_gap: float
-    mean_iters: float
-    se_iters: float
-    mean_converged: float
-    se_converged: float
-
-
-@dataclass
-class ExperimentResult:
-    config: ExperimentConfig
-    records: list[ReplicationRecord]
-    aggregates: list[AggregateRecord]
+    mean: dict[str, float]
+    se: dict[str, float]
 
 
 @dataclass
@@ -271,7 +261,9 @@ def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> f
     ``r_i = S_i - ||y_i - theta_i||^2`` and
     ``q_ki = f S_i - (y_i - theta_i).(y_i - mu_k)``, where ``S_i`` are the
     row sums of ``V(Y)/(tau + nu2)`` and ``f`` is 1 for URE and
-    ``1 - 1/n`` for AURE.  Summing per row first keeps the terms of size
+    ``1 - 1/n`` for AURE: ``r = S - const`` and
+    ``q_k = f S - lin + cross @ mu_k`` in the loss rows of
+    :func:`~nefshrink.risk._loss_rows`.  Summing per row first keeps the terms of size
     ``np`` from cancelling against each other.
     """
     order = data.order
@@ -286,16 +278,11 @@ def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> f
         weights.append(sample_feasible_weights(order, rng))
         if location:
             targets.append(rng.uniform(-m_range, m_range, data.p))
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    if theta.shape != data.y.shape:
-        raise ValueError(
-            f"mean shape {theta.shape} does not match the observation shape {data.y.shape}"
-        )
-    dev = data.y - theta
+    lin, cross, const = _loss_rows(data, theta)
     s = data.surrogate_row_sums
-    r = s - (dev**2).sum(axis=1)
+    r = s - const
     factor = 1.0 if location else 1.0 - 1.0 / data.n
-    q = factor * s - (dev * data.y).sum(axis=1) + np.array(targets) @ dev.T  # (K, n)
+    q = factor * s - lin + np.array(targets) @ cross.T  # (K, n)
     gaps = r.sum() - 2.0 * (np.array(weights) * q).sum(axis=1)
     return float(np.abs(gaps).max()) / data.y.size
 
@@ -360,11 +347,13 @@ def _run_replication(
     ]
 
 
-def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Execute every replication of the configured experiment.
+def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReplicationRecord]:
+    """Execute every replication of the configured experiment and return
+    its records: per n, per replication, the fit's row, then one row per
+    competitor in config order.
 
     Fully deterministic given ``(config, config.seed)``: replication
-    streams are keyed by position, and results are collected in task
+    streams are keyed by position, and records are collected in task
     order, so the output is identical for any ``workers`` count.
     """
     spec = config.family_spec()
@@ -378,12 +367,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (4 * workers))
-            records = [row for rows in pool.map(run, tasks, chunksize=chunksize) for row in rows]
-    else:
-        records = [row for rows in map(run, tasks) for row in rows]
-    return ExperimentResult(
-        config=config, records=records, aggregates=aggregate_records(records)
-    )
+            return [row for rows in pool.map(run, tasks, chunksize=chunksize) for row in rows]
+    return [row for rows in map(run, tasks) for row in rows]
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:
@@ -400,13 +385,10 @@ def aggregate_records(records: list[ReplicationRecord]) -> list[AggregateRecord]
         groups.setdefault((record.n, record.estimator), []).append(record)
     out = []
     for (n, estimator), rows in groups.items():
-        stats = {}
+        mean, se = {}, {}
         for stat in _STATS:
-            column = np.array([float(getattr(r, stat)) for r in rows])
-            stats["mean_" + stat], stats["se_" + stat] = _mean_se(column)
-        out.append(
-            AggregateRecord(n=n, p=rows[0].p, estimator=estimator, count=len(rows), **stats)
-        )
+            mean[stat], se[stat] = _mean_se(np.array([float(getattr(r, stat)) for r in rows]))
+        out.append(AggregateRecord(n, rows[0].p, estimator, len(rows), mean, se))
     return out
 
 
@@ -415,48 +397,48 @@ def _csv_line(*cells) -> str:
     return ",".join(f"{c:.17g}" if isinstance(c, float) else str(c) for c in cells)
 
 
-def records_csv_text(result: ExperimentResult) -> str:
-    """Serialize raw records plus aggregate rows (rep = mean/se) losslessly."""
+def records_csv_text(records: list[ReplicationRecord]) -> str:
+    """Serialize the records, then their :func:`aggregate_records` rows
+    (rep = mean/se), losslessly."""
     lines = [CSV_HEADER]
-    for r in result.records:
+    for r in records:
         lines.append(_csv_line(r.rep, r.n, r.p, r.estimator, *(getattr(r, s) for s in _STATS)))
-    for a in result.aggregates:
-        for kind in ("mean", "se"):
-            values = (getattr(a, f"{kind}_{s}") for s in _STATS)
-            lines.append(_csv_line(kind, a.n, a.p, a.estimator, *values))
+    for a in aggregate_records(records):
+        for kind, values in (("mean", a.mean), ("se", a.se)):
+            lines.append(_csv_line(kind, a.n, a.p, a.estimator, *values.values()))
     return "\n".join(lines) + "\n"
 
 
-def write_records_csv(result: ExperimentResult, path) -> None:
-    Path(path).write_text(records_csv_text(result), newline="\n")
+def write_records_csv(records: list[ReplicationRecord], path) -> None:
+    Path(path).write_text(records_csv_text(records), newline="\n")
 
 
-def read_records_csv(path) -> tuple[list[ReplicationRecord], list[dict]]:
-    """Load a records CSV; returns (raw records, aggregate rows as dicts).
+def read_records_csv(path) -> list[ReplicationRecord]:
+    """Load the records of a records CSV.
 
-    A malformed row is reported with the path and its 1-based line number."""
+    The mean/se rows are checked, then dropped: :func:`aggregate_records`
+    derives them again.  A malformed row is reported with the path and its
+    1-based line number."""
     lines = Path(path).read_text().rstrip().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"unexpected records header in {path}")
     width = CSV_HEADER.count(",") + 1
     records: list[ReplicationRecord] = []
-    agg_rows: list[dict] = []
     for lineno, line in enumerate(lines[1:], 2):
         cells = line.split(",")
         if len(cells) != width:
             raise ValueError(f"{path} line {lineno}: expected {width} fields, got {len(cells)}")
         rep, n, p, estimator, *values = cells
         try:
+            n, p = int(n), int(p)
             if rep in ("mean", "se"):
-                stats = {s: float(v) for s, v in zip(_STATS, values)}
-                agg_rows.append({"stat": rep, "n": int(n), "p": int(p), "estimator": estimator,
-                                 **stats})
+                list(map(float, values))  # checked only: aggregate_records derives them
             else:
                 stats = {s: parse(v) for (s, parse), v in zip(_STATS.items(), values)}
-                records.append(ReplicationRecord(int(rep), int(n), int(p), estimator, **stats))
+                records.append(ReplicationRecord(int(rep), n, p, estimator, **stats))
         except ValueError as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
-    return records, agg_rows
+    return records
 
 
 def fit_rate(aggregates: list[AggregateRecord], y: str = "mean_sup_gap") -> RateFit:
@@ -477,11 +459,11 @@ def fit_rate(aggregates: list[AggregateRecord], y: str = "mean_sup_gap") -> Rate
         if "fit" not in rows:
             raise ValueError(f"no aggregate rows for estimator 'fit' at n={n}")
         if y == "mean_sup_gap":
-            ys.append(rows["fit"].mean_sup_gap)
+            ys.append(rows["fit"].mean["sup_gap"])
         elif y == "mean_excess_loss":
             if "oracle_loss" not in rows:
                 raise ValueError(f"no aggregate rows for reference 'oracle_loss' at n={n}")
-            ys.append(rows["fit"].mean_loss - rows["oracle_loss"].mean_loss)
+            ys.append(rows["fit"].mean["loss"] - rows["oracle_loss"].mean["loss"])
         else:
             raise ValueError(f"unknown rate quantity {y!r}")
     if len(ns) < 3:

@@ -82,3 +82,17 @@ def _aure_rows(data: DataMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = ((data.y - data.column_means) ** 2).sum(axis=1)
     s = data.surrogate_row_sums
     return a, (1.0 - 1.0 / data.n) * s, s
+
+
+def _loss_rows(data: DataMatrix, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The realized loss of shrinking toward ``mu`` as a row quadratic:
+    with ``d_i = y_i - theta_i`` it is
+    ``sum_i [b_i^2 ||y_i - mu||^2 - 2 b_i (lin_i - cross_i . mu) + const_i] / np``
+    with ``lin_i = d_i . y_i``, ``cross_i = d_i`` and ``const_i = ||d_i||^2``."""
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
+    if theta.shape != data.y.shape:
+        raise ValueError(
+            f"mean shape {theta.shape} does not match the observation shape {data.y.shape}"
+        )
+    d = data.y - theta
+    return (d * data.y).sum(axis=1), d, (d**2).sum(axis=1)

@@ -15,6 +15,7 @@ import pytest
 from nefshrink import (
     ExperimentConfig,
     RowOrder,
+    aggregate_records,
     aure,
     fit_rate,
     isotonic_box_projection,
@@ -53,8 +54,7 @@ RATE_CONFIGS = {
         family="poisson",
         theta_rule="uniform:0.5,2",
         n_grid=(100, 200, 400, 800),
-        p_rule="power",
-        gamma=0.4,
+        p_rule="power:0.4",
         replications=200,
         seed=7_001,
         sup_gap_samples=20,
@@ -63,8 +63,7 @@ RATE_CONFIGS = {
         family="normal",
         theta_rule="uniform:-3,3",
         n_grid=(100, 200, 400, 800),
-        p_rule="power",
-        gamma=0.3,
+        p_rule="power:0.3",
         replications=200,
         seed=7_002,
         sup_gap_samples=20,
@@ -159,11 +158,11 @@ def unbiasedness_tables():
 
 
 @pytest.fixture(scope="module")
-def decay_result():
+def decay_records():
     start = time.perf_counter()
-    result = run_experiment(DECAY_CONFIG)
+    records = run_experiment(DECAY_CONFIG)
     _TIMINGS["decay"] = time.perf_counter() - start
-    return result
+    return records
 
 
 def _max_paired_z(diffs: np.ndarray) -> float:
@@ -307,14 +306,14 @@ def test_criterion_5_isotonic_correctness():
     )
 
 
-def test_criterion_6_sup_gap_decay(decay_result, tmp_path, capsys):
-    rate = fit_rate(decay_result.aggregates, y="mean_sup_gap")
+def test_criterion_6_sup_gap_decay(decay_records, tmp_path, capsys):
+    rate = fit_rate(aggregate_records(decay_records), y="mean_sup_gap")
     # the command-line route over the persisted CSV must read off the same slope
     from nefshrink.cli import main
     from nefshrink.harness import write_records_csv
 
     records_path = tmp_path / "decay.csv"
-    write_records_csv(decay_result, records_path)
+    write_records_csv(decay_records, records_path)
     assert main(["rates", str(records_path)]) == 0
     printed = dict(
         line.split(": ", 1) for line in capsys.readouterr().out.strip().splitlines()
@@ -334,12 +333,12 @@ def test_criterion_7_rate_regimes():
     details = []
     ok = True
     for label, config in RATE_CONFIGS.items():
-        result = run_experiment(config)
         fit_aggs = sorted(
-            (a for a in result.aggregates if a.estimator == "fit"), key=lambda a: a.n
+            (a for a in aggregate_records(run_experiment(config)) if a.estimator == "fit"),
+            key=lambda a: a.n,
         )
-        gaps = np.array([a.mean_sup_gap for a in fit_aggs])
-        ses = np.array([a.se_sup_gap for a in fit_aggs])
+        gaps = np.array([a.mean["sup_gap"] for a in fit_aggs])
+        ses = np.array([a.se["sup_gap"] for a in fit_aggs])
         rises = []
         for k in range(len(gaps) - 1):
             if gaps[k + 1] >= gaps[k]:
@@ -350,8 +349,8 @@ def test_criterion_7_rate_regimes():
     _criterion(7, "dimension-growth regimes", ok, "; ".join(details))
 
 
-def test_criterion_8_empirical_dominance(decay_result):
-    records = decay_result.records
+def test_criterion_8_empirical_dominance(decay_records):
+    records = decay_records
     ns = sorted({r.n for r in records})
     details = []
     ok = True
@@ -382,8 +381,8 @@ def test_criterion_8_empirical_dominance(decay_result):
     _criterion(8, "empirical dominance", ok, "; ".join(details))
 
 
-def test_criterion_9_reproducibility(decay_result, tmp_path):
-    text_first = records_csv_text(decay_result)
+def test_criterion_9_reproducibility(decay_records, tmp_path):
+    text_first = records_csv_text(decay_records)
     text_serial = records_csv_text(run_experiment(DECAY_CONFIG))
     text_parallel = records_csv_text(run_experiment(DECAY_CONFIG, workers=2))
     a, b, c = tmp_path / "a.csv", tmp_path / "b.csv", tmp_path / "c.csv"

@@ -305,6 +305,17 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_repeated_competitor_is_one_error_line(self, tmp_path, capsys):
+        # each competitor is scored once per replication; a repeat would write
+        # its rows twice and double its aggregate count
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("competitors = no_shrinkage",
+                                         "competitors = no_shrinkage,no_shrinkage"))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: competitor 'no_shrinkage' is listed twice\n"
+        assert not out.exists()
+
     def test_malformed_config(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
         config.write_text("family normal\n")
@@ -357,7 +368,7 @@ class TestRatesCommand:
         config.write_text(CONFIG.replace("n_grid = 4,6", "n_grid = 4,6,8"))
         records = tmp_path / "records.csv"
         assert main(["simulate", "--config", str(config), "--out", str(records)]) == 0
-        raw, _ = read_records_csv(records)
+        raw = read_records_csv(records)
         want = fit_rate(aggregate_records([r for r in raw if r.estimator == "fit"]))
         lines = []
         for line in records.read_text().splitlines():
@@ -374,7 +385,11 @@ class TestRatesCommand:
         assert out["slope"] == f"{want.slope:.17g}"
         assert out["points"] == "3"
 
-    @pytest.mark.parametrize("row", ["0,100,10,fit,1.0", "0,100,10,fit,1.0,1.0,x,1,True"])
+    @pytest.mark.parametrize("row", [
+        "0,100,10,fit,1.0", "0,100,10,fit,1.0,1.0,x,1,True",
+        # the mean/se rows are checked too, though rates derives them again
+        "mean,100,10,fit,1.0,1.0,0.5,1", "se,100,10,fit,1.0,1.0,0.5,x,0",
+    ])
     def test_malformed_row_names_path_and_line(self, tmp_path, capsys, row):
         records = tmp_path / "records.csv"
         records.write_text(f"{CSV_HEADER}\n0,100,10,fit,1.0,1.0,0.5,1,True\n{row}\n")

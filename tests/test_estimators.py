@@ -11,6 +11,7 @@ from nefshrink import (
     RowOrder,
     competitor,
     default_tau,
+    estimate_sup_gap,
     fit,
     make_family,
     minimize_true_loss,
@@ -298,3 +299,13 @@ class TestMinimizeTrueLoss:
         est = (1 - result.b)[:, None] * data.y + result.b[:, None] * result.mu
         assert result.objective == pytest.approx(squared_error_loss(est, theta), abs=1e-15)
         assert RowOrder.from_tau(data.tau).is_feasible(result.b)
+
+    def test_oracle_and_sup_gap_share_the_mean_shape_check(self, rng):
+        spec, theta, tau = family_case("poisson", 4, 2, rng)
+        data = sample_matrix(spec, theta, tau, seed=13)
+        fitted, _ = fit(data)
+        message = r"^mean shape \(4, 1\) does not match the observation shape \(4, 2\)$"
+        with pytest.raises(ValueError, match=message):
+            minimize_true_loss(data, theta[:, :1])
+        with pytest.raises(ValueError, match=message):
+            estimate_sup_gap(data, theta[:, :1], 2, 0, fitted)

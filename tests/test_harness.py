@@ -94,10 +94,14 @@ class TestConfigParsing:
             small_config(n_grid=(4, 4))
 
     def test_power_rule(self):
-        config = small_config(p_rule="power", gamma=0.4)
+        config = small_config(p_rule="power:0.4")
         assert config.p_for(100) == int(np.floor(100**0.4))
-        with pytest.raises(ValueError, match="gamma"):
-            small_config(p_rule="power", gamma=None)
+        for rule in ("power", "power:0", "power:-1", "power:nan", "power:x", "fixed:0"):
+            with pytest.raises(ValueError, match="needs a positive value"):
+                small_config(p_rule=rule)
+        # the exponent lives in the rule: there is no gamma key
+        with pytest.raises(ValueError, match="^unknown config key 'gamma'$"):
+            ExperimentConfig.from_dict({**parse_config_text(CONFIG_TEXT), "gamma": "0.4"})
 
     def test_solver_settings_validation(self):
         # the descent's budget and tolerance are fit's own, not config keys
@@ -110,6 +114,8 @@ class TestConfigParsing:
             small_config(mode="both")
         with pytest.raises(ValueError, match="competitor"):
             small_config(competitors=("ridge",))
+        with pytest.raises(ValueError, match="^competitor 'no_shrinkage' is listed twice$"):
+            small_config(competitors=("no_shrinkage", "half_to_zero", "no_shrinkage"))
 
 
 def fitted_pair(b, mu):
@@ -254,10 +260,10 @@ class TestRunExperiment:
         config = small_config()
         first = run_experiment(config)
         second = run_experiment(config)
-        assert first.records == second.records
-        assert first.aggregates == second.aggregates
+        assert first == second
         # 2 sample sizes x 3 replications x (fit + 2 competitors)
-        assert len(first.records) == 2 * 3 * 3
+        assert len(first) == 2 * 3 * 3
+        assert [r.estimator for r in first[:3]] == ["fit", "no_shrinkage", "half_to_zero"]
         assert records_csv_text(first) == records_csv_text(second)
 
     def test_parallel_execution_is_byte_identical(self):
@@ -301,8 +307,7 @@ class TestRunExperiment:
 
     def test_no_shrinkage_mean_loss_matches_variance_oracle(self):
         config = small_config(replications=400, n_grid=(12,), sup_gap_samples=0)
-        result = run_experiment(config)
-        rows = [r for r in result.records if r.estimator == "no_shrinkage"]
+        rows = [r for r in run_experiment(config) if r.estimator == "no_shrinkage"]
         losses = np.array([r.loss for r in rows])
         spec = config.family_spec()
         theta = np.zeros((12, 3))  # any theta: normal variance is constant 1
@@ -312,8 +317,7 @@ class TestRunExperiment:
 
     def test_grand_mean_mode_runs(self):
         config = small_config(mode="grand_mean", competitors=("no_shrinkage",))
-        result = run_experiment(config)
-        fit_rows = [r for r in result.records if r.estimator == "fit"]
+        fit_rows = [r for r in run_experiment(config) if r.estimator == "fit"]
         assert all(r.converged for r in fit_rows)
 
     def test_trial_family_tau_rule_guard(self):
@@ -411,21 +415,25 @@ class TestRecordsContract:
 
 class TestCsvRoundTrip:
     def test_records_and_aggregates_round_trip(self, tmp_path):
-        result = run_experiment(small_config())
+        records = run_experiment(small_config())
         path = tmp_path / "records.csv"
-        write_records_csv(result, path)
-        records, agg_rows = read_records_csv(path)
-        assert records == result.records
-        # stored aggregates match a recomputation from raw records to 1e-12
-        recomputed = {(a.n, a.estimator): a for a in aggregate_records(records)}
-        for row in agg_rows:
-            agg = recomputed[(row["n"], row["estimator"])]
-            prefix = "mean_" if row["stat"] == "mean" else "se_"
-            assert row["loss"] == pytest.approx(getattr(agg, prefix + "loss"), abs=1e-12)
-            assert row["risk_estimate"] == pytest.approx(
-                getattr(agg, prefix + "risk_estimate"), abs=1e-12
-            )
-            assert row["sup_gap"] == pytest.approx(getattr(agg, prefix + "sup_gap"), abs=1e-12)
+        write_records_csv(records, path)
+        assert read_records_csv(path) == records
+        # the stored mean/se rows are exactly those the read records derive
+        assert records_csv_text(read_records_csv(path)) == path.read_text()
+
+    def test_aggregates_name_each_statistic_once(self):
+        records = run_experiment(small_config())
+        aggregates = aggregate_records(records)
+        # 2 sample sizes x (fit + 2 competitors), in first-seen order
+        assert [(a.n, a.estimator, a.count) for a in aggregates] == [
+            (n, name, 3) for n in (4, 6) for name in ("fit", "no_shrinkage", "half_to_zero")
+        ]
+        header = records_csv_text(records).splitlines()[0].split(",")
+        for a in aggregates:
+            assert list(a.mean) == list(a.se) == header[4:]
+            group = [r.loss for r in records if (r.n, r.estimator) == (a.n, a.estimator)]
+            assert a.mean["loss"] == float(np.mean(group))
 
     def test_header_check(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -438,9 +446,9 @@ def synthetic_aggregates(ns, values, estimator="fit"):
     return [
         AggregateRecord(
             n=n, p=10, estimator=estimator, count=10,
-            mean_loss=v, se_loss=0.0, mean_risk_estimate=v, se_risk_estimate=0.0,
-            mean_sup_gap=v, se_sup_gap=0.0, mean_iters=1.0, se_iters=0.0,
-            mean_converged=1.0, se_converged=0.0,
+            mean={"loss": v, "risk_estimate": v, "sup_gap": v, "iters": 1.0, "converged": 1.0},
+            se={"loss": 0.0, "risk_estimate": 0.0, "sup_gap": 0.0, "iters": 0.0,
+                "converged": 0.0},
         )
         for n, v in zip(ns, values)
     ]

@@ -26,6 +26,7 @@ from nefshrink import (
 )
 
 from nefshrink import estimators, families, optimize
+from nefshrink.risk import _loss_rows
 
 from conftest import family_case
 from oracles import (
@@ -478,6 +479,12 @@ class TestMinimizeUre:
         assert RowOrder.from_tau(data.tau).is_feasible(result.b)
 
 
+def loss_descent(data, theta, max_iter):
+    """The loss oracle's descent with a budget of ``max_iter`` outer iterations;
+    :func:`minimize_true_loss` runs it with ``optimize._MAX_ITER``."""
+    return optimize._coordinate_descent(data, *_loss_rows(data, theta), max_iter)
+
+
 class TestSharedDescent:
     @settings(max_examples=200, deadline=None)
     @given(descent_cases(), st.sampled_from([1, 2, 200]), st.booleans())
@@ -493,7 +500,9 @@ class TestSharedDescent:
         def loss(b, mu):
             return squared_error_loss((1 - b)[:, None] * data.y + b[:, None] * mu, theta)
 
-        oracle = minimize_true_loss(data, theta, max_iter)
+        oracle = loss_descent(data, theta, max_iter)
+        if max_iter == optimize._MAX_ITER:
+            assert minimize_true_loss(data, theta).objective == oracle.objective
         fits = [(minimize_ure(data, max_iter), lambda b, mu: ure(data, b, mu)), (oracle, loss)]
         for result, objective in fits:
             assert order.is_feasible(result.b)
@@ -535,26 +544,12 @@ class TestSharedDescent:
             finally:
                 tracemalloc.stop()
 
-        for fit in (lambda m: minimize_ure(data, m), lambda m: minimize_true_loss(data, theta, m)):
+        for fit in (lambda m: minimize_ure(data, m), lambda m: loss_descent(data, theta, m)):
             short, _ = peak(2, fit)
             long, result = peak(200, fit)
             assert result.iterations > 20
             assert long <= 2 * short
 
-
-def flat_start_case():
-    """A constant Poisson matrix, where every row is flat at the grand mean.
-
-    The loss oracle's pull sum there is -1.8e-15, so its weight step returns
-    the fixed point b = 0 (loss 4.1067); the b = 1 start reads that step one
-    ulp higher than its own objective, rejects it and reaches 0.6102."""
-    rng = np.random.default_rng(4501)
-    n, p = rng.integers(1, 21), rng.integers(1, 5)
-    spec, theta, _ = family_case("poisson", n, p, rng)
-    return theta, DataMatrix(y=np.full((n, p), 3.5), tau=np.ones((n, p)), spec=spec)
-
-
-class TestDistinctDescents:
     def test_loss_oracle_projects_once_per_iteration(self, monkeypatch):
         # one grand-mean start and no restarts: one projection per outer
         # iteration
@@ -573,7 +568,7 @@ class TestDistinctDescents:
         assert result.iterations > 1
         assert len(calls) == result.iterations
 
-    def test_frees_its_memo_without_the_cycle_collector(self):
+    def test_frees_its_state_without_the_cycle_collector(self):
         # the descent forms no reference cycle, so reference counting frees
         # each call's rows, weight steps and targets when it returns
         rng = np.random.default_rng(2024)
@@ -593,6 +588,18 @@ class TestDistinctDescents:
             tracemalloc.stop()
             gc.enable()
         assert live < 1 << 20
+
+
+def flat_start_case():
+    """A constant Poisson matrix, where every row is flat at the grand mean.
+
+    The loss oracle's pull sum there is -1.8e-15, so its weight step returns
+    the fixed point b = 0 (loss 4.1067); the b = 1 start reads that step one
+    ulp higher than its own objective, rejects it and reaches 0.6102."""
+    rng = np.random.default_rng(4501)
+    n, p = rng.integers(1, 21), rng.integers(1, 5)
+    spec, theta, _ = family_case("poisson", n, p, rng)
+    return theta, DataMatrix(y=np.full((n, p), 3.5), tau=np.ones((n, p)), spec=spec)
 
 
 def rounding_residue_case():
@@ -731,7 +738,6 @@ class TestIterationBudget:
         data = random_tau_instance(rng, 4, 2)
         calls = [
             lambda: minimize_ure(data, max_iter=0),
-            lambda: minimize_true_loss(data, data.y, max_iter=0),
             lambda: estimators.fit(data, "location", max_iter=0),
             lambda: estimators.fit(data, "grand_mean", max_iter=0),
         ]
