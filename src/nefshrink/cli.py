@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import multiprocessing
 import os
 import sys
@@ -28,6 +29,12 @@ __all__ = ["main"]
 # share of distinct values, and one % about 0.7 us, so the two cross near a
 # share of 0.45 (65,536-cell blocks, see CHANGES.md); a quarter stays clear.
 _LOOKUP_SHARE = 0.25
+
+# An input file above _FORK_BYTES is parsed by up to one process per
+# _CHUNK_BYTES, the block size its lines are counted in: forking paid from
+# about 0.7 MB on, on 2 CPUs (CHANGES.md).
+_FORK_BYTES = 1 << 20
+_CHUNK_BYTES = 1 << 18
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -69,13 +76,6 @@ def _format_vector(values: np.ndarray) -> str:
     return _format_table(np.reshape(values, (1, -1)))[:-1]
 
 
-def _load_matrix(path) -> np.ndarray:
-    with warnings.catch_warnings():
-        # an empty file loads as an empty array, which DataMatrix rejects
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-
-
 def _format_table(matrix: np.ndarray) -> str:
     """The rows of ``matrix`` as ``np.savetxt(..., delimiter=",", fmt="%.17g")``
     writes them, each ending in ``\n``.
@@ -107,11 +107,8 @@ def _format_rows(block: np.ndarray) -> bytes:
 
 def _format_blocks(blocks, conn) -> None:
     """Worker body: send the formatted bytes of each block down ``conn``, in order."""
-    try:
-        for block in blocks:
-            conn.send_bytes(_format_rows(block))
-    except Exception as exc:  # the parent reports it, as one error line
-        raise SystemExit(1) from exc
+    for block in blocks:
+        conn.send_bytes(_format_rows(block))
 
 
 def _usable_cpus() -> int:
@@ -122,51 +119,180 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _write_matrix(path, matrix: np.ndarray) -> None:
-    """Write ``matrix`` as ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")``
-    does, byte for byte with ``\\n`` line ends, in blocks of about ``_BLOCK_CELLS``
-    cells.
+def _worker_count(jobs: int) -> int:
+    """Processes to share ``jobs`` jobs: min(usable CPUs, jobs), or 1 without
+    the ``fork`` start method."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(_usable_cpus(), jobs)
 
-    With W = min(usable CPUs, blocks) of at least 2 and the ``fork`` start
-    method, W forked workers format the blocks, worker k blocks k, k + W, ...,
-    and each sends them down its own pipe; the parent receives them in order,
-    round-robin, and writes them.  The workers are forked before ``path`` is
-    opened, so they do not hold it, and are killed and joined on the way out,
-    on success or error.  Otherwise one process formats every block.
+
+def _run_worker(work, job, conn) -> None:
+    """A forked worker's target: ``work(job, conn)``; on failure exit with
+    status 1 and no traceback, which the parent sees as end of file on ``conn``."""
+    try:
+        work(job, conn)
+    except Exception as exc:  # the parent reports it, or falls back
+        raise SystemExit(1) from exc
+
+
+@contextlib.contextmanager
+def _forked_workers(work, jobs):
+    """Fork one worker per job, each running ``work(job, conn)`` with the
+    sending end of its own pipe, and yield the receiving ends in job order.
+
+    The workers read their jobs from the parent's memory, nothing is pickled;
+    multiprocessing's fork, not os.fork, flushes stdout first, so the lines
+    already printed are not written again by a worker.  The workers are
+    killed and joined on the way out, on success or error.
     """
-    rows_per_block = max(1, _BLOCK_CELLS // matrix.shape[1])
-    blocks = [matrix[start : start + rows_per_block]
-              for start in range(0, matrix.shape[0], rows_per_block)]
-    workers = min(_usable_cpus(), len(blocks))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        with open(path, "wb") as fh:
-            for block in blocks:
-                fh.write(_format_rows(block))
-        return
-    # fork: the workers read their blocks from the parent's memory, nothing is
-    # pickled; multiprocessing's fork, not os.fork, flushes stdout first, so
-    # the lines already printed are not written again by a worker
     context = multiprocessing.get_context("fork")
     procs, pipes = [], []
     try:
-        for k in range(workers):
+        for job in jobs:
             receive, send = context.Pipe(duplex=False)
             pipes.append(receive)
-            procs.append(context.Process(target=_format_blocks,
-                                         args=(blocks[k::workers], send)))
+            procs.append(context.Process(target=_run_worker, args=(work, job, send)))
             procs[-1].start()
             send.close()  # so a worker that dies shows as end of file
-        with open(path, "wb") as fh:
-            for index in range(len(blocks)):
-                fh.write(pipes[index % workers].recv_bytes())
-    except EOFError:
-        raise RuntimeError("a worker formatting the estimate matrix failed") from None
+        yield pipes
     finally:
         for proc in procs:
             proc.kill()
             proc.join()
         for receive in pipes:
             receive.close()
+
+
+def _write_matrix(path, matrix: np.ndarray) -> None:
+    """Write ``matrix`` as ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")``
+    does, byte for byte with ``\\n`` line ends, in blocks of about ``_BLOCK_CELLS``
+    cells.
+
+    With W = ``_worker_count(blocks)`` of at least 2, W forked workers format
+    the blocks, worker k blocks k, k + W, ..., and each sends them down its own
+    pipe; the parent receives them in order, round-robin, and writes them.  The
+    workers are forked before ``path`` is opened, so they do not hold it.
+    Otherwise one process formats every block.
+    """
+    rows_per_block = max(1, _BLOCK_CELLS // matrix.shape[1])
+    blocks = [matrix[start : start + rows_per_block]
+              for start in range(0, matrix.shape[0], rows_per_block)]
+    workers = _worker_count(len(blocks))
+    if workers < 2:
+        with open(path, "wb") as fh:
+            for block in blocks:
+                fh.write(_format_rows(block))
+        return
+    jobs = [blocks[k::workers] for k in range(workers)]
+    try:
+        with _forked_workers(_format_blocks, jobs) as pipes, open(path, "wb") as fh:
+            for index in range(len(blocks)):
+                fh.write(pipes[index % workers].recv_bytes())
+    except EOFError:
+        raise RuntimeError("a worker formatting the estimate matrix failed") from None
+
+
+def _count_lines(path) -> int | None:
+    """The lines of the file at ``path``, read in blocks of ``_CHUNK_BYTES``;
+    None when ``max_rows`` would not count every line as a row: some line is
+    empty (``\\n`` or ``\\r\\n`` alone) or holds a ``#``, or a lone ``\\r``,
+    which ``np.loadtxt`` also takes for a line end, makes the count wrong."""
+    lines, tail = 0, b"\n"  # as if a line ended just before the file
+    with open(path, "rb") as fh:
+        while block := fh.read(_CHUNK_BYTES):
+            # the last two bytes of the previous block come first, so a line
+            # end split between blocks is seen whole
+            raw = tail + block
+            text = np.frombuffer(raw, np.uint8)
+            ends = np.flatnonzero(text == ord("\n"))
+            gaps = np.diff(ends)
+            if b"#" in block or np.any(gaps == 1):  # a comment, or "\n\n"
+                return None
+            # a "\r" that no "\n" follows, or an empty "\r\n" line; the last
+            # byte's follower is in the next block
+            crs = np.flatnonzero(text[:-1] == ord("\r")) if b"\r" in raw else ends[:0]
+            if (np.any(text[crs + 1] != ord("\n"))
+                    or np.any((gaps == 2) & (text[ends[1:] - 1] == ord("\r")))):
+                return None
+            lines += ends.size - tail.count(b"\n")
+            tail = raw[-2:]
+    if tail.endswith(b"\r"):
+        return None
+    return lines + (not tail.endswith(b"\n"))
+
+
+def _line_ranges(path) -> list[tuple[int, int]]:
+    """The file's lines cut into W = ``_worker_count(chunks)`` near-equal
+    ranges, one per process, where chunks counts the file's blocks of
+    ``_CHUNK_BYTES``; a single range or none where one process should parse it.
+    """
+    size = os.path.getsize(path)
+    workers = _worker_count(-(-size // _CHUNK_BYTES)) if size > _FORK_BYTES else 1
+    lines = _count_lines(path) if workers > 1 else None
+    if lines is None:
+        return []
+    workers = min(workers, lines)
+    bounds = [lines * k // workers for k in range(workers + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _parse_lines(path, start: int, stop: int) -> np.ndarray:
+    """Lines ``start`` to ``stop`` of the file at ``path``, parsed by ``np.loadtxt``;
+    a warning raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=start, max_rows=stop - start)
+
+
+def _send_rows(job, conn) -> None:
+    """Worker body: parse lines ``start`` to ``stop`` and send their bytes down ``conn``."""
+    conn.send_bytes(_parse_lines(*job))
+
+
+def _parse_forked(path, ranges) -> np.ndarray:
+    """The file parsed range by range: the parent parses the first range,
+    forked workers the others, each sending its rows into one preallocated
+    array.  A row or column count that differs between ranges raises."""
+    jobs = [(path, start, stop) for start, stop in ranges[1:]]
+    with _forked_workers(_send_rows, jobs) as pipes:
+        first = _parse_lines(path, *ranges[0])
+        if len(first) != ranges[0][1]:
+            raise ValueError("the first range parsed to a different row count")
+        matrix = np.empty((ranges[-1][1], first.shape[1]))
+        matrix[: len(first)] = first
+        del first  # each worker's rows arrive through a buffer of their own size
+        for (start, stop), receive in zip(ranges[1:], pipes):
+            rows = memoryview(matrix[start:stop]).cast("B")
+            if receive.recv_bytes_into(rows) != rows.nbytes:
+                raise ValueError("a range parsed to a different column count")
+    return matrix
+
+
+def _load_matrix(path) -> np.ndarray:
+    """``np.loadtxt(path, delimiter=",", ndmin=2)``, on every usable core.
+
+    A file of more than ``_FORK_BYTES`` bytes whose lines are all rows is
+    cut into ``_line_ranges`` and parsed by ``_parse_forked``.  If that fails
+    in any way, or for a smaller file, a file with an empty or ``#`` line, or
+    one usable CPU, one ``np.loadtxt`` call parses the whole file, so the
+    array, and the error when there is one, are ``np.loadtxt``'s.
+    """
+    try:
+        ranges = _line_ranges(path)
+    except OSError:  # np.loadtxt reports it in its own words
+        ranges = []
+    if len(ranges) > 1:
+        try:
+            return _parse_forked(path, ranges)
+        # a range that does not parse, warns, disagrees on its size, or whose
+        # worker died: parsed again below, where np.loadtxt names the fault
+        except (ValueError, Warning, EOFError, multiprocessing.BufferTooShort, OSError):
+            pass
+    with warnings.catch_warnings():
+        # an empty file loads as an empty array, which DataMatrix rejects
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        return np.loadtxt(path, delimiter=",", ndmin=2)
 
 
 def _cmd_fit(args) -> int:

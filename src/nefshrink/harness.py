@@ -13,6 +13,7 @@ matter how replications are scheduled.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -109,7 +110,8 @@ class ExperimentConfig:
                 raise ValueError(f"competitor {kind!r} is listed twice")
         if self.sup_gap_samples < 0:
             raise ValueError("K_grid must be nonnegative")
-        self.p_for(self.n_grid[0])  # validate the p rule eagerly
+        for n in self.n_grid:  # validate the p rule eagerly, at every n
+            self.p_for(n)
 
     def p_for(self, n: int) -> int:
         """``fixed:<p>`` gives every n the same p; ``power:<gamma>`` gives
@@ -125,7 +127,12 @@ class ExperimentConfig:
             value = 0
         if not value > 0:
             raise ValueError(f"p rule {self.p_rule!r} needs a positive value after '{kind}:'")
-        return value if kind == "fixed" else max(1, int(np.floor(n**value)))
+        if kind == "fixed":
+            return value
+        try:
+            return max(1, math.floor(n**value))
+        except OverflowError:  # n**value is out of range, or value is inf
+            raise ValueError(f"p rule {self.p_rule!r} gives no finite p at n = {n}") from None
 
     def family_spec(self) -> FamilySpec:
         return make_family(self.family, shape=self.lam, trials=self.trials)
@@ -356,6 +363,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
     streams are keyed by position, and records are collected in task
     order, so the output is identical for any ``workers`` count.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     spec = config.family_spec()
     tasks = []
     for ni, n in enumerate(config.n_grid):

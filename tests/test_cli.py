@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -282,6 +283,208 @@ class TestFitCommand:
         assert peak <= 5 * y.nbytes
 
 
+HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+
+# one row, one column, no final line end, CRLF line ends, empty lines, '#' lines
+LOADER_TEXTS = {
+    "one row": "1.5,-2,3e-300\n",
+    "one column": "1\n-2.5\n3\n4\n0.125\n",
+    "no final line end": "1,2\n3,4\n5,6",
+    "crlf": "1,2\r\n3,4\r\n5,6\r\n-0.0,7\r\n",
+    "empty lines": "1,2\n\n3,4\n\r\n5,6\n\n",
+    "empty crlf line": "1,2\r\n\r\n3,4\r\n5,6\r\n",
+    "leading empty line": "\n1,2\n3,4\n",
+    "comment lines": "# header\n1,2\n3,4 # note\n#\n5,6\n",
+    "lone carriage returns": "1,2\r3,4\r5,6\n",
+    "final lone carriage return": "1,2\n3,4\n\r",
+}
+
+
+def _parse_everywhere(monkeypatch, path, cpus, chunk):
+    """``_load_matrix(path)`` with every file above the fork size, ``chunk``
+    bytes per counted block and ``cpus`` usable CPUs."""
+    monkeypatch.setattr(cli, "_FORK_BYTES", 0)
+    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    return cli._load_matrix(path)
+
+
+def _loadtxt_error(path) -> str:
+    with pytest.raises(ValueError) as info:
+        np.loadtxt(path, delimiter=",", ndmin=2)
+    return f"error: {info.value}\n"
+
+
+class TestLoadMatrix:
+    """``_load_matrix`` is ``np.loadtxt(path, delimiter=",", ndmin=2)`` on
+    every path: one process, or line ranges in forked workers."""
+
+    @pytest.mark.parametrize("name", sorted(LOADER_TEXTS))
+    def test_matches_loadtxt_at_every_boundary(self, tmp_path, monkeypatch, capfd, name):
+        path = tmp_path / "y.csv"
+        path.write_bytes(LOADER_TEXTS[name].encode())
+        expected = np.loadtxt(path, delimiter=",", ndmin=2)
+        lines = LOADER_TEXTS[name].count("\n") + 1
+        # every line its own range at cpus = lines; every byte a block boundary at chunk 1
+        for cpus in (1, 2, lines):
+            for chunk in (1, 2, 3, 5, 1 << 18):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    got = _parse_everywhere(monkeypatch, path, cpus, chunk)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+                assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+                assert multiprocessing.active_children() == []
+        assert capfd.readouterr().err == ""
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    def test_only_files_of_plain_lines_are_cut(self, tmp_path, monkeypatch):
+        """A file with an empty, '#' or lone-CR line takes one process; the
+        others are cut into near-equal line ranges, one per usable CPU."""
+        cut = {"one row": [(0, 1)], "one column": [(0, 2), (2, 5)],
+               "no final line end": [(0, 1), (1, 3)], "crlf": [(0, 2), (2, 4)]}
+        path = tmp_path / "y.csv"
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        for name, text in LOADER_TEXTS.items():
+            path.write_bytes(text.encode())
+            assert cli._line_ranges(path) == []  # not above the 1 MiB fork size
+            for chunk in (1, 2, 4):
+                with mock.patch.object(cli, "_FORK_BYTES", 0), \
+                        mock.patch.object(cli, "_CHUNK_BYTES", chunk):
+                    assert cli._line_ranges(path) == cut.get(name, []), (name, chunk)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    def test_a_warning_in_a_range_falls_back(self, tmp_path, monkeypatch, capfd):
+        """Were the scan blind to empty lines, ``max_rows`` would skip them
+        with a warning; the warning fails the range, not the result."""
+        path = tmp_path / "y.csv"
+        path.write_bytes(LOADER_TEXTS["empty lines"].encode())
+        monkeypatch.setattr(cli, "_count_lines", lambda p: Path(p).read_bytes().count(b"\n"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _parse_everywhere(monkeypatch, path, 2, 1)
+        assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes()
+        assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+        assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 4)),
+           crlf=st.booleans(), final_end=st.booleans(), cpus=st.integers(1, 3),
+           chunk=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_random_matrices_match_loadtxt(self, shape, crlf, final_end, cpus, chunk, seed):
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+        text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in matrix)
+        text += "\n" if final_end else ""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "y.csv")
+            path.write_bytes(text.replace("\n", "\r\n" if crlf else "\n").encode())
+            with mock.patch.object(cli, "_FORK_BYTES", 0), \
+                    mock.patch.object(cli, "_CHUNK_BYTES", chunk), \
+                    mock.patch.object(cli, "_usable_cpus", lambda: cpus):
+                got = cli._load_matrix(path)
+            assert got.tobytes() == matrix.tobytes() and got.shape == shape
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("text", [
+        "1,2\n3,4\n5,x\n7,8\n",  # a bad cell in the worker's range
+        "1,2\n3,4,5\n5,6\n7,8\n",  # a ragged row in the parent's range
+        "1,2\n3,4\n5,6,7\n8,9\n",  # a ragged row starts the worker's range
+        "1,2\n3,4\n5,6,7\n8,9,10\n",  # the worker's range is uniformly wider
+        "1,2,3\n4,5,6\n7\n8\n",  # the worker's range is uniformly narrower
+    ])
+    def test_bad_file_is_loadtxts_one_error_line(self, tmp_path, monkeypatch, capfd, text):
+        path = tmp_path / "y.csv"
+        path.write_text(text)
+        expected = _loadtxt_error(path)
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_FORK_BYTES", 0)
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", 4)
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out = tmp_path / "e.csv"
+            code = main(["fit", str(path), "--family", "normal", "--out", str(out)])
+            assert code == 1
+            assert capfd.readouterr() == ("", expected)
+            assert not out.exists()
+            assert multiprocessing.active_children() == []
+
+    def test_empty_file_is_one_error_line(self, tmp_path, monkeypatch, capfd):
+        path = tmp_path / "y.csv"
+        path.write_text("")
+        for cpus in (1, 2):
+            monkeypatch.setattr(cli, "_FORK_BYTES", 0)
+            monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            code = main(["fit", str(path), "--family", "normal",
+                         "--out", str(tmp_path / "e.csv")])
+            assert code == 1
+            assert capfd.readouterr().err == "error: observation matrix must be non-empty\n"
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    def test_failed_parse_worker_falls_back_to_one_process(self, tmp_path, monkeypatch, capfd):
+        def fail(job, conn):
+            raise ValueError("parsing failed")
+
+        y = np.random.default_rng(2).normal(size=(40, 3))
+        path = tmp_path / "y.csv"
+        np.savetxt(path, y, delimiter=",", fmt="%.17g")
+        monkeypatch.setattr(cli, "_send_rows", fail)  # fork carries it into the workers
+        got = _parse_everywhere(monkeypatch, path, 2, 64)
+        assert got.tobytes() == y.tobytes()
+        assert multiprocessing.active_children() == []
+        # the same failure on a file that does not parse: loadtxt's one error line
+        lines = path.read_text().splitlines()
+        lines[30] = lines[30].replace(",", ",,", 1)
+        path.write_text("\n".join(lines) + "\n")
+        expected = _loadtxt_error(path)
+        code = main(["fit", str(path), "--family", "normal", "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        assert capfd.readouterr() == ("", expected)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    def test_forked_parse_memory_peak_is_below_two_results(self, tmp_path, monkeypatch):
+        y = np.random.default_rng(8).normal(size=(20_000, 10))
+        path = tmp_path / "y.csv"
+        np.savetxt(path, y, delimiter=",", fmt="%.17g")
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        assert len(cli._line_ranges(path)) == 2  # a 4 MB file is cut in two by default
+        tracemalloc.start()
+        try:
+            got = cli._load_matrix(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == y.tobytes()
+        assert peak <= 2 * got.nbytes
+        assert multiprocessing.active_children() == []
+
+    def test_forked_parse_fits_as_one_process(self, tmp_path):
+        """Through the command, stdout and the estimate file do not depend on
+        how the input was parsed, and no warning reaches stderr."""
+        y = np.random.default_rng(9).gamma(2.0, size=(300, 4))
+        matrix = tmp_path / "y.csv"
+        np.savetxt(matrix, y, delimiter=",", fmt="%.17g")
+        runs = []
+        for fork_bytes, cpus in ((1 << 40, 1), (0, 2)):
+            out = tmp_path / f"e{cpus}.csv"
+            script = (
+                "import sys; from nefshrink import cli; "
+                f"cli._FORK_BYTES = {fork_bytes}; cli._CHUNK_BYTES = 1024; "
+                f"cli._usable_cpus = lambda: {cpus}; raise SystemExit(cli.main(sys.argv[1:]))"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "fit", str(matrix), "--family", "gamma",
+                 "--lambda", "2", "--out", str(out)],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0 and proc.stderr == ""
+            runs.append((proc.stdout, out.read_bytes()))
+        assert runs[0] == runs[1]
+
+
 class TestSimulateCommand:
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         config = tmp_path / "config.txt"
@@ -303,6 +506,27 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(config), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule", ["power:1000", "power:inf"])
+    def test_power_rule_without_a_finite_p_is_one_error_line(self, tmp_path, capfd, rule):
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("p_rule = fixed:2", f"p_rule = {rule}")
+                          .replace("n_grid = 4,6", "n_grid = 100,200"))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capfd.readouterr() == ("", f"error: p rule '{rule}' gives no finite p at n = 100\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_one_error_line(self, tmp_path, capfd, workers):
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG)
+        out = tmp_path / "o.csv"
+        code = main(["simulate", "--config", str(config), "--out", str(out),
+                     "--workers", workers])
+        assert code == 1
+        assert capfd.readouterr() == ("", "error: workers must be at least 1\n")
         assert not out.exists()
 
     def test_repeated_competitor_is_one_error_line(self, tmp_path, capsys):

@@ -99,9 +99,19 @@ class TestConfigParsing:
         for rule in ("power", "power:0", "power:-1", "power:nan", "power:x", "fixed:0"):
             with pytest.raises(ValueError, match="needs a positive value"):
                 small_config(p_rule=rule)
+        # a p that overflows, or an infinite exponent, is one ValueError
+        for rule in ("power:1000", "power:inf", "power:1e308"):
+            with pytest.raises(ValueError, match=rf"^p rule '{rule}' gives no finite p at n = 4$"):
+                small_config(p_rule=rule)
         # the exponent lives in the rule: there is no gamma key
         with pytest.raises(ValueError, match="^unknown config key 'gamma'$"):
             ExperimentConfig.from_dict({**parse_config_text(CONFIG_TEXT), "gamma": "0.4"})
+
+    def test_power_rule_is_checked_at_every_n(self):
+        # 2**500 and 4**500 are finite doubles, 5**500 is not
+        small_config(p_rule="power:500", n_grid=(2, 4))
+        with pytest.raises(ValueError, match=r"^p rule 'power:500' gives no finite p at n = 5$"):
+            small_config(p_rule="power:500", n_grid=(2, 4, 5))
 
     def test_solver_settings_validation(self):
         # the descent's budget and tolerance are fit's own, not config keys
