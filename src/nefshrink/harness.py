@@ -115,7 +115,8 @@ class ExperimentConfig:
 
     def p_for(self, n: int) -> int:
         """``fixed:<p>`` gives every n the same p; ``power:<gamma>`` gives
-        ``max(1, floor(n^gamma))``."""
+        ``max(1, floor(n^gamma))``.  An n x p matrix must be indexable, so
+        ``n * p`` above ``np.iinfo(np.intp).max`` is rejected."""
         kind, _, arg = self.p_rule.partition(":")
         if kind not in ("fixed", "power"):
             raise ValueError(
@@ -128,11 +129,18 @@ class ExperimentConfig:
         if not value > 0:
             raise ValueError(f"p rule {self.p_rule!r} needs a positive value after '{kind}:'")
         if kind == "fixed":
-            return value
-        try:
-            return max(1, math.floor(n**value))
-        except OverflowError:  # n**value is out of range, or value is inf
-            raise ValueError(f"p rule {self.p_rule!r} gives no finite p at n = {n}") from None
+            p = value
+        else:
+            try:
+                p = max(1, math.floor(n**value))
+            except OverflowError:  # n**value is out of range, or value is inf
+                raise ValueError(f"p rule {self.p_rule!r} gives no finite p at n = {n}") from None
+        if n * p > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"p rule {self.p_rule!r} gives more than {np.iinfo(np.intp).max} cells "
+                f"(n * p) at n = {n}"
+            )
+        return p
 
     def family_spec(self) -> FamilySpec:
         return make_family(self.family, shape=self.lam, trials=self.trials)

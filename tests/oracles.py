@@ -4,9 +4,9 @@ The lattice oracles enumerate the feasible set on a value lattice,
 independently of the pool-adjacent-violators and coordinate-descent routes
 they check; the tie-group weight step solves the collapsed problem with
 scipy's isotonic regression; and the list-stack projection is the earlier
-pool-adjacent-violators loop, kept as the exact reference for the
-block-stack one.  The moment and risk oracles need the true means, so only
-tests can use them.
+pool-adjacent-violators loop, kept as the reference for the block-stack
+one (exact where that one makes no pre-pooling pass).  The moment and
+risk oracles need the true means, so only tests can use them.
 """
 
 import itertools
@@ -200,8 +200,14 @@ def reference_weight_step(quad, lin, order: RowOrder) -> np.ndarray:
 
 def reference_isotonic_box_projection(targets, weights, order: RowOrder) -> np.ndarray:
     """List-stack pool-adjacent-violators form of
-    :func:`nefshrink.isotonic_box_projection`, with the same arithmetic in
-    the same order, so the two agree bit for bit.
+    :func:`nefshrink.isotonic_box_projection`, pooling left to right.
+
+    Where the projection makes no pre-pooling pass (a tie group of zero
+    weight, or a single group) it does the same arithmetic in the same
+    order, and the two agree bit for bit.  When every group has positive
+    weight the projection first pools whole decreasing runs; that reaches
+    the same fit with sums added in another order, so the two then agree
+    to rounding.
     """
     targets = np.asarray(targets, dtype=float).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)

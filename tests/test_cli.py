@@ -518,6 +518,38 @@ class TestSimulateCommand:
         assert capfd.readouterr() == ("", f"error: p rule '{rule}' gives no finite p at n = 100\n")
         assert not out.exists()
 
+    def test_p_beyond_the_array_index_range_is_one_error_line(self, tmp_path, capfd):
+        # 2**500 is a finite p, but no n x p array can be indexed
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("p_rule = fixed:2", "p_rule = power:500")
+                          .replace("n_grid = 4,6", "n_grid = 2,4"))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        limit = np.iinfo(np.intp).max
+        assert capfd.readouterr() == (
+            "", f"error: p rule 'power:500' gives more than {limit} cells (n * p) at n = 2\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000, 1000000000) and data "
+         "type float64", "Unable to allocate 7.28 TiB for an array with shape (1000, "
+         "1000000000) and data type float64"),
+        ("", "out of memory"),
+    ])
+    def test_memory_error_is_one_error_line(self, tmp_path, capfd, monkeypatch, message, line):
+        # a p that numpy can index but memory cannot hold fails when the matrix is
+        # drawn; the failure is stood in for here, nothing is allocated
+        def fail(config, workers):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run_experiment", fail)
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        assert capfd.readouterr() == ("", f"error: {line}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_is_one_error_line(self, tmp_path, capfd, workers):
         config = tmp_path / "config.txt"

@@ -108,10 +108,25 @@ class TestConfigParsing:
             ExperimentConfig.from_dict({**parse_config_text(CONFIG_TEXT), "gamma": "0.4"})
 
     def test_power_rule_is_checked_at_every_n(self):
-        # 2**500 and 4**500 are finite doubles, 5**500 is not
-        small_config(p_rule="power:500", n_grid=(2, 4))
-        with pytest.raises(ValueError, match=r"^p rule 'power:500' gives no finite p at n = 5$"):
-            small_config(p_rule="power:500", n_grid=(2, 4, 5))
+        # 4**10 * 4 cells fit an array index, 1000**10 * 1000 do not
+        small_config(p_rule="power:10", n_grid=(2, 4))
+        with pytest.raises(ValueError, match=r"^p rule 'power:10' gives more than \d+ cells "
+                                             r"\(n \* p\) at n = 1000$"):
+            small_config(p_rule="power:10", n_grid=(2, 4, 1000))
+
+    @pytest.mark.parametrize("rule, n", [
+        ("power:500", 2),  # 2**500 is a finite double, far past any array index
+        ("power:3", 2_097_152),  # n * p = 2**84
+        (f"fixed:{np.iinfo(np.intp).max // 2 + 1}", 2),  # n * p one past the largest index
+    ])
+    def test_p_rule_beyond_the_array_index_range_is_one_error(self, rule, n):
+        # n * p is checked when the config loads, before any matrix is drawn
+        limit = np.iinfo(np.intp).max
+        with pytest.raises(ValueError, match=rf"^p rule '{rule}' gives more than {limit} cells "
+                                             rf"\(n \* p\) at n = {n}$"):
+            small_config(p_rule=rule, n_grid=(n,))
+        # the largest p that fits at n = 2 loads
+        small_config(p_rule=f"fixed:{limit // 2}", n_grid=(2,))
 
     def test_solver_settings_validation(self):
         # the descent's budget and tolerance are fit's own, not config keys
@@ -368,7 +383,7 @@ seed = 12
 mode = grand_mean
 competitors = no_shrinkage,oracle_loss
 K_grid = 4
-""", "f80a129bdc1b9572a3b918f949ca905cb2d199cf2cd294b33e29e18c0c9a3b7e"),
+""", "16764afb0850eff92afef824da2bb367ac37ae464a53b28c0c3ec21eb035bd08"),
     # a trial family: tau rows of N, the multinomial sampler and its support check;
     # one tie group, so its fit rows come from the closed-form location fit
     "multinomial_location": ("""

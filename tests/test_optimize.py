@@ -132,6 +132,25 @@ def projection_cases(draw):
 
 
 @st.composite
+def positive_projection_cases(draw):
+    """Up to ~500 tie groups, every weight positive, so the projection
+    pre-pools decreasing runs in passes.  Targets lie in [-0.5, 1.5], so
+    some blocks clip; in some cases a leading share of the targets is
+    sorted along the order, which leaves fewer violators and can skip the
+    passes."""
+    n = draw(st.integers(2, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    order = RowOrder.from_row_sums(rng.integers(1, draw(st.integers(1, 500)) + 1, n))
+    targets = rng.uniform(-0.5, 1.5, n)
+    along = targets[order.permutation]
+    k = int(draw(st.sampled_from([0.0, 0.0, 0.5, 0.9, 1.0])) * n)
+    along[:k] = np.sort(along[:k])
+    targets[order.permutation] = along
+    weights = rng.uniform(0.01, 3.0, n) * draw(st.sampled_from([1.0, 1e-3, 1e3]))
+    return order, targets, weights
+
+
+@st.composite
 def descent_cases(draw, single_group=False):
     """Normal, Poisson or gamma data with tied or all-distinct tau row sums;
     with ``single_group`` every row has the same tau row (one tie group)."""
@@ -260,8 +279,63 @@ class TestIsotonicBoxProjection:
     def test_matches_the_list_stack_reference(self, case):
         order, targets, weights = case
         out = isotonic_box_projection(targets, weights, order)
-        assert np.array_equal(out, reference_isotonic_box_projection(targets, weights, order))
+        reference = reference_isotonic_box_projection(targets, weights, order)
+        if order.n_groups == 1 or not np.bincount(group_of_row(order), weights).all():
+            # no pre-pooling passes: the same arithmetic in the same order
+            assert np.array_equal(out, reference)
+        else:
+            # passes pool in another order, which moves only the summation order
+            np.testing.assert_allclose(out, reference, rtol=1e-12, atol=1e-12)
         assert order.is_feasible(out)
+
+    @settings(max_examples=200, deadline=None)
+    @given(positive_projection_cases())
+    def test_positive_weights_pool_in_passes_to_the_same_fit(self, case):
+        order, targets, weights = case
+        passes = []
+        pool_runs = optimize._pool_decreasing_runs
+
+        def spy(swt, sw):
+            pooled = pool_runs(swt, sw)
+            passes.append((len(swt), len(pooled[0])))
+            return pooled
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize, "_pool_decreasing_runs", spy)
+            out = isotonic_box_projection(targets, weights, order)
+
+        # the passes run, and pool, exactly when the first keeps at most 3/4 of the groups
+        swt = np.bincount(order.group_ids, weights=(weights * targets)[order.permutation])
+        sw = np.bincount(order.group_ids, weights=weights[order.permutation])
+        value = swt / sw
+        kept = 1 + np.count_nonzero(value[:-1] <= value[1:])
+        if order.n_groups == 1:
+            assert passes == []
+        else:
+            [(before, after)] = passes
+            assert before == order.n_groups
+            assert (after < before) == (kept <= optimize._PASS_KEEP * order.n_groups)
+
+        np.testing.assert_allclose(out, reference_isotonic_box_projection(targets, weights, order),
+                                   rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out, reference_weight_step(weights, weights * targets, order),
+                                   rtol=1e-12, atol=1e-12)
+        assert order.is_feasible(out)
+
+        # optimality, whatever the pooling order: along the order the group values
+        # rise, and no prefix of a run of equal values may move down (unless at 0)
+        # nor any suffix up (unless at 1) and lower the weighted squared error
+        fitted = out[order.permutation][np.flatnonzero(np.diff(order.group_ids, prepend=-1))]
+        assert np.all(np.diff(fitted) >= 0.0)
+        runs = np.flatnonzero(np.diff(fitted, prepend=np.nan) != 0.0)
+        for run in np.split(np.arange(order.n_groups), runs[1:]):
+            v = fitted[run[0]]
+            residual = swt[run] - sw[run] * v
+            tol = 1e-12 * (1.0 + np.sum(np.abs(swt[run]) + sw[run] * abs(v)))
+            if v > 0.0:
+                assert np.cumsum(residual).min() >= -tol
+            if v < 1.0:
+                assert np.cumsum(residual[::-1]).max() <= tol
 
     def test_pooling_is_linear_time(self):
         # a rising staircase of 2e5 singleton groups whose last group drags
