@@ -194,38 +194,28 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
 
 
 def _count_lines(path) -> int | None:
-    """The lines of the file at ``path``, read in blocks of ``_CHUNK_BYTES``;
-    None when ``max_rows`` would not count every line as a row: some line is
-    empty (``\\n`` or ``\\r\\n`` alone) or holds a ``#``, or a lone ``\\r``,
-    which ``np.loadtxt`` also takes for a line end, makes the count wrong."""
-    lines, tail = 0, b"\n"  # as if a line ended just before the file
+    """The lines of the file at ``path``, counted by their ``\\n`` ends in
+    blocks of ``_CHUNK_BYTES``; None when a lone ``\\r``, which ``np.loadtxt``
+    also takes for a line end, makes the count wrong.  Empty and comment
+    lines are counted as lines: ``max_rows`` warns on each one in its range.
+    """
+    lines, last = 0, b"\n"
     with open(path, "rb") as fh:
         while block := fh.read(_CHUNK_BYTES):
-            # the last two bytes of the previous block come first, so a line
-            # end split between blocks is seen whole
-            raw = tail + block
-            text = np.frombuffer(raw, np.uint8)
-            ends = np.flatnonzero(text == ord("\n"))
-            gaps = np.diff(ends)
-            if b"#" in block or np.any(gaps == 1):  # a comment, or "\n\n"
+            if block.endswith(b"\r"):  # its "\n", if any, starts the next block
+                block += fh.read(1)
+            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
                 return None
-            # a "\r" that no "\n" follows, or an empty "\r\n" line; the last
-            # byte's follower is in the next block
-            crs = np.flatnonzero(text[:-1] == ord("\r")) if b"\r" in raw else ends[:0]
-            if (np.any(text[crs + 1] != ord("\n"))
-                    or np.any((gaps == 2) & (text[ends[1:] - 1] == ord("\r")))):
-                return None
-            lines += ends.size - tail.count(b"\n")
-            tail = raw[-2:]
-    if tail.endswith(b"\r"):
-        return None
-    return lines + (not tail.endswith(b"\n"))
+            lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            last = block[-1:]
+    return lines + (last != b"\n")
 
 
 def _line_ranges(path) -> list[tuple[int, int]]:
     """The file's lines cut into W = ``_worker_count(chunks)`` near-equal
     ranges, one per process, where chunks counts the file's blocks of
     ``_CHUNK_BYTES``; a single range or none where one process should parse it.
+    A range may hold empty or comment lines, which ``_parse_lines`` rejects.
     """
     size = os.path.getsize(path)
     workers = _worker_count(-(-size // _CHUNK_BYTES)) if size > _FORK_BYTES else 1
@@ -272,11 +262,12 @@ def _parse_forked(path, ranges) -> np.ndarray:
 def _load_matrix(path) -> np.ndarray:
     """``np.loadtxt(path, delimiter=",", ndmin=2)``, on every usable core.
 
-    A file of more than ``_FORK_BYTES`` bytes whose lines are all rows is
-    cut into ``_line_ranges`` and parsed by ``_parse_forked``.  If that fails
-    in any way, or for a smaller file, a file with an empty or ``#`` line, or
-    one usable CPU, one ``np.loadtxt`` call parses the whole file, so the
-    array, and the error when there is one, are ``np.loadtxt``'s.
+    A file of more than ``_FORK_BYTES`` bytes with no lone ``\\r`` is cut
+    into ``_line_ranges`` and parsed by ``_parse_forked``.  If that fails in
+    any way, as it does on ``max_rows``' warning for an empty or comment
+    line, or for a smaller file, a lone ``\\r`` or one usable CPU, one
+    ``np.loadtxt`` call parses the whole file, so the array, and the error
+    when there is one, are ``np.loadtxt``'s.
     """
     try:
         ranges = _line_ranges(path)

@@ -240,7 +240,9 @@ class DataMatrix:
     family admits negative observations, and a multinomial row holds
     shares of the ``N`` trials, entries in [0, 1] whose sum is at most 1,
     up to the rounding of ``p`` shares ``c_j / N`` whose counts sum to
-    ``N``.
+    ``N``.  The largest absolute observation must be at most
+    ``sqrt(max float / (8 n p))``, so that the risk estimates' sums of
+    squared deviations stay finite.
 
     Immutable: the fields cannot be reassigned, and the quantities that
     consumers derive from the matrix (``order``, ``data_range``,
@@ -275,6 +277,14 @@ class DataMatrix:
                 raise ValueError("multinomial observation rows must sum to at most 1")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "tau", tau)
+        # each cell adds at most (2 max|y|)^2 to a squared deviation sum and
+        # about 3 max|y|^2 more to a risk estimate's terms, all summed over y.size
+        limit = np.sqrt(np.finfo(float).max / (8 * y.size))
+        if self.data_range > limit:
+            raise ValueError(
+                f"observation scale {self.data_range:.3g} is too large: for {y.size} "
+                f"entries the largest absolute observation must be at most {limit:.3g}"
+            )
 
     @property
     def n(self) -> int:

@@ -203,20 +203,21 @@ class FitResult:
     converged: bool
 
 
-def _quadratic_targets(a: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Unconstrained minimizers of ``a_i b^2 - 2 s_i b`` with zero-curvature fills.
+def _quadratic_targets(a: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unconstrained minimizers of ``a_i b^2 - 2 s_i b`` with zero-curvature
+    fills, and the mask of the filled rows.
 
-    Flat coordinates (``a_i = 0``) push to 1 when the linear pull is toward
-    shrinkage (``s_i > 0``), sit at 0.5 when the objective ignores them, and
-    drop to 0 for a negative pull; the projection's zero-weight rule then
-    yields the nearest feasible value when no pooling touches them.
+    Flat coordinates (``a_i = 0``), and those whose ``s_i / a_i`` overflows,
+    push to 1 when the linear pull is toward shrinkage (``s_i > 0``), sit at
+    0.5 when the objective ignores them, and drop to 0 for a negative pull;
+    the projection's zero-weight rule then yields the nearest feasible
+    value when no pooling touches a flat one.
     """
-    targets = np.empty_like(a)
-    pos = a > 0
-    targets[pos] = s[pos] / a[pos]
-    flat = ~pos
-    targets[flat] = np.where(s[flat] > 0, 1.0, np.where(s[flat] == 0, 0.5, 0.0))
-    return targets
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        targets = s / a
+    filled = ~np.isfinite(targets)
+    targets[filled] = np.where(s[filled] > 0, 1.0, np.where(s[filled] == 0, 0.5, 0.0))
+    return targets, filled
 
 
 def _weight_step(a, lin, const, order: RowOrder, size: int) -> tuple[np.ndarray, float]:
@@ -224,18 +225,21 @@ def _weight_step(a, lin, const, order: RowOrder, size: int) -> tuple[np.ndarray,
     weights, and its value: one isotonic projection of the per-row
     stationary points with weights ``a_i``.
 
-    A pooled block's exact minimizer is ``sum lin_i / sum a_i``.  A flat row
-    (``a_i = 0``) has weight 0 and only a fill target, so when one has a
-    linear pull the projection's core pools ``lin_i`` for it directly (and
-    ``a_i t_i``, as the projection does, for every other row); a block of
-    flat rows alone then goes to the bound the sign of ``sum lin_i`` picks.
-    Without such a row that is the projection itself, which is called as
-    is.
+    A pooled block's exact minimizer is ``sum lin_i / sum a_i``.  A row with
+    a fill target, flat (``a_i = 0``, weight 0) or with ``lin_i / a_i``
+    beyond the float range, does not carry its pull in ``a_i t_i``, so when
+    one has a linear pull the projection's core pools ``lin_i`` for it
+    directly (and ``a_i t_i``, as the projection does, for every other row);
+    a block of flat rows alone then goes to the bound the sign of ``sum
+    lin_i`` picks, and a block whose ``sum lin_i / sum a_i`` overflows to
+    the bound its sign picks.  Without such a row that is the projection
+    itself, which is called as is.
     """
-    targets = _quadratic_targets(a, lin)
-    if np.any(lin[a == 0]):
+    targets, filled = _quadratic_targets(a, lin)
+    if np.any(lin[filled]):
         targets, a = _projection_inputs(targets, a, order)
-        b = _pool_adjacent_violators(targets, a, np.where(a > 0, a * targets, lin), order)
+        with np.errstate(over="ignore"):
+            b = _pool_adjacent_violators(targets, a, np.where(filled, lin, a * targets), order)
     else:
         b = isotonic_box_projection(targets, a, order)
     return b, _row_quadratic(b, a, lin, const, size)

@@ -137,6 +137,45 @@ class TestFitCommand:
         assert capsys.readouterr().err == "error: max_iter must be at least 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("tau", [None, "1,1\n2,1\n3,3\n"], ids=["equal_tau", "distinct_tau"])
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_tiny_scale_data_fully_shrinks(self, tmp_path, capsys, mode, tau):
+        """Entries near 1e-160 square below the float range, so ``S_i / a_i``
+        overflows: each row takes its pull, toward full shrinkage."""
+        matrix, out = tmp_path / "y.csv", tmp_path / "e.csv"
+        np.savetxt(matrix, np.random.default_rng(7).normal(size=(3, 2)) * 1e-160,
+                   delimiter=",", fmt="%.17g")
+        tau_args = []
+        if tau is not None:
+            (tmp_path / "tau.csv").write_text(tau)
+            tau_args = ["--tau", str(tmp_path / "tau.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails the test
+            code = main(["fit", str(matrix), "--family", "normal", "--mode", mode, *tau_args,
+                         "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        lines = dict(line.split(": ", 1) for line in captured.out.splitlines())
+        assert lines["b"] == "1,1,1"
+        assert lines["converged"] == "True"
+
+    def test_huge_scale_data_is_one_error_line(self, tmp_path, capsys):
+        y = np.random.default_rng(7).normal(size=(3, 2))
+        matrix, out = tmp_path / "y.csv", tmp_path / "e.csv"
+        for scale, code in ((1e200, 1), (1e150, 0)):
+            np.savetxt(matrix, y * scale, delimiter=",", fmt="%.17g")
+            for mode in ("location", "grand_mean"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # an overflow warning fails the test
+                    assert main(["fit", str(matrix), "--family", "normal", "--mode", mode,
+                                 "--out", str(out)]) == code
+                err = capsys.readouterr().err
+                if code:
+                    assert err.startswith("error: observation scale ")
+                    assert err.count("\n") == 1
+                else:
+                    assert err == ""
+
     def test_empty_matrix_prints_one_error_line(self, tmp_path):
         matrix = tmp_path / "y.csv"
         matrix.write_text("")
@@ -339,10 +378,13 @@ class TestLoadMatrix:
 
     @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
     def test_only_files_of_plain_lines_are_cut(self, tmp_path, monkeypatch):
-        """A file with an empty, '#' or lone-CR line takes one process; the
-        others are cut into near-equal line ranges, one per usable CPU."""
+        """A file above the fork size is cut into near-equal line ranges, one
+        per usable CPU, empty and '#' lines counted as lines; a file with a
+        lone CR, or at or below the fork size, takes one process."""
         cut = {"one row": [(0, 1)], "one column": [(0, 2), (2, 5)],
-               "no final line end": [(0, 1), (1, 3)], "crlf": [(0, 2), (2, 4)]}
+               "no final line end": [(0, 1), (1, 3)], "crlf": [(0, 2), (2, 4)],
+               "empty lines": [(0, 3), (3, 6)], "empty crlf line": [(0, 2), (2, 4)],
+               "leading empty line": [(0, 1), (1, 3)], "comment lines": [(0, 2), (2, 5)]}
         path = tmp_path / "y.csv"
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         for name, text in LOADER_TEXTS.items():
@@ -355,11 +397,10 @@ class TestLoadMatrix:
 
     @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
     def test_a_warning_in_a_range_falls_back(self, tmp_path, monkeypatch, capfd):
-        """Were the scan blind to empty lines, ``max_rows`` would skip them
-        with a warning; the warning fails the range, not the result."""
+        """``max_rows`` skips the empty lines a range holds with a warning;
+        the warning fails the range, not the result."""
         path = tmp_path / "y.csv"
         path.write_bytes(LOADER_TEXTS["empty lines"].encode())
-        monkeypatch.setattr(cli, "_count_lines", lambda p: Path(p).read_bytes().count(b"\n"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             got = _parse_everywhere(monkeypatch, path, 2, 1)
@@ -367,6 +408,51 @@ class TestLoadMatrix:
         assert [w for w in caught if issubclass(w.category, UserWarning)] == []
         assert capfd.readouterr().err == ""
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("text", ["1,2\n\n3,4\n", "1,2\r\n\r\n3,4\r\n", "1,2\n# note\n3,4\n"])
+    def test_max_rows_warns_on_a_line_without_data(self, tmp_path, text):
+        """The scan counts empty and comment lines as rows; without this
+        warning a range holding one would read a row of the next range too."""
+        path = tmp_path / "y.csv"
+        path.write_bytes(text.encode())
+        with pytest.warns(UserWarning, match="Input line 2 contained no data"):
+            np.loadtxt(path, delimiter=",", ndmin=2, skiprows=0, max_rows=2)
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    @settings(max_examples=40, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 4)),
+           blanks=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["", "\r", "#", "# 1,2"])),
+                           min_size=1, max_size=4),
+           crlf=st.booleans(), final_end=st.booleans(), cpus=st.integers(2, 3),
+           chunk=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_empty_and_comment_lines_match_loadtxt(self, shape, blanks, crlf, final_end, cpus,
+                                                   chunk, seed):
+        """Empty, empty CRLF and comment-only lines anywhere in a file of at
+        least two blocks, so it is cut into ranges: the forked parse falls back
+        to ``np.loadtxt``'s array."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
+        lines = [",".join(f"{v:.17g}" for v in row) + ("\r" if crlf else "") for row in matrix]
+        for place, line in blanks:
+            lines.insert(place, line)
+        text = "\n".join(lines) + "\n"
+        if not final_end:  # and no lone CR in its place
+            text = text[:-1].removesuffix("\r")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "y.csv")
+            path.write_bytes(text.encode())
+            with mock.patch.object(cli, "_FORK_BYTES", 0), \
+                    mock.patch.object(cli, "_CHUNK_BYTES", chunk), \
+                    mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert cli._line_ranges(path)  # cut, not refused
+                got = cli._load_matrix(path)
+            expected = np.loadtxt(path, delimiter=",", ndmin=2)
+            assert got.shape == expected.shape == shape
+            assert got.tobytes() == expected.tobytes() == matrix.tobytes()
+            assert [w for w in caught if issubclass(w.category, UserWarning)] == []
+            assert multiprocessing.active_children() == []
 
     @settings(max_examples=40, deadline=None)
     @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 4)),

@@ -4,6 +4,7 @@ import gc
 import itertools
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -399,6 +400,22 @@ class TestWeightStep:
         assert value == pytest.approx(float(quad @ b**2 - 2.0 * lin @ b), rel=1e-15)
         _, lattice = grid_minimize_separable_quadratic(quad, -2.0 * lin, order, 1e-3)
         assert value <= lattice + 1e-12 * (1.0 + abs(lattice))
+
+    @pytest.mark.parametrize("sums, quad, lin, expected", [
+        ([3, 3], [1e-320, 1e-320], [1.0, 0.5], [1.0, 1.0]),
+        ([3, 3], [1e-320, 1.0], [1.0, 0.5], [1.0, 1.0]),  # pools 1.5 / (1 + 1e-320)
+        ([3, 1], [1e-320, 1.0], [-1.0, 0.5], [0.0, 0.5]),
+    ])
+    def test_overflowing_target_keeps_its_linear_pull(self, sums, quad, lin, expected):
+        """A row whose ``lin_i / a_i`` overflows pools ``lin_i``, as a flat row
+        does, with no overflow warning."""
+        order = RowOrder.from_row_sums(sums)
+        quad, lin = np.array(quad), np.array(lin)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            b, value = optimize._weight_step(quad, lin, np.zeros(order.n), order, 1)
+        np.testing.assert_array_equal(b, expected)
+        assert value == pytest.approx(float(quad @ b**2 - 2.0 * lin @ b), rel=1e-15)
 
 
 class TestSeparableGridOracle:
