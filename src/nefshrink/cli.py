@@ -194,28 +194,41 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
 
 
 def _count_lines(path) -> int | None:
-    """The lines of the file at ``path``, counted by their ``\\n`` ends in
-    blocks of ``_CHUNK_BYTES``; None when a lone ``\\r``, which ``np.loadtxt``
-    also takes for a line end, makes the count wrong.  Empty and comment
-    lines are counted as lines: ``max_rows`` warns on each one in its range.
+    """The lines of the file at ``path`` up to its last one with data,
+    counted by their ``\\n`` ends in blocks of ``_CHUNK_BYTES``; None when a
+    lone ``\\r``, which ``np.loadtxt`` also takes for a line end, makes the
+    count wrong.  The empty lines that end the file (a run of ``\\n`` and
+    ``\\r\\n``) are not counted, so no range reaches them; other empty and
+    comment lines are counted as lines: ``max_rows`` warns on each one in
+    its range.
     """
-    lines, last = 0, b"\n"
+    lines = trailing = 0  # line ends in all, and after the last byte of data
+    has_data = False
     with open(path, "rb") as fh:
         while block := fh.read(_CHUNK_BYTES):
             if block.endswith(b"\r"):  # its "\n", if any, starts the next block
                 block += fh.read(1)
             if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
                 return None
-            lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-            last = block[-1:]
-    return lines + (last != b"\n")
+            ends = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+            lines += ends
+            tail = block[-16:]  # rstrip copies what it keeps: a whole block only if need be
+            if not tail.rstrip(b"\r\n"):
+                tail = block
+            if text := tail.rstrip(b"\r\n"):
+                has_data, trailing = True, tail.count(b"\n", len(text))
+            else:
+                trailing += ends
+    # the last line with data is counted whether or not a line end follows it
+    return lines - trailing + 1 if has_data else 0
 
 
 def _line_ranges(path) -> list[tuple[int, int]]:
     """The file's lines cut into W = ``_worker_count(chunks)`` near-equal
     ranges, one per process, where chunks counts the file's blocks of
     ``_CHUNK_BYTES``; a single range or none where one process should parse it.
-    A range may hold empty or comment lines, which ``_parse_lines`` rejects.
+    A range may hold empty or comment lines, which ``_parse_lines`` rejects,
+    but not the empty lines that end the file.
     """
     size = os.path.getsize(path)
     workers = _worker_count(-(-size // _CHUNK_BYTES)) if size > _FORK_BYTES else 1
@@ -265,9 +278,10 @@ def _load_matrix(path) -> np.ndarray:
     A file of more than ``_FORK_BYTES`` bytes with no lone ``\\r`` is cut
     into ``_line_ranges`` and parsed by ``_parse_forked``.  If that fails in
     any way, as it does on ``max_rows``' warning for an empty or comment
-    line, or for a smaller file, a lone ``\\r`` or one usable CPU, one
-    ``np.loadtxt`` call parses the whole file, so the array, and the error
-    when there is one, are ``np.loadtxt``'s.
+    line before the file's last line with data, or for a smaller file, a
+    lone ``\\r`` or one usable CPU, one ``np.loadtxt`` call parses the
+    whole file, so the array, and the error when there is one, are
+    ``np.loadtxt``'s.
     """
     try:
         ranges = _line_ranges(path)
@@ -296,14 +310,16 @@ def _cmd_fit(args) -> int:
         spec=spec,
     )
     result, estimate = fit(data, args.mode, args.max_iter)
-    del y, data  # the writer needs neither; freed, the fit's peak stays the call's peak
+    theta_hat = estimate.theta_hat
+    # the writer needs none of these; freed, the fit's peak stays the call's peak
+    del y, data, estimate
     print(f"b: {_format_vector(result.b)}")
     target_label = "ybar" if args.mode == "grand_mean" else "mu"
     print(f"{target_label}: {_format_vector(result.mu)}")
     print(f"objective: {result.objective:.17g}")
     print(f"iterations: {result.iterations}")
     print(f"converged: {result.converged}")
-    _write_matrix(args.out, estimate.theta_hat)
+    _write_matrix(args.out, theta_hat)
     return 0
 
 

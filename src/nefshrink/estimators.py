@@ -11,6 +11,7 @@ true means and exists purely for evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,29 +41,35 @@ COMPETITOR_KINDS = ("no_shrinkage", "half_to_zero", "oracle_loss")
 FIT_MODES = ("location", "grand_mean")
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimateMatrix:
-    """An n-by-p estimate ``(1 - b_i) Y_ij + b_i mu_j`` with the weights ``b``
-    and target ``mu`` that produced it."""
+    """The estimate ``(1 - b_i) Y_ij + b_i mu_j`` of ``data``, held as the
+    weights ``b`` and target ``mu`` that produce it.
 
-    theta_hat: np.ndarray
+    The n-by-p matrix ``theta_hat`` is computed on first use and kept, as
+    :class:`~nefshrink.families.DataMatrix` keeps its derived quantities, so
+    a consumer that needs only ``(b, mu)`` never builds it.
+    """
+
+    data: DataMatrix
     b: np.ndarray
     mu: np.ndarray
 
-
-def _estimate(data: DataMatrix, b: np.ndarray, mu: np.ndarray) -> EstimateMatrix:
-    return EstimateMatrix((1.0 - b)[:, None] * data.y + b[:, None] * mu, b, mu)
+    @cached_property
+    def theta_hat(self) -> np.ndarray:
+        """The shrunk n-by-p mean matrix."""
+        return (1.0 - self.b)[:, None] * self.data.y + self.b[:, None] * self.mu
 
 
 def shrink_to_location(data: DataMatrix, b, mu) -> EstimateMatrix:
     """Shrink each row toward ``mu``; ``(b, mu)`` must be feasible."""
     b = check_feasible_weights(b, data.order)
-    return _estimate(data, b, check_feasible_location(mu, data))
+    return EstimateMatrix(data, b, check_feasible_location(mu, data))
 
 
 def shrink_to_grand_mean(data: DataMatrix, b) -> EstimateMatrix:
     """Shrink each row toward the column means."""
-    return _estimate(data, check_feasible_weights(b, data.order), data.column_means)
+    return EstimateMatrix(data, check_feasible_weights(b, data.order), data.column_means)
 
 
 def fit(
@@ -70,8 +77,8 @@ def fit(
     mode: str = "location",
     max_iter: int = _MAX_ITER,
 ) -> tuple[FitResult, EstimateMatrix]:
-    """Minimize the risk estimate of the requested class and materialize
-    the fitted estimate.
+    """Minimize the risk estimate of the requested class and return the
+    fitted estimate with it.
 
     In location mode with several tie groups each descent start takes at
     most ``max_iter`` outer iterations
@@ -113,7 +120,7 @@ def competitor(data: DataMatrix, kind: str, theta=None) -> EstimateMatrix:
         b, mu = result.b, result.mu
     else:
         raise ValueError(f"unknown competitor {kind!r}; expected one of {COMPETITOR_KINDS}")
-    return _estimate(data, b, mu)
+    return EstimateMatrix(data, b, mu)
 
 
 def minimize_true_loss(data: DataMatrix, theta) -> FitResult:

@@ -30,13 +30,8 @@ from .families import (
     sample_matrix,
     validate_mean_matrix,
 )
-from .optimize import (
-    FitResult,
-    check_feasible_location,
-    check_feasible_weights,
-    sample_feasible_weights,
-)
-from .risk import _loss_rows, squared_error_loss, ure
+from .optimize import FitResult, check_feasible_location, check_feasible_weights
+from .risk import _loss_rows, _row_quadratic
 
 __all__ = [
     "ExperimentConfig",
@@ -251,7 +246,8 @@ def estimate_sup_gap(data: DataMatrix, theta, samples: int, seed, fitted: FitRes
     seeded random feasible pairs (monotone weights from sorted uniforms,
     targets uniform in the data box).  Random pairs are derived one stream
     per index, so enlarging ``samples`` keeps the smaller set as a prefix.
-    The result is a lower bound on the true supremum.
+    Each pair costs O(G p) for G tie groups, after one O(n p) pass over the
+    rows.  The result is a lower bound on the true supremum.
     """
     return _sup_gap(data, theta, samples, seed, fitted, location=True)
 
@@ -263,6 +259,22 @@ def estimate_sup_gap_grand_mean(
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
     return _sup_gap(data, theta, samples, seed, fitted, location=False)
+
+
+def _random_pairs(n_groups: int, p: int, m_range: float, samples: int, seed):
+    """The ``samples`` random pairs of the proxy: sorted uniform weights, one
+    per tie group (``samples`` x ``n_groups``), and targets uniform in
+    ``[-m_range, m_range]`` (``samples`` x ``p``).
+
+    Stream k of ``default_rng(seed).spawn(samples)`` makes one call,
+    ``random(n_groups + p)``: the same doubles, in the same order, as
+    :func:`~nefshrink.optimize.sample_feasible_weights` followed by
+    ``uniform(-m_range, m_range, p)`` on that stream.
+    """
+    draws = np.empty((samples, n_groups + p))
+    for row, rng in zip(draws, np.random.default_rng(seed).spawn(samples)):
+        row[:] = rng.random(n_groups + p)
+    return np.sort(draws[:, :n_groups], axis=1), -m_range + (2.0 * m_range) * draws[:, n_groups:]
 
 
 def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> float:
@@ -278,27 +290,33 @@ def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> f
     row sums of ``V(Y)/(tau + nu2)`` and ``f`` is 1 for URE and
     ``1 - 1/n`` for AURE: ``r = S - const`` and
     ``q_k = f S - lin + cross @ mu_k`` in the loss rows of
-    :func:`~nefshrink.risk._loss_rows`.  Summing per row first keeps the terms of size
-    ``np`` from cancelling against each other.
+    :func:`~nefshrink.risk._loss_rows`.  Feasible weights are constant on
+    each tie group, so ``f S - lin`` and ``cross`` are summed once per group
+    along ``RowOrder.permutation``, into ``h`` (G) and ``C`` (G x p), and
+    every pair is scored at once from its group weights ``U`` (K x G) and
+    targets ``T`` (K x p): ``np * gaps = R - 2 (U h + rowsum((U C) * T))``.
+    Summing per row first keeps the terms of size ``np`` from cancelling
+    against each other.
     """
     order = data.order
     m_range = data.data_range
+    g = order.n_groups
+    starts = np.flatnonzero(np.diff(order.group_ids, prepend=-1))  # each group's first position
+    fitted_b = check_feasible_weights(fitted.b, order)[order.permutation[starts]]
+    random_b, random_mu = _random_pairs(g, data.p, m_range, samples, seed)
+    weights = np.vstack([np.zeros(g), np.ones(g), fitted_b, random_b])
     if location:
         mu_center = np.clip(data.column_means, -m_range, m_range)
-        targets = [mu_center, mu_center, check_feasible_location(fitted.mu, data)]
+        fitted_mu = check_feasible_location(fitted.mu, data)
+        targets = np.vstack([mu_center, mu_center, fitted_mu, random_mu])
     else:
-        targets = [data.column_means]  # one row shared by every pair
-    weights = [np.zeros(data.n), np.ones(data.n), check_feasible_weights(fitted.b, order)]
-    for rng in np.random.default_rng(seed).spawn(samples):
-        weights.append(sample_feasible_weights(order, rng))
-        if location:
-            targets.append(rng.uniform(-m_range, m_range, data.p))
+        targets = data.column_means  # one row shared by every pair
     lin, cross, const = _loss_rows(data, theta)
     s = data.surrogate_row_sums
-    r = s - const
     factor = 1.0 if location else 1.0 - 1.0 / data.n
-    q = factor * s - lin + np.array(targets) @ cross.T  # (K, n)
-    gaps = r.sum() - 2.0 * (np.array(weights) * q).sum(axis=1)
+    h = np.add.reduceat((factor * s - lin)[order.permutation], starts)
+    c = np.add.reduceat(cross[order.permutation], starts, axis=0)
+    gaps = (s - const).sum() - 2.0 * (weights @ h + ((weights @ c) * targets).sum(axis=1))
     return float(np.abs(gaps).max()) / data.y.size
 
 
@@ -344,6 +362,11 @@ def _run_replication(
     config: ExperimentConfig,
     task: tuple[int, int, int, np.ndarray, np.ndarray, int],
 ) -> list[ReplicationRecord]:
+    """The records of one replication.  Each estimator is scored from its
+    ``(b, mu)``, with no n-by-p estimate: the loss is the mean of
+    ``(d - b_i e)^2`` with ``d = y - theta`` and ``e = y - mu``, the
+    residual ``theta_hat - theta`` itself, and a competitor's risk is
+    :func:`~nefshrink.risk.ure`'s row quadratic at ``||e_i||^2``."""
     ni, n, p, theta, tau, rep = task
     spec = config.family_spec()
     data = sample_matrix(spec, theta, tau, _substream(config.seed, ni, rep, _SAMPLE))
@@ -354,12 +377,17 @@ def _run_replication(
     scored = [("fit", estimate, result.objective, result.iterations, result.converged)]
     for kind in config.competitors:
         est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None)
-        scored.append((kind, est, ure(data, est.b, est.mu), 0, True))
-    return [
-        ReplicationRecord(rep, n, p, name, squared_error_loss(est.theta_hat, theta), risk,
-                          sup_gap, iters, converged)
-        for name, est, risk, iters, converged in scored
-    ]
+        scored.append((kind, est, None, 0, True))
+    d = data.y - theta
+    s = data.surrogate_row_sums
+    records = []
+    for name, est, risk, iters, converged in scored:
+        e = data.y - est.mu
+        if risk is None:
+            risk = _row_quadratic(est.b, (e**2).sum(axis=1), s, s, data.y.size)
+        loss = float(np.mean((d - est.b[:, None] * e) ** 2))
+        records.append(ReplicationRecord(rep, n, p, name, loss, risk, sup_gap, iters, converged))
+    return records
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReplicationRecord]:
@@ -369,7 +397,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
 
     Fully deterministic given ``(config, config.seed)``: replication
     streams are keyed by position, and records are collected in task
-    order, so the output is identical for any ``workers`` count.
+    order, so the output is identical for any ``workers`` count.  The pool
+    has at most one process per replication: ``workers`` above that count
+    start no more.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -381,7 +411,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
         tau = _generate_tau(config, spec, n, p, _substream(config.seed, ni, 0, _TAU))
         tasks.extend((ni, n, p, theta, tau, rep) for rep in range(config.replications))
     run = partial(_run_replication, config)
+    workers = min(workers, len(tasks))
     if workers > 1:
+        # under fork the pool starts every worker at once, so never more than tasks
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (4 * workers))
             return [row for rows in pool.map(run, tasks, chunksize=chunksize) for row in rows]

@@ -379,11 +379,12 @@ class TestLoadMatrix:
     @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
     def test_only_files_of_plain_lines_are_cut(self, tmp_path, monkeypatch):
         """A file above the fork size is cut into near-equal line ranges, one
-        per usable CPU, empty and '#' lines counted as lines; a file with a
-        lone CR, or at or below the fork size, takes one process."""
+        per usable CPU, empty and '#' lines counted as lines, except the empty
+        lines that end the file; a file with a lone CR, or at or below the
+        fork size, takes one process."""
         cut = {"one row": [(0, 1)], "one column": [(0, 2), (2, 5)],
                "no final line end": [(0, 1), (1, 3)], "crlf": [(0, 2), (2, 4)],
-               "empty lines": [(0, 3), (3, 6)], "empty crlf line": [(0, 2), (2, 4)],
+               "empty lines": [(0, 2), (2, 5)], "empty crlf line": [(0, 2), (2, 4)],
                "leading empty line": [(0, 1), (1, 3)], "comment lines": [(0, 2), (2, 5)]}
         path = tmp_path / "y.csv"
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
@@ -407,6 +408,40 @@ class TestLoadMatrix:
         assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes()
         assert [w for w in caught if issubclass(w.category, UserWarning)] == []
         assert capfd.readouterr().err == ""
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    @pytest.mark.parametrize("trailing", [1, 2, 3, 12])
+    @pytest.mark.parametrize("chunk", [4, 256])
+    def test_trailing_empty_lines_keep_the_forked_parse(self, tmp_path, monkeypatch, end,
+                                                        trailing, chunk):
+        """The empty lines that end a file are not counted, so no range holds
+        one: the forked parse returns, with no parse in one process after it.
+        Twelve CRLF lines fill more than a block's last 16 bytes."""
+        y = np.random.default_rng(trailing).normal(size=(7, 3))
+        path = tmp_path / "y.csv"
+        text = "".join(",".join(f"{v:.17g}" for v in row) + end for row in y)
+        path.write_bytes((text + end * trailing).encode())
+        outcomes = []
+
+        def spy(*args):
+            try:
+                matrix = parse_forked(*args)
+            except BaseException as exc:
+                outcomes.append(exc)
+                raise
+            outcomes.append("returned")
+            return matrix
+
+        parse_forked = cli._parse_forked
+        monkeypatch.setattr(cli, "_parse_forked", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _parse_everywhere(monkeypatch, path, 2, chunk)
+        assert cli._line_ranges(path) == [(0, 3), (3, 7)]
+        assert outcomes == ["returned"]
+        assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes() == y.tobytes()
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("text", ["1,2\n\n3,4\n", "1,2\r\n\r\n3,4\r\n", "1,2\n# note\n3,4\n"])

@@ -4,6 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nefshrink import (
     AggregateRecord,
@@ -28,10 +29,11 @@ from nefshrink import (
     ure,
     write_records_csv,
 )
-from nefshrink import families
-from nefshrink.harness import parse_config_text, records_csv_text
+from nefshrink import estimators, families, harness
+from nefshrink.estimators import EstimateMatrix
+from nefshrink.harness import _random_pairs, parse_config_text, records_csv_text
 
-from conftest import family_case
+from conftest import ALL_FAMILIES, family_case
 from oracles import theoretical_moments
 
 CONFIG_TEXT = """
@@ -280,6 +282,50 @@ class TestSupGapAgainstPerPairReference:
                 estimate_sup_gap_grand_mean(data, theta, 2, seed=1, fitted=fitted_pair(bad_b, mu))
 
 
+def _tau_with_ties(kind: str, n: int, p: int, rng) -> np.ndarray:
+    """Tau with one tie group ("one"), a few ("tied") or n ("distinct")."""
+    if kind == "one":
+        return np.ones((n, p))
+    if kind == "tied":
+        return rng.integers(1, 3, (n, p)).astype(float)
+    tau = np.ones((n, p))
+    tau[:, 0] = rng.permutation(n) + 1.0
+    return tau
+
+
+class TestSupGapPerTieGroup:
+    """The proxy sums its rows once per tie group and scores every pair from
+    group values; the pairs and the value are those of the pair-by-pair path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["normal", "poisson"]), n=st.integers(2, 10),
+           p=st.integers(1, 4), ties=st.sampled_from(["one", "tied", "distinct"]),
+           mode=st.sampled_from(["location", "grand_mean"]), samples=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_per_pair_reference(self, kind, n, p, ties, mode, samples, seed):
+        rng = np.random.default_rng(seed)
+        spec, theta, _ = family_case(kind, n, p, rng)
+        tau = _tau_with_ties(ties, n, p, rng)
+        data = sample_matrix(spec, theta, tau, seed=rng)
+        order = data.order
+        assert order.n_groups == {"one": 1, "distinct": n}.get(ties, order.n_groups)
+        # the sampled pairs: bit-identical to one stream's weights, then target
+        weights, targets = _random_pairs(order.n_groups, p, data.data_range, samples, seed)
+        assert weights.shape == (samples, order.n_groups) and targets.shape == (samples, p)
+        for k, child in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+            stream = np.random.default_rng(child)
+            expected_b = sample_feasible_weights(order, stream)
+            expected_mu = stream.uniform(-data.data_range, data.data_range, p)
+            assert np.array_equal(order.expand_group_values(weights[k]), expected_b)
+            assert np.array_equal(targets[k], expected_mu)
+        fitted = fitted_pair(sample_feasible_weights(order, rng),
+                             rng.uniform(-data.data_range, data.data_range, p))
+        gap_of = estimate_sup_gap if mode == "location" else estimate_sup_gap_grand_mean
+        value = gap_of(data, theta, samples, seed, fitted)
+        reference = per_pair_sup_gap(data, theta, samples, seed, fitted, mode)
+        assert value == pytest.approx(reference, rel=1e-12, abs=0)
+
+
 class TestRunExperiment:
     def test_record_layout_and_determinism(self):
         config = small_config()
@@ -340,6 +386,31 @@ class TestRunExperiment:
         se = losses.std(ddof=1) / np.sqrt(len(losses))
         assert abs(losses.mean() - var.mean()) < 4 * se
 
+    @pytest.mark.parametrize("workers, pool", [(1, None), (2, 2), (6, 6), (500, 6)])
+    def test_pool_has_at_most_one_process_per_replication(self, monkeypatch, workers, pool):
+        """Under fork the pool starts all its workers at once; a recording
+        executor that runs the tasks in this process sees the size asked for."""
+        sizes = []
+
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        config = small_config()  # 2 sample sizes x 3 replications: 6 tasks
+        serial = run_experiment(config)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+        assert run_experiment(config, workers=workers) == serial
+        assert sizes == ([] if pool is None else [pool])
+
     def test_grand_mean_mode_runs(self):
         config = small_config(mode="grand_mean", competitors=("no_shrinkage",))
         fit_rows = [r for r in run_experiment(config) if r.estimator == "fit"]
@@ -371,7 +442,7 @@ seed = 11
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "eba1eb6f9d7892feb6c05205a3d03e4981028a903c92c631b5c920ee7d55c77d"),
+""", "caa53ba04c5a530dc4c47d25a28d40db578662c64e7ef8341ebe58d280dd27bf"),
     "grand_mean_oracle": ("""
 family = poisson
 theta_rule = uniform:0.5,2
@@ -383,7 +454,7 @@ seed = 12
 mode = grand_mean
 competitors = no_shrinkage,oracle_loss
 K_grid = 4
-""", "16764afb0850eff92afef824da2bb367ac37ae464a53b28c0c3ec21eb035bd08"),
+""", "8fe9663dd69e73c680051eaad0c8f7bde0b7bf6a47bf50b8faea819ed74ee0b3"),
     # a trial family: tau rows of N, the multinomial sampler and its support check;
     # one tie group, so its fit rows come from the closed-form location fit
     "multinomial_location": ("""
@@ -397,7 +468,7 @@ seed = 13
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "a73258b37a5adfc5928789085e980c67812caa504828be62011cefae04af5970"),
+""", "6a12cb124579cdd133ecfbbe24584080b72373ff0a29dcec5fd66b7bc3495480"),
 }
 
 
@@ -426,6 +497,60 @@ class TestPerMatrixDerivations:
         run_experiment(config)
         replications = config.replications * len(config.n_grid)
         assert calls == {"from_tau": replications, "variance_function": replications}
+
+
+FAMILY_CONFIGS = {
+    "normal": {"theta_rule": "uniform:-1,1", "tau_rule": "randint:1,3"},
+    "poisson": {"theta_rule": "uniform:0.5,2", "tau_rule": "randint:1,3"},
+    "gamma": {"theta_rule": "uniform:0.5,2", "tau_rule": "randint:1,3", "lam": 2.0},
+    "multinomial": {"theta_rule": "uniform:0.01,0.09", "trials": 4},
+    "negmultinomial": {"theta_rule": "uniform:0.5,2", "trials": 4},
+}
+
+
+class TestScoringFromRows:
+    """Each record is scored from the estimator's ``(b, mu)``: no estimate
+    matrix is built, and the loss and risk are those of the public path."""
+
+    @pytest.mark.parametrize("family", ALL_FAMILIES)
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_records_match_the_public_path(self, family, mode, monkeypatch):
+        config = small_config(family=family, mode=mode, **FAMILY_CONFIGS[family],
+                              competitors=("no_shrinkage", "half_to_zero", "oracle_loss"))
+        drawn, estimates, accesses = [], [], []
+
+        def spy_sample(*args, **kwargs):
+            drawn.append((sample_matrix(*args, **kwargs), args[1]))
+            return drawn[-1][0]
+
+        def spy_fit(*args, **kwargs):
+            result, estimate = estimators.fit(*args, **kwargs)
+            estimates.append(estimate)
+            return result, estimate
+
+        def spy_competitor(*args, **kwargs):
+            estimates.append(estimators.competitor(*args, **kwargs))
+            return estimates[-1]
+
+        theta_hat = EstimateMatrix.theta_hat
+        monkeypatch.setattr(harness, "sample_matrix", spy_sample)
+        monkeypatch.setattr(harness, "fit", spy_fit)
+        monkeypatch.setattr(harness, "competitor", spy_competitor)
+        monkeypatch.setattr(EstimateMatrix, "theta_hat", property(
+            lambda est: accesses.append(est) or theta_hat.func(est)))
+        records = run_experiment(config)
+        assert accesses == []
+        per_rep = 1 + len(config.competitors)
+        assert len(records) == len(estimates) == per_rep * len(drawn)
+        for k, (record, est) in enumerate(zip(records, estimates)):
+            data, theta = drawn[k // per_rep]
+            assert est.data is data
+            loss = squared_error_loss(est.theta_hat, theta)
+            assert record.loss == pytest.approx(loss, rel=1e-12, abs=0)
+            if record.estimator == "fit" and mode == "grand_mean":
+                assert record.risk_estimate == aure(data, est.b)
+            else:
+                assert record.risk_estimate == ure(data, est.b, est.mu)
 
 
 class TestRecordsContract:
