@@ -10,6 +10,7 @@ to-loss closeness, and dominance empirically.
 
 from .families import (
     DataMatrix,
+    Design,
     FamilyKind,
     FamilySpec,
     default_tau,

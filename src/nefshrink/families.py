@@ -9,7 +9,10 @@ descriptors, their mean domains and exact samplers, and the immutable
 checked once against the family's support, which keeps what its consumers
 derive from one matrix: the tau row order (:class:`RowOrder`), the data
 range, the column means and the surrogate row sums ``S_i`` that the risk
-estimates of :mod:`nefshrink.risk` read.
+estimates of :mod:`nefshrink.risk` read.  A :class:`Design` fixes the mean
+and tau matrices of repeated draws: it checks them and derives the row
+order and the sampler's inputs once, so each draw checks only its
+observations.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ __all__ = [
     "FamilySpec",
     "RowOrder",
     "DataMatrix",
+    "Design",
     "make_family",
     "variance_function",
     "validate_mean_matrix",
@@ -228,6 +232,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _read_only_order(order: RowOrder) -> RowOrder:
+    _read_only(order.permutation)
+    _read_only(order.group_ids)
+    return order
+
+
 # cells per row block of a whole-matrix pass: a few MiB of temporaries at a time
 _BLOCK_CELLS = 1 << 16
 
@@ -263,6 +273,24 @@ class DataMatrix:
             raise ValueError(
                 f"observation shape {y.shape} does not match tau shape {tau.shape}"
             )
+        object.__setattr__(self, "tau", tau)
+        self._set_observations(y)
+
+    @classmethod
+    def _drawn(cls, y: np.ndarray, design: "Design") -> "DataMatrix":
+        """The matrix of observations ``y`` drawn from ``design``: only ``y``
+        is checked; the tau matrix and its row order are the design's,
+        checked and derived once for all its draws."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "tau", design.tau)
+        object.__setattr__(data, "spec", design.spec)
+        data.__dict__["order"] = design.order  # the cached_property's slot
+        data._set_observations(y)
+        return data
+
+    def _set_observations(self, y: np.ndarray) -> None:
+        """Check the float matrix ``y`` against the family's support and the
+        scale bound, then keep it."""
         if y.size == 0:
             raise ValueError("observation matrix must be non-empty")
         if not np.all(np.isfinite(y)):
@@ -276,7 +304,6 @@ class DataMatrix:
             if np.any(y.sum(axis=1) > 1.0 + y.shape[1] * np.finfo(float).eps):
                 raise ValueError("multinomial observation rows must sum to at most 1")
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "tau", tau)
         # each cell adds at most (2 max|y|)^2 to a squared deviation sum and
         # about 3 max|y|^2 more to a risk estimate's terms, all summed over y.size
         limit = np.sqrt(np.finfo(float).max / (8 * y.size))
@@ -297,10 +324,7 @@ class DataMatrix:
     @cached_property
     def order(self) -> RowOrder:
         """The tau row order that feasible weights follow."""
-        order = RowOrder.from_tau(self.tau)
-        _read_only(order.permutation)
-        _read_only(order.group_ids)
-        return order
+        return _read_only_order(RowOrder.from_tau(self.tau))
 
     @cached_property
     def data_range(self) -> float:
@@ -342,6 +366,79 @@ def _row_trial_counts(tau: np.ndarray, minimum: int, label: str) -> np.ndarray:
     return counts
 
 
+class Design:
+    """The fixed part of repeated draws: a family, a mean matrix ``theta``
+    and a tau matrix, checked and prepared once.
+
+    On construction ``theta`` is checked against the family's mean domain
+    (Poisson means of 0 are admitted: they draw 0), ``tau`` is checked as
+    :class:`DataMatrix` checks it, the tau row order is derived, and so are
+    the sampler's inputs (``1/sqrt(tau)``, ``tau*theta``, the gamma shapes
+    and scales, the trial counts).  Each :meth:`sample` then pays only for
+    its draw: its :class:`DataMatrix` shares the checked tau matrix and the
+    read-only row order, and checks only its observations.  As with a
+    :class:`DataMatrix`, a float ``theta`` or ``tau`` is kept as passed, so
+    it must not be changed while the design is in use.
+    """
+
+    def __init__(self, spec: FamilySpec, theta, tau):
+        theta = np.atleast_2d(np.asarray(theta, dtype=float))
+        tau = np.atleast_2d(_check_tau(tau))
+        if theta.shape != tau.shape:
+            raise ValueError(
+                f"theta shape {theta.shape} does not match tau shape {tau.shape}"
+            )
+        validate_mean_matrix(
+            spec, theta, allow_poisson_boundary=spec.kind is FamilyKind.POISSON
+        )
+        kind = spec.kind
+        if kind is FamilyKind.NORMAL:
+            inputs = (1.0 / np.sqrt(tau),)
+        elif kind is FamilyKind.POISSON:
+            inputs = (tau * theta,)
+        elif kind is FamilyKind.GAMMA:
+            k = tau * spec.shape
+            inputs = (k, theta / k)
+        elif kind is FamilyKind.MULTINOMIAL:
+            counts = _row_trial_counts(tau, 2, "multinomial")
+            inputs = (counts, np.hstack([theta, (1.0 - theta.sum(axis=1))[:, None]]))
+        else:  # negative multinomial
+            counts = _row_trial_counts(tau, 1, "negative multinomial")
+            inputs = (counts, counts.astype(float))
+        self.spec, self.theta, self.tau = spec, theta, tau
+        self.order = _read_only_order(RowOrder.from_tau(tau))
+        self._inputs = inputs
+
+    def __setstate__(self, state):
+        # an unpickled array is writable again: a pool's copy keeps the order read-only
+        self.__dict__.update(state)
+        _read_only_order(self.order)
+
+    def sample(self, seed) -> DataMatrix:
+        """One draw, as :func:`sample_matrix` describes it."""
+        rng = np.random.default_rng(seed)
+        kind = self.spec.kind
+        theta = self.theta
+        if kind is FamilyKind.NORMAL:
+            (scale,) = self._inputs
+            # the doubles of rng.normal(theta, scale), without its broadcast loop
+            y = theta + scale * rng.standard_normal(theta.shape)
+        elif kind is FamilyKind.POISSON:
+            (lam,) = self._inputs
+            y = rng.poisson(lam) / self.tau
+        elif kind is FamilyKind.GAMMA:
+            k, scale = self._inputs
+            y = rng.gamma(k, scale)
+        elif kind is FamilyKind.MULTINOMIAL:
+            counts, pvals = self._inputs
+            y = rng.multinomial(counts, pvals)[:, : theta.shape[1]] / counts[:, None]
+        else:  # negative multinomial
+            counts, shapes = self._inputs
+            mix = rng.gamma(shapes, 1.0)
+            y = rng.poisson(mix[:, None] * theta) / counts[:, None]
+        return DataMatrix._drawn(y, self)
+
+
 def sample_matrix(spec: FamilySpec, theta, tau, seed) -> DataMatrix:
     """Draw one observation matrix with ``E(Y_ij) = theta_ij`` and
     ``Var(Y_ij) = V(theta_ij)/tau_ij``.
@@ -358,35 +455,9 @@ def sample_matrix(spec: FamilySpec, theta, tau, seed) -> DataMatrix:
 
     Deterministic for a fixed ``seed`` (int or ``numpy.random.SeedSequence``);
     a fresh generator is created per call, so concurrent invocations never
-    share state.
+    share state.  This is ``Design(spec, theta, tau).sample(seed)``: a
+    caller that draws many matrices at one ``(theta, tau)`` builds the
+    :class:`Design` once and calls its :meth:`~Design.sample`, with the
+    same draws.
     """
-    theta = np.atleast_2d(np.asarray(theta, dtype=float))
-    tau = np.atleast_2d(_check_tau(tau))
-    if theta.shape != tau.shape:
-        raise ValueError(
-            f"theta shape {theta.shape} does not match tau shape {tau.shape}"
-        )
-    validate_mean_matrix(
-        spec, theta, allow_poisson_boundary=spec.kind is FamilyKind.POISSON
-    )
-    n, p = theta.shape
-    rng = np.random.default_rng(seed)
-
-    if spec.kind is FamilyKind.NORMAL:
-        y = rng.normal(theta, 1.0 / np.sqrt(tau))
-    elif spec.kind is FamilyKind.POISSON:
-        y = rng.poisson(tau * theta) / tau
-    elif spec.kind is FamilyKind.GAMMA:
-        k = tau * spec.shape
-        y = rng.gamma(k, theta / k)
-    elif spec.kind is FamilyKind.MULTINOMIAL:
-        counts = _row_trial_counts(tau, 2, "multinomial")
-        pvals = np.hstack([theta, (1.0 - theta.sum(axis=1))[:, None]])
-        draws = rng.multinomial(counts, pvals)
-        y = draws[:, :p] / counts[:, None]
-    else:  # negative multinomial
-        counts = _row_trial_counts(tau, 1, "negative multinomial")
-        mix = rng.gamma(counts.astype(float), 1.0)
-        y = rng.poisson(mix[:, None] * theta) / counts[:, None]
-
-    return DataMatrix(y=y, tau=tau, spec=spec)
+    return Design(spec, theta, tau).sample(seed)

@@ -1,14 +1,17 @@
 """Monte Carlo experiment engine with deterministic, order-independent seeding.
 
 An experiment sweeps a grid of sample sizes: for each ``n`` it derives the
-dimension ``p``, draws one fixed mean matrix, and runs ``M`` independent
-replications, each of which samples data, fits the configured shrinkage
-class, evaluates the fixed competitors, and records losses, risk
-estimates, and a sampled proxy for the largest gap between the risk
-estimate and the realized loss over the feasible set.  Every random
-stream is derived from the master seed through a spawn key
-``(n_index, replication, purpose)``, so results are byte-identical no
-matter how replications are scheduled.
+dimension ``p``, draws one fixed mean matrix and one tau matrix, and runs
+``M`` independent replications, each of which samples data, fits the
+configured shrinkage class, evaluates the fixed competitors, and records
+losses, risk estimates, and a sampled proxy for the largest gap between
+the risk estimate and the realized loss over the feasible set.  What
+depends only on the grid point is derived once there, in a
+:class:`~nefshrink.families.Design`: the checks of the mean and tau
+matrices, the tau row order and the sampler's inputs; a replication pays
+for its own draw, fit and scoring.  Every random stream is derived from
+the master seed through a spawn key ``(n_index, replication, purpose)``,
+so results are byte-identical no matter how replications are scheduled.
 """
 
 from __future__ import annotations
@@ -24,10 +27,10 @@ import numpy as np
 from .estimators import COMPETITOR_KINDS, FIT_MODES, competitor, fit
 from .families import (
     DataMatrix,
+    Design,
     FamilySpec,
     default_tau,
     make_family,
-    sample_matrix,
     validate_mean_matrix,
 )
 from .optimize import FitResult, check_feasible_location, check_feasible_weights
@@ -245,7 +248,9 @@ def estimate_sup_gap(data: DataMatrix, theta, samples: int, seed, fitted: FitRes
     clipped grand mean, at the caller's fitted pair, and at ``samples``
     seeded random feasible pairs (monotone weights from sorted uniforms,
     targets uniform in the data box).  Random pairs are derived one stream
-    per index, so enlarging ``samples`` keeps the smaller set as a prefix.
+    per index, so enlarging ``samples`` keeps the smaller set as a prefix;
+    ``seed`` (an int, a sequence of ints or a ``numpy.random.SeedSequence``)
+    is not advanced, so the same seed gives the same value on every call.
     Each pair costs O(G p) for G tie groups, after one O(n p) pass over the
     rows.  The result is a lower bound on the true supremum.
     """
@@ -261,19 +266,48 @@ def estimate_sup_gap_grand_mean(
     return _sup_gap(data, theta, samples, seed, fitted, location=False)
 
 
+def _uint32_words(value) -> list[int]:
+    """The 32-bit words that ``numpy.random.SeedSequence`` assembles from an
+    int or a sequence of ints: each int least significant word first, 0 as
+    one word."""
+    if isinstance(value, (int, np.integer)):
+        value = int(value)
+        words = [value & 0xFFFFFFFF]
+        while value > 0xFFFFFFFF:
+            value >>= 32
+            words.append(value & 0xFFFFFFFF)
+        return words
+    if isinstance(value, (list, tuple, range, np.ndarray)):
+        return [word for item in value for word in _uint32_words(item)]
+    raise TypeError(f"seed entropy must be integers, not {type(value).__name__}")
+
+
 def _random_pairs(n_groups: int, p: int, m_range: float, samples: int, seed):
     """The ``samples`` random pairs of the proxy: sorted uniform weights, one
     per tie group (``samples`` x ``n_groups``), and targets uniform in
     ``[-m_range, m_range]`` (``samples`` x ``p``).
 
-    Stream k of ``default_rng(seed).spawn(samples)`` makes one call,
+    Stream k is seeded by the k-th child that ``spawn(samples)`` gives a
+    fresh ``SeedSequence(seed)`` (or ``seed`` itself, when it is a
+    ``SeedSequence`` that has spawned nothing yet), built from that child's
+    entropy words without spawning: the seed's run entropy zero-padded to
+    its pool size, its spawn key, then k.  So the caller's ``SeedSequence``
+    is not advanced, and a repeated call draws the same pairs.  Each stream
+    makes one call,
     ``random(n_groups + p)``: the same doubles, in the same order, as
     :func:`~nefshrink.optimize.sample_feasible_weights` followed by
     ``uniform(-m_range, m_range, p)`` on that stream.
     """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    run = _uint32_words(root.entropy)
+    prefix = run + [0] * (root.pool_size - len(run)) + _uint32_words(root.spawn_key)
+    words = np.empty((samples, len(prefix) + 1), dtype=np.uint32)
+    words[:, :-1] = prefix
+    words[:, -1] = np.arange(samples)
     draws = np.empty((samples, n_groups + p))
-    for row, rng in zip(draws, np.random.default_rng(seed).spawn(samples)):
-        row[:] = rng.random(n_groups + p)
+    for row, entropy in zip(draws, words):
+        stream = np.random.SeedSequence(entropy, pool_size=root.pool_size)
+        row[:] = np.random.default_rng(stream).random(n_groups + p)
     return np.sort(draws[:, :n_groups], axis=1), -m_range + (2.0 * m_range) * draws[:, n_groups:]
 
 
@@ -359,17 +393,17 @@ def _generate_tau(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, se
 
 
 def _run_replication(
-    config: ExperimentConfig,
-    task: tuple[int, int, int, np.ndarray, np.ndarray, int],
+    config: ExperimentConfig, task: tuple[int, Design, int]
 ) -> list[ReplicationRecord]:
-    """The records of one replication.  Each estimator is scored from its
-    ``(b, mu)``, with no n-by-p estimate: the loss is the mean of
-    ``(d - b_i e)^2`` with ``d = y - theta`` and ``e = y - mu``, the
+    """The records of one replication: a draw from the grid point's design,
+    then the fit, the sup-gap proxy and the competitors.  Each estimator is
+    scored from its ``(b, mu)``, with no n-by-p estimate: the loss is the
+    mean of ``(d - b_i e)^2`` with ``d = y - theta`` and ``e = y - mu``, the
     residual ``theta_hat - theta`` itself, and a competitor's risk is
     :func:`~nefshrink.risk.ure`'s row quadratic at ``||e_i||^2``."""
-    ni, n, p, theta, tau, rep = task
-    spec = config.family_spec()
-    data = sample_matrix(spec, theta, tau, _substream(config.seed, ni, rep, _SAMPLE))
+    ni, design, rep = task
+    theta = design.theta
+    data = design.sample(_substream(config.seed, ni, rep, _SAMPLE))
     result, estimate = fit(data, config.mode)
     sup_seed = _substream(config.seed, ni, rep, _SUPGAP)
     sup_gap_of = estimate_sup_gap if config.mode == "location" else estimate_sup_gap_grand_mean
@@ -386,7 +420,9 @@ def _run_replication(
         if risk is None:
             risk = _row_quadratic(est.b, (e**2).sum(axis=1), s, s, data.y.size)
         loss = float(np.mean((d - est.b[:, None] * e) ** 2))
-        records.append(ReplicationRecord(rep, n, p, name, loss, risk, sup_gap, iters, converged))
+        records.append(
+            ReplicationRecord(rep, data.n, data.p, name, loss, risk, sup_gap, iters, converged)
+        )
     return records
 
 
@@ -397,9 +433,12 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
 
     Fully deterministic given ``(config, config.seed)``: replication
     streams are keyed by position, and records are collected in task
-    order, so the output is identical for any ``workers`` count.  The pool
-    has at most one process per replication: ``workers`` above that count
-    start no more.
+    order, so the output is identical for any ``workers`` count.  The mean
+    and tau matrices of each grid point are checked, and its row order and
+    sampler inputs derived, once, in the :class:`~nefshrink.families.Design`
+    that its replications share (a process pool receives a pickled copy).
+    The pool has at most one process per replication: ``workers`` above
+    that count start no more.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -409,7 +448,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
         p = config.p_for(n)
         theta = _generate_theta(config, spec, n, p, _substream(config.seed, ni, 0, _THETA))
         tau = _generate_tau(config, spec, n, p, _substream(config.seed, ni, 0, _TAU))
-        tasks.extend((ni, n, p, theta, tau, rep) for rep in range(config.replications))
+        design = Design(spec, theta, tau)
+        tasks.extend((ni, design, rep) for rep in range(config.replications))
     run = partial(_run_replication, config)
     workers = min(workers, len(tasks))
     if workers > 1:
@@ -417,7 +457,11 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (4 * workers))
             return [row for rows in pool.map(run, tasks, chunksize=chunksize) for row in rows]
-    return [row for rows in map(run, tasks) for row in rows]
+    records = []
+    tasks.reverse()
+    while tasks:  # a popped task's design is freed once its grid point is done
+        records += run(tasks.pop())
+    return records
 
 
 def _mean_se(values: np.ndarray) -> tuple[float, float]:

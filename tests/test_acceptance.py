@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from nefshrink import (
+    Design,
     ExperimentConfig,
     RowOrder,
     aggregate_records,
@@ -135,9 +136,10 @@ def unbiasedness_tables():
         aure_diff = np.empty_like(ure_diff)
         loc_loss = np.empty_like(ure_diff)
         weights = [np.full(n, level) for level in WEIGHT_LEVELS]
+        design = Design(spec, theta, tau)  # theta and tau checked once, not per draw
         for r in range(m):
             seed = np.random.SeedSequence(entropy=MC_SEED, spawn_key=(setup["index"], r, 1))
-            data = sample_matrix(spec, theta, tau, seed)
+            data = design.sample(seed)
             for k, (b, mu) in enumerate(zip(weights, targets)):
                 realized = squared_error_loss(shrink_to_location(data, b, mu).theta_hat, theta)
                 loc_loss[k, r] = realized

@@ -1,12 +1,15 @@
 """Family descriptors, samplers, and moment oracles."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
 from nefshrink import (
     DataMatrix,
+    Design,
+    RowOrder,
     make_family,
     sample_matrix,
     validate_mean_matrix,
@@ -165,6 +168,77 @@ class TestSampler:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             sample_matrix(make_family("normal"), [[0.0, 1.0]], [[1]], seed=0)
+
+
+def reference_draw(spec, theta, tau, seed) -> np.ndarray:
+    """The per-family generator calls of one draw, on one fresh generator."""
+    rng = np.random.default_rng(seed)
+    kind = spec.kind.value
+    if kind == "normal":
+        return rng.normal(theta, 1.0 / np.sqrt(tau))
+    if kind == "poisson":
+        return rng.poisson(tau * theta) / tau
+    if kind == "gamma":
+        return rng.gamma(tau * spec.shape, theta / (tau * spec.shape))
+    counts = tau[:, 0].astype(int)
+    if kind == "multinomial":
+        pvals = np.hstack([theta, (1.0 - theta.sum(axis=1))[:, None]])
+        return rng.multinomial(counts, pvals)[:, :theta.shape[1]] / counts[:, None]
+    mix = rng.gamma(counts.astype(float), 1.0)
+    return rng.poisson(mix[:, None] * theta) / counts[:, None]
+
+
+class TestDesign:
+    """A design checks (theta, tau) and derives the row order and the
+    sampler's inputs once; each draw is that of the family's generator calls."""
+
+    @pytest.mark.parametrize("kind", ALL_FAMILIES)
+    def test_draws_are_those_of_the_generator_calls(self, kind):
+        rng = np.random.default_rng(17)
+        for trial in range(20):
+            n, p = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            spec, theta, tau = family_case(kind, n, p, rng)
+            if spec.trials is None and trial % 2:
+                tau = rng.integers(1, 6, (n, p)).astype(float)
+            elif spec.trials is not None and trial % 2:
+                tau = np.repeat(rng.integers(2, 9, (n, 1)), p, axis=1)
+            design = Design(spec, theta, tau)
+            for seed in (trial, np.random.SeedSequence(trial, spawn_key=(1, 2))):
+                expected = reference_draw(spec, theta, np.asarray(tau, dtype=float), seed)
+                assert np.array_equal(design.sample(seed).y, expected)
+                assert np.array_equal(sample_matrix(spec, theta, tau, seed).y, expected)
+
+    def test_draws_share_the_checked_tau_and_read_only_order(self):
+        rng = np.random.default_rng(3)
+        spec, theta, _ = family_case("poisson", 9, 3, rng)
+        design = Design(spec, theta, rng.integers(1, 3, (9, 3)))
+        first, second = design.sample(1), design.sample(2)
+        assert design.tau.dtype == float
+        assert first.tau is second.tau is design.tau
+        assert first.order is second.order is design.order
+        reference = RowOrder.from_tau(design.tau)
+        np.testing.assert_array_equal(design.order.permutation, reference.permutation)
+        np.testing.assert_array_equal(design.order.group_ids, reference.group_ids)
+        copy = pickle.loads(pickle.dumps(design, protocol=4))
+        np.testing.assert_array_equal(copy.sample(1).y, first.y)
+        for order in (design.order, copy.order):
+            for array in (order.permutation, order.group_ids):
+                assert not array.flags.writeable
+
+    def test_checks_theta_and_tau_once_and_each_draw(self):
+        normal = make_family("normal")
+        with pytest.raises(ValueError, match="positive integers"):
+            Design(normal, [[0.0, 1.0]], [[1, 0]])
+        with pytest.raises(ValueError, match="shape"):
+            Design(normal, [[0.0, 1.0]], [[1]])
+        with pytest.raises(ValueError, match="positive"):
+            Design(make_family("gamma", shape=2.0), [[1.0, -1.0]], [[1, 1]])
+        with pytest.raises(ValueError, match="constant"):
+            Design(make_family("multinomial", trials=4), [[0.1, 0.1]], [[4, 3]])
+        # a draw's observations are still checked: here against the scale bound
+        design = Design(normal, np.full((2, 2), 1e300), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="observation scale"):
+            design.sample(0)
 
 
 class TestSampledMoments:

@@ -4,10 +4,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nefshrink import (
     AggregateRecord,
+    Design,
     ExperimentConfig,
     FitResult,
     RowOrder,
@@ -213,6 +214,20 @@ class TestSupGapProxy:
         b = estimate_sup_gap(data, theta, 6, seed=11, fitted=fitted)
         assert a == b
 
+    def test_a_seed_sequence_is_not_advanced(self):
+        # spawning from the caller's SeedSequence advanced it, so a second call
+        # with the same object drew other pairs (0.527 then 1.247 here)
+        rng = np.random.default_rng(5)
+        spec, theta, tau = family_case("normal", 20, 3, rng)
+        data = sample_matrix(spec, theta, tau, seed=5)
+        for gap_of, fitted in [(estimate_sup_gap, minimize_ure(data)),
+                               (estimate_sup_gap_grand_mean, minimize_aure(data))]:
+            seed = np.random.SeedSequence(5)
+            first = gap_of(data, theta, 20, seed, fitted)
+            assert gap_of(data, theta, 20, seed, fitted) == first
+            assert seed.n_children_spawned == 0
+            assert gap_of(data, theta, 20, 5, fitted) == first
+
     def test_grand_mean_variant(self):
         rng = np.random.default_rng(10)
         spec, theta, tau = family_case("poisson", 5, 3, rng)
@@ -228,7 +243,9 @@ def per_pair_sup_gap(data, theta, samples, seed, fitted, mode):
     m_range = data.data_range
     mu_c = np.clip(data.column_means, -m_range, m_range)
     pairs = [(np.zeros(data.n), mu_c), (np.ones(data.n), mu_c), (fitted.b, fitted.mu)]
-    for child in np.random.SeedSequence(seed).spawn(samples):
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    for child in seed.spawn(samples):
         rng = np.random.default_rng(child)
         b = sample_feasible_weights(order, rng)
         pairs.append((b, rng.uniform(-m_range, m_range, data.p) if mode == "location" else None))
@@ -293,6 +310,26 @@ def _tau_with_ties(kind: str, n: int, p: int, rng) -> np.ndarray:
     return tau
 
 
+# seeds of every form the proxy takes: ints of one or more 32-bit words, lists
+# of ints, and SeedSequences with spawn keys, given as (entropy, spawn_key)
+_WORDS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**96)
+SEEDS = st.one_of(
+    _WORDS,
+    st.lists(_WORDS, min_size=1, max_size=5),
+    st.tuples(_WORDS | st.lists(_WORDS, min_size=1, max_size=5),
+              st.lists(_WORDS, min_size=1, max_size=4).map(tuple)),
+)
+
+
+def _seed_of(spec):
+    """A fresh seed object for a ``SEEDS`` draw, so a spawn never sees one
+    that an earlier call has advanced."""
+    if isinstance(spec, tuple):
+        entropy, spawn_key = spec
+        return np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return spec
+
+
 class TestSupGapPerTieGroup:
     """The proxy sums its rows once per tie group and scores every pair from
     group values; the pairs and the value are those of the pair-by-pair path."""
@@ -301,18 +338,24 @@ class TestSupGapPerTieGroup:
     @given(kind=st.sampled_from(["normal", "poisson"]), n=st.integers(2, 10),
            p=st.integers(1, 4), ties=st.sampled_from(["one", "tied", "distinct"]),
            mode=st.sampled_from(["location", "grand_mean"]), samples=st.integers(0, 6),
-           seed=st.integers(0, 2**32 - 1))
+           seed=SEEDS)
+    @example(kind="normal", n=4, p=2, ties="tied", mode="location", samples=3,
+             seed=([7, 2**40], (1, 2**33 + 5, 0)))
     def test_matches_the_per_pair_reference(self, kind, n, p, ties, mode, samples, seed):
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(_seed_of(seed))
         spec, theta, _ = family_case(kind, n, p, rng)
         tau = _tau_with_ties(ties, n, p, rng)
         data = sample_matrix(spec, theta, tau, seed=rng)
         order = data.order
         assert order.n_groups == {"one": 1, "distinct": n}.get(ties, order.n_groups)
         # the sampled pairs: bit-identical to one stream's weights, then target
-        weights, targets = _random_pairs(order.n_groups, p, data.data_range, samples, seed)
+        weights, targets = _random_pairs(order.n_groups, p, data.data_range, samples,
+                                         _seed_of(seed))
         assert weights.shape == (samples, order.n_groups) and targets.shape == (samples, p)
-        for k, child in enumerate(np.random.SeedSequence(seed).spawn(samples)):
+        root = _seed_of(seed)
+        if not isinstance(root, np.random.SeedSequence):
+            root = np.random.SeedSequence(root)
+        for k, child in enumerate(root.spawn(samples)):
             stream = np.random.default_rng(child)
             expected_b = sample_feasible_weights(order, stream)
             expected_mu = stream.uniform(-data.data_range, data.data_range, p)
@@ -321,8 +364,8 @@ class TestSupGapPerTieGroup:
         fitted = fitted_pair(sample_feasible_weights(order, rng),
                              rng.uniform(-data.data_range, data.data_range, p))
         gap_of = estimate_sup_gap if mode == "location" else estimate_sup_gap_grand_mean
-        value = gap_of(data, theta, samples, seed, fitted)
-        reference = per_pair_sup_gap(data, theta, samples, seed, fitted, mode)
+        value = gap_of(data, theta, samples, _seed_of(seed), fitted)
+        reference = per_pair_sup_gap(data, theta, samples, _seed_of(seed), fitted, mode)
         assert value == pytest.approx(reference, rel=1e-12, abs=0)
 
 
@@ -469,6 +512,45 @@ mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
 """, "6a12cb124579cdd133ecfbbe24584080b72373ff0a29dcec5fd66b7bc3495480"),
+    # the normal, gamma and negative multinomial samplers, which the configs
+    # above do not reach; digests taken before the samplers moved into Design
+    "normal_location_ties": ("""
+family = normal
+theta_rule = uniform:-1,1
+n_grid = 4,8,12
+p_rule = fixed:3
+tau_rule = randint:1,3
+M = 4
+seed = 14
+mode = location
+competitors = no_shrinkage,half_to_zero,oracle_loss
+K_grid = 4
+""", "6eaf383b4a419aa29eb498d898dbaf4645d55dfb8e5d32811bf14cf9e863688d"),
+    "gamma_ties": ("""
+family = gamma
+lambda = 2
+theta_rule = uniform:0.5,2
+n_grid = 4,8,12
+p_rule = fixed:3
+tau_rule = randint:1,3
+M = 4
+seed = 15
+mode = location
+competitors = no_shrinkage,half_to_zero,oracle_loss
+K_grid = 4
+""", "2e26bcc70476b68c1a220f7bf4783de4a0997e0f238644933947dfff1960b260"),
+    "negmultinomial_grand_mean": ("""
+family = negmultinomial
+N = 4
+theta_rule = uniform:0.5,2
+n_grid = 6,12,24
+p_rule = fixed:4
+M = 4
+seed = 16
+mode = grand_mean
+competitors = no_shrinkage,half_to_zero,oracle_loss
+K_grid = 4
+""", "31cd4bd870c15c9ec13ba1a629576f93a83b1f6d6da40ded8e0c2b27aae4d020"),
 }
 
 
@@ -479,7 +561,9 @@ class TestPerMatrixDerivations:
     ])
     def test_order_and_row_sums_derived_once_per_replication(self, mode, competitors,
                                                                monkeypatch):
-        # fit, sup-gap proxy and competitor scoring share one derivation
+        # the tau row order once per grid point, in the design its replications
+        # share; the row sums once per replication, shared by the fit, the
+        # sup-gap proxy and competitor scoring
         config = small_config(mode=mode, competitors=competitors, tau_rule="randint:1,2")
         calls = {"from_tau": 0, "variance_function": 0}
         from_tau, variance_function = RowOrder.from_tau.__func__, families.variance_function
@@ -496,7 +580,7 @@ class TestPerMatrixDerivations:
         monkeypatch.setattr(families, "variance_function", counting_variance_function)
         run_experiment(config)
         replications = config.replications * len(config.n_grid)
-        assert calls == {"from_tau": replications, "variance_function": replications}
+        assert calls == {"from_tau": len(config.n_grid), "variance_function": replications}
 
 
 FAMILY_CONFIGS = {
@@ -519,8 +603,8 @@ class TestScoringFromRows:
                               competitors=("no_shrinkage", "half_to_zero", "oracle_loss"))
         drawn, estimates, accesses = [], [], []
 
-        def spy_sample(*args, **kwargs):
-            drawn.append((sample_matrix(*args, **kwargs), args[1]))
+        def spy_sample(design, seed):
+            drawn.append((sample(design, seed), design.theta))
             return drawn[-1][0]
 
         def spy_fit(*args, **kwargs):
@@ -532,8 +616,8 @@ class TestScoringFromRows:
             estimates.append(estimators.competitor(*args, **kwargs))
             return estimates[-1]
 
-        theta_hat = EstimateMatrix.theta_hat
-        monkeypatch.setattr(harness, "sample_matrix", spy_sample)
+        theta_hat, sample = EstimateMatrix.theta_hat, Design.sample
+        monkeypatch.setattr(Design, "sample", spy_sample)
         monkeypatch.setattr(harness, "fit", spy_fit)
         monkeypatch.setattr(harness, "competitor", spy_competitor)
         monkeypatch.setattr(EstimateMatrix, "theta_hat", property(
