@@ -17,7 +17,7 @@ observations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 
@@ -59,9 +59,8 @@ class FamilySpec:
     shape : float, optional
         Gamma shape parameter (``lambda``); absent for other families.
     trials : int, optional
-        Trial count ``N`` of every row for the multinomial and negative
-        multinomial families; per-row counts ``N_i`` enter through a tau
-        matrix with constant rows.
+        Trial count ``N`` of every row of the (negative) multinomial families;
+        per-row counts ``N_i`` enter through a tau matrix with constant rows.
     """
 
     kind: FamilyKind
@@ -109,18 +108,16 @@ def make_family(
     if kind is FamilyKind.POISSON:
         return FamilySpec(kind, 0.0, 1.0, 0.0)
     if kind is FamilyKind.GAMMA:
-        if shape <= 0:
-            raise ValueError("gamma shape must be positive")
-        return FamilySpec(kind, 0.0, 0.0, 1.0 / shape, shape=float(shape))
+        shape = float(shape)
+        if not (0.0 < shape < np.inf and 1.0 / shape < np.inf):
+            raise ValueError(f"gamma shape lambda must be positive and finite, with a finite "
+                             f"1/lambda; got {shape!r}")
+        return FamilySpec(kind, 0.0, 0.0, 1.0 / shape, shape=shape)
 
-    trials = int(trials)
-    if kind is FamilyKind.MULTINOMIAL:
-        if trials < 2:
-            raise ValueError("multinomial trial counts must satisfy N_i >= 2")
-        return FamilySpec(kind, 0.0, 1.0, -1.0, trials=trials)
-    if trials < 1:
-        raise ValueError("negative multinomial trial counts must satisfy N_i >= 1")
-    return FamilySpec(kind, 0.0, 1.0, 1.0, trials=trials)
+    spec = FamilySpec(kind, 0.0, 1.0, -1.0 if kind is FamilyKind.MULTINOMIAL else 1.0)
+    count = float(trials) if abs(trials) < 1e308 else np.inf  # 10**400: past float and cap
+    _check_tau(count, spec)
+    return replace(spec, trials=int(count))
 
 
 def variance_function(spec: FamilySpec, t):
@@ -164,10 +161,25 @@ def validate_mean_matrix(spec, theta, allow_poisson_boundary=False):
     return theta
 
 
-def _check_tau(tau):
-    tau = np.asarray(tau)
-    if not np.all(tau >= 1) or not np.all(tau == np.floor(tau)):
-        raise ValueError("tau entries must be positive integers")
+def _check_tau(tau, spec: FamilySpec) -> np.ndarray:
+    """The one tau rule, of every matrix, design and trial count ``N``: finite
+    positive integers with ``tau + nu2 > 0``; for a trial family one ``N_i`` per
+    row, at least 2 (multinomial) or 1, and below 2**63, the sampler's int64."""
+    tau = np.atleast_2d(np.asarray(tau))
+    if not tau.size:  # the observations' check reports an empty matrix
+        return tau.astype(float)
+    low, high = tau.min(), tau.max()
+    if spec.kind in (FamilyKind.MULTINOMIAL, FamilyKind.NEGMULTINOMIAL):
+        name, floor = spec.kind.value, 2 if spec.kind is FamilyKind.MULTINOMIAL else 1
+        if not (low >= floor and high < 2.0**63):
+            raise ValueError(f"{name} trial counts must be positive integers with "
+                             f"N_i >= {floor} and N_i < 2**63")
+        if not np.all(tau == tau[:, :1]):
+            raise ValueError(f"{name} tau rows must be constant (one N_i per row)")
+    if not (low >= 1 and high < np.inf and np.all(tau == np.floor(tau))):
+        raise ValueError("tau entries must be finite positive integers")
+    if not low + spec.nu2 > 0:
+        raise ValueError("tau + nu2 must be positive for every entry")
     return tau.astype(float, copy=False)  # a float tau is kept as passed
 
 
@@ -246,13 +258,14 @@ _BLOCK_CELLS = 1 << 16
 class DataMatrix:
     """An n-by-p observation matrix together with its tau matrix and family.
 
-    The observations must lie in the family's support: only the normal
-    family admits negative observations, and a multinomial row holds
-    shares of the ``N`` trials, entries in [0, 1] whose sum is at most 1,
-    up to the rounding of ``p`` shares ``c_j / N`` whose counts sum to
-    ``N``.  The largest absolute observation must be at most
-    ``sqrt(max float / (8 n p))``, so that the risk estimates' sums of
-    squared deviations stay finite.
+    The tau matrix must pass the one tau rule (finite positive integers; in
+    a trial family one ``N_i`` per row, 2 (or 1) ``<= N_i < 2**63``), and
+    the observations must lie in the family's support: only the normal
+    family admits negative observations, and a multinomial row holds shares
+    of the ``N`` trials, entries in [0, 1] whose sum is at most 1, up to the
+    rounding of ``p`` shares ``c_j / N`` whose counts sum to ``N``.  The
+    largest absolute observation must be at most ``sqrt(max float / (8 n
+    p))``, so that the risk estimates' sums of squared deviations stay finite.
 
     Immutable: the fields cannot be reassigned, and the quantities that
     consumers derive from the matrix (``order``, ``data_range``,
@@ -268,7 +281,7 @@ class DataMatrix:
 
     def __post_init__(self):
         y = np.atleast_2d(np.asarray(self.y, dtype=float))
-        tau = np.atleast_2d(_check_tau(self.tau))
+        tau = _check_tau(self.tau, self.spec)
         if y.shape != tau.shape:
             raise ValueError(
                 f"observation shape {y.shape} does not match tau shape {tau.shape}"
@@ -349,21 +362,9 @@ class DataMatrix:
         rows_per_block = max(1, _BLOCK_CELLS // self.p)
         for start in range(0, self.n, rows_per_block):
             block = slice(start, start + rows_per_block)
-            denom = self.tau[block] + spec.nu2
-            if not np.all(denom > 0):
-                raise ValueError("tau + nu2 must be positive for every entry")
+            denom = self.tau[block] + spec.nu2  # positive: the tau rule's
             s[block] = (variance_function(spec, self.y[block]) / denom).sum(axis=1)
         return _read_only(s)
-
-
-def _row_trial_counts(tau: np.ndarray, minimum: int, label: str) -> np.ndarray:
-    """Extract per-row constant N_i from tau, enforcing the row-constant rule."""
-    if not np.all(tau == tau[:, :1]):
-        raise ValueError(f"{label} tau rows must be constant (one N_i per row)")
-    counts = tau[:, 0].astype(int)
-    if np.any(counts < minimum):
-        raise ValueError(f"{label} trial counts must satisfy N_i >= {minimum}")
-    return counts
 
 
 class Design:
@@ -383,7 +384,7 @@ class Design:
 
     def __init__(self, spec: FamilySpec, theta, tau):
         theta = np.atleast_2d(np.asarray(theta, dtype=float))
-        tau = np.atleast_2d(_check_tau(tau))
+        tau = _check_tau(tau, spec)
         if theta.shape != tau.shape:
             raise ValueError(
                 f"theta shape {theta.shape} does not match tau shape {tau.shape}"
@@ -400,11 +401,10 @@ class Design:
             k = tau * spec.shape
             inputs = (k, theta / k)
         elif kind is FamilyKind.MULTINOMIAL:
-            counts = _row_trial_counts(tau, 2, "multinomial")
+            counts = tau[:, 0].astype(np.int64)  # one checked N_i per row
             inputs = (counts, np.hstack([theta, (1.0 - theta.sum(axis=1))[:, None]]))
-        else:  # negative multinomial
-            counts = _row_trial_counts(tau, 1, "negative multinomial")
-            inputs = (counts, counts.astype(float))
+        else:  # negative multinomial: the gamma mix's shapes are the counts
+            inputs = (tau[:, 0].astype(np.int64), tau[:, 0])
         self.spec, self.theta, self.tau = spec, theta, tau
         self.order = _read_only_order(RowOrder.from_tau(tau))
         self._inputs = inputs

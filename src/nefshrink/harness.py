@@ -89,6 +89,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.family_spec()  # validate the family and its parameters eagerly
+        if self.seed < 0:
+            raise ValueError(f"config key 'seed': must be nonnegative, got {self.seed}")
+        self.theta_bounds()  # and the theta and tau rules
+        self.tau_bounds()
         if not self.n_grid:
             raise ValueError("n_grid must be non-empty")
         if any(n < 2 for n in self.n_grid):
@@ -139,6 +143,36 @@ class ExperimentConfig:
                 f"(n * p) at n = {n}"
             )
         return p
+
+    def theta_bounds(self) -> tuple[float, float] | None:
+        """``(lo, hi)`` of a ``uniform:<lo>,<hi>`` theta rule, finite with a
+        finite ``hi - lo >= 0``; None for ``fixed:<path>``."""
+        name, _, args = self.theta_rule.partition(":")
+        if name == "fixed":
+            return None
+        try:
+            lo, hi = (float(tok) for tok in args.split(","))
+        except ValueError:  # not two numbers
+            lo = hi = math.nan
+        if name != "uniform" or not 0.0 <= hi - lo < math.inf:
+            raise ValueError(f"config key 'theta_rule': {self.theta_rule!r} is neither "
+                             "'uniform:<lo>,<hi>' with finite lo <= hi nor 'fixed:<path>'")
+        return lo, hi
+
+    def tau_bounds(self) -> tuple[int, int] | None:
+        """``(lo, hi)`` of a ``randint:<lo>,<hi>`` tau rule, integers with
+        ``1 <= lo <= hi < 2**63``; None for ``ones``."""
+        if self.tau_rule == "ones":
+            return None
+        name, _, args = self.tau_rule.partition(":")
+        try:
+            lo, hi = (int(tok) for tok in args.split(","))
+        except ValueError:  # not two integers
+            lo = hi = 0
+        if name != "randint" or not 1 <= lo <= hi < 2**63:
+            raise ValueError(f"config key 'tau_rule': {self.tau_rule!r} is neither 'ones' "
+                             "nor 'randint:<lo>,<hi>' with integers 1 <= lo <= hi < 2**63")
+        return lo, hi
 
     def family_spec(self) -> FamilySpec:
         return make_family(self.family, shape=self.lam, trials=self.trials)
@@ -355,19 +389,15 @@ def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> f
 
 
 def _generate_theta(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, seed_seq) -> np.ndarray:
-    rule = config.theta_rule
-    name, _, args = rule.partition(":")
-    if name == "fixed":
-        theta = np.loadtxt(args, delimiter=",", ndmin=2)
+    rule, bounds = config.theta_rule, config.theta_bounds()
+    if bounds is None:
+        theta = np.loadtxt(rule.partition(":")[2], delimiter=",", ndmin=2)
         if theta.shape != (n, p):
             raise ValueError(
                 f"fixed theta matrix has shape {theta.shape}, expected {(n, p)}"
             )
-    elif name == "uniform":
-        lo, hi = (float(tok) for tok in args.split(","))
-        theta = np.random.default_rng(seed_seq).uniform(lo, hi, (n, p))
     else:
-        raise ValueError(f"unknown theta rule {rule!r}")
+        theta = np.random.default_rng(seed_seq).uniform(*bounds, (n, p))
     try:
         validate_mean_matrix(spec, theta)
     except ValueError as exc:
@@ -378,18 +408,13 @@ def _generate_theta(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, 
 def _generate_tau(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, seed_seq) -> np.ndarray:
     """The rule's tau for ``n`` rows as floats, so the replications that
     share it are sampled without a copy each."""
-    rule = config.tau_rule
-    if rule == "ones":
+    bounds = config.tau_bounds()
+    if bounds is None:
         return default_tau(spec, n, p)
     if spec.trials is not None:
         raise ValueError("tau for trial-based families is determined by N")
-    name, _, args = rule.partition(":")
-    if name == "randint":
-        lo, hi = (int(tok) for tok in args.split(","))
-        if lo < 1 or hi < lo:
-            raise ValueError("randint tau rule needs 1 <= lo <= hi")
-        return np.random.default_rng(seed_seq).integers(lo, hi + 1, (n, p)).astype(float)
-    raise ValueError(f"unknown tau rule {rule!r}")
+    lo, hi = bounds
+    return np.random.default_rng(seed_seq).integers(lo, hi + 1, (n, p)).astype(float)
 
 
 def _run_replication(

@@ -30,10 +30,11 @@ def theoretical_moments(spec: FamilySpec, theta, tau):
     """Exact mean and variance of an observation: ``(theta, V(theta)/tau)``.
 
     Accepts scalars or arrays; ``theta`` must lie strictly inside the mean
-    domain and ``tau`` must be a positive integer (elementwise).
+    domain and ``tau`` must pass the family's tau rule (positive integers,
+    and one ``N_i`` per row for the trial families).
     """
     theta = validate_mean_matrix(spec, theta)
-    tau = _check_tau(tau)
+    _check_tau(tau, spec)
     return theta, variance_function(spec, theta) / tau
 
 

@@ -88,6 +88,56 @@ class TestFitCommand:
         assert code == 1
         assert "shape" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family, tau, message", [
+        ("poisson", [[np.inf, 1.0], [1.0, 1.0]], "tau entries must be finite positive integers"),
+        ("poisson", [[np.nan, 1.0], [1.0, 1.0]], "tau entries must be finite positive integers"),
+        ("multinomial", [[5.0, 5.0], [4.0, 5.0]],
+         "multinomial tau rows must be constant (one N_i per row)"),
+        ("negmultinomial", [[5.0, 5.0], [4.0, 5.0]],
+         "negmultinomial tau rows must be constant (one N_i per row)"),
+        ("multinomial", [[1.0, 1.0], [5.0, 5.0]],
+         "multinomial trial counts must be positive integers with N_i >= 2 and N_i < 2**63"),
+    ])
+    def test_bad_tau_is_one_error_line(self, tmp_path, capfd, family, tau, message):
+        # the tau rule is checked when the matrix is built, before the fit
+        matrix, tau_csv = tmp_path / "y.csv", tmp_path / "tau.csv"
+        np.savetxt(matrix, [[0.2, 0.4], [0.6, 0.2]], delimiter=",")
+        np.savetxt(tau_csv, tau, delimiter=",")
+        extra = [] if family == "poisson" else ["--N", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", str(matrix), "--family", family, *extra, "--tau", str(tau_csv),
+                         "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        assert capfd.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("lam", ["nan", "inf", "1e-320"])
+    def test_gamma_shape_without_a_finite_reciprocal_is_one_error_line(self, constant_matrix,
+                                                                       tmp_path, capfd, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fit", str(constant_matrix), "--family", "gamma", "--lambda", lam,
+                         "--out", str(tmp_path / "e.csv")])
+        assert code == 1
+        assert capfd.readouterr() == ("", "error: gamma shape lambda must be positive and "
+                                      f"finite, with a finite 1/lambda; got {float(lam)!r}\n")
+
+    @pytest.mark.parametrize("family, args, tau", [
+        ("multinomial", ["--N", str(2**62)], None),  # the largest power of two below 2**63
+        ("normal", [], 1e300),  # huge tau is an integer tau
+        ("gamma", ["--lambda", "2"], 1e300),
+    ])
+    def test_huge_counts_still_fit(self, tmp_path, capsys, family, args, tau):
+        matrix, tau_csv = tmp_path / "y.csv", tmp_path / "tau.csv"
+        np.savetxt(matrix, [[0.2, 0.4], [0.6, 0.2], [0.25, 0.25]], delimiter=",")
+        if tau is not None:
+            np.savetxt(tau_csv, [[tau, tau], [tau, tau], [2.0, 1.0]], delimiter=",", fmt="%.17g")
+            args = [*args, "--tau", str(tau_csv)]
+        code = main(["fit", str(matrix), "--family", family, *args,
+                     "--out", str(tmp_path / "e.csv")])
+        assert code == 0
+        assert "converged: True" in capsys.readouterr().out
+
     def test_missing_matrix_file(self, tmp_path, capsys):
         code = main(
             ["fit", str(tmp_path / "absent.csv"), "--family", "normal",
@@ -619,14 +669,42 @@ class TestSimulateCommand:
     @pytest.mark.parametrize("entry, message", [
         ("tol = 1e-9", "unknown config key 'tol'"),
         ("max_iter = 0", "unknown config key 'max_iter'"),
+        ("seed = -1", "config key 'seed': must be nonnegative, got -1"),
+        *[(f"theta_rule = {rule}", f"config key 'theta_rule': '{rule}' is neither "
+           "'uniform:<lo>,<hi>' with finite lo <= hi nor 'fixed:<path>'")
+          for rule in ("uniform:1", "uniform:a,b", "uniform:2,1")],
+        ("tau_rule = randint:1", "config key 'tau_rule': 'randint:1' is neither 'ones' "
+         "nor 'randint:<lo>,<hi>' with integers 1 <= lo <= hi < 2**63"),
     ])
-    def test_config_fails_at_load(self, tmp_path, capsys, entry, message):
+    def test_config_fails_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
+        def never(config, workers):
+            raise AssertionError("a config that fails its check must not run")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        key = entry.split(" = ")[0]
+        kept = [line for line in CONFIG.splitlines() if not line.startswith(f"{key} =")]
         config = tmp_path / "config.txt"
-        config.write_text(CONFIG + entry + "\n")
+        config.write_text("\n".join(kept) + "\n" + entry + "\n")
         out = tmp_path / "o.csv"
         code = main(["simulate", "--config", str(config), "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, theta_rule", [
+        ("negmultinomial", "uniform:0.5,2"), ("multinomial", "uniform:0.1,0.3")])
+    def test_trial_count_past_int64_is_one_error_line(self, tmp_path, capfd, family, theta_rule):
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("family = normal", f"family = {family}")
+                          .replace("theta_rule = uniform:-1,1", f"theta_rule = {theta_rule}")
+                          + "N = 100000000000000000000\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == 1
+        floor = 2 if family == "multinomial" else 1
+        assert capfd.readouterr() == ("", f"error: {family} trial counts must be positive "
+                                      f"integers with N_i >= {floor} and N_i < 2**63\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", ["power:1000", "power:inf"])

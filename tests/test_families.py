@@ -5,10 +5,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nefshrink import (
     DataMatrix,
     Design,
+    FamilyKind,
+    FamilySpec,
     RowOrder,
     make_family,
     sample_matrix,
@@ -45,6 +48,11 @@ class TestMakeFamily:
     def test_gamma_needs_positive_shape(self):
         with pytest.raises(ValueError, match="positive"):
             make_family("gamma", shape=0.0)
+        # lambda and 1/lambda must both be finite: 1/1e-320 overflows
+        for shape in (float("nan"), float("inf"), -float("inf"), 1e-320):
+            with pytest.raises(ValueError, match="^gamma shape lambda must be positive and finite"):
+                make_family("gamma", shape=shape)
+        assert np.isfinite(make_family("gamma", shape=1e-300).nu2)
         with pytest.raises(ValueError, match="shape"):
             make_family("gamma")
         with pytest.raises(ValueError, match="shape"):
@@ -55,6 +63,12 @@ class TestMakeFamily:
             make_family("multinomial", trials=1)
         with pytest.raises(ValueError, match="N_i >= 1"):
             make_family("negmultinomial", trials=0)
+        # the sampler draws N as an int64; an int past the float range is no count either
+        for kind in ("multinomial", "negmultinomial"):
+            for trials in (2**63, 10**20, 10**400, -(10**400)):
+                with pytest.raises(ValueError, match=r"N_i < 2\*\*63$"):
+                    make_family(kind, trials=trials)
+            assert make_family(kind, trials=2**62).trials == 2**62
         with pytest.raises(ValueError, match="trials"):
             make_family("multinomial")
         with pytest.raises(ValueError, match="trials"):
@@ -239,6 +253,63 @@ class TestDesign:
         design = Design(normal, np.full((2, 2), 1e300), np.ones((2, 2)))
         with pytest.raises(ValueError, match="observation scale"):
             design.sample(0)
+
+    @pytest.mark.parametrize("kind, floor", [("multinomial", 2), ("negmultinomial", 1)])
+    def test_trial_rows_hold_one_count_below_the_int64_cap(self, kind, floor):
+        spec, theta = make_family(kind, trials=4), [[0.1, 0.2], [0.3, 0.1]]
+        with pytest.raises(ValueError, match=f"^{kind} tau rows must be constant"):
+            Design(spec, theta, [[4, 4], [4, 5]])
+        for count in (floor - 1, 2.0**63, 1e300):
+            with pytest.raises(ValueError, match=f"^{kind} trial counts .* N_i >= {floor} and"):
+                Design(spec, theta, [[4, 4], [count, count]])
+        # the largest power of two below 2**63 is drawn as an int64 count
+        draw = Design(spec, theta, [[2**62, 2**62], [floor, floor]]).sample(0)
+        assert np.all(np.isfinite(draw.y))
+
+
+# tau entries that the rule must sort: below 1, fractional, not finite, past
+# the trial families' int64 cap, and huge but valid for the other families
+TAU_VALUES = (0.0, 0.5, 1.0, 2.0, 3.0, np.inf, np.nan, 2.0**62, 2.0**63, 1e300)
+
+
+def outcome(build):
+    """None when ``build()`` returns, else the message of its ValueError."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestTauRule:
+    """A DataMatrix and a Design check tau by one rule, when they are built."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(ALL_FAMILIES),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 3)),
+           cells=st.lists(st.sampled_from(TAU_VALUES), min_size=12, max_size=12),
+           constant_rows=st.booleans())
+    def test_matrix_and_design_accept_and_reject_alike(self, kind, shape, cells, constant_rows):
+        n, p = shape
+        tau = np.array(cells[: n * p]).reshape(n, p)
+        if constant_rows:
+            tau = np.repeat(tau[:, :1], p, axis=1)
+        spec, theta, _ = family_case(kind, n, p, np.random.default_rng(0))
+        matrix = outcome(lambda: DataMatrix(theta, tau, spec))  # the means are observations too
+        assert matrix == outcome(lambda: Design(spec, theta, tau))
+        valid = bool(np.all((tau >= 1) & (tau < np.inf) & (tau == np.floor(tau))))
+        if spec.trials is not None:
+            floor = 2 if kind == "multinomial" else 1
+            valid &= bool(np.all((tau == tau[:, :1]) & (tau >= floor) & (tau < 2.0**63)))
+        assert (matrix is None) == valid, matrix
+
+    def test_hand_built_spec_needs_positive_tau_plus_nu2(self):
+        spec = FamilySpec(FamilyKind.NORMAL, 1.0, 0.0, -1.0)
+        for build in (lambda tau: DataMatrix([[0.0]], tau, spec),
+                      lambda tau: Design(spec, [[0.0]], tau)):
+            with pytest.raises(ValueError, match=r"^tau \+ nu2 must be positive"):
+                build([[1]])
+            build([[2]])
 
 
 class TestSampledMoments:

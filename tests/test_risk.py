@@ -115,10 +115,10 @@ class TestUre:
             assert at(0.3) == pytest.approx(f0 + 0.3 * linear + 0.09 * lead, rel=1e-12)
 
     def test_rejects_nonpositive_denominator(self):
+        # checked when the matrix is built, before any risk estimate reads it
         bad = FamilySpec(FamilyKind.MULTINOMIAL, 0.0, 1.0, -1.0, trials=1)
-        data = DataMatrix([[0.25, 0.5]], [[1, 1]], bad)
         with pytest.raises(ValueError, match="positive"):
-            ure(data, [0.5], [0.0, 0.0])
+            DataMatrix([[0.25, 0.5]], [[1, 1]], bad)
 
     def test_weight_and_target_shapes(self):
         data = DataMatrix([[1.0, 2.0]], [[1, 1]], make_family("normal"))
