@@ -161,22 +161,38 @@ def validate_mean_matrix(spec, theta, allow_poisson_boundary=False):
     return theta
 
 
+# cells per row block of a whole-matrix pass: a few MiB of temporaries at a time
+_BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(n: int, p: int):
+    """Slices of consecutive rows of an n-by-p matrix, about ``_BLOCK_CELLS``
+    cells each."""
+    rows = max(1, _BLOCK_CELLS // p)
+    return (slice(start, start + rows) for start in range(0, n, rows))
+
+
 def _check_tau(tau, spec: FamilySpec) -> np.ndarray:
     """The one tau rule, of every matrix, design and trial count ``N``: finite
     positive integers with ``tau + nu2 > 0``; for a trial family one ``N_i`` per
-    row, at least 2 (multinomial) or 1, and below 2**63, the sampler's int64."""
+    row, at least 2 (multinomial) or 1, and below 2**63, the sampler's int64.
+    The row and integer tests run one row block at a time, so their
+    temporaries stay near ``_BLOCK_CELLS`` cells, whatever the size of tau
+    (a broadcast default tau has no cells of its own)."""
     tau = np.atleast_2d(np.asarray(tau))
     if not tau.size:  # the observations' check reports an empty matrix
         return tau.astype(float)
     low, high = tau.min(), tau.max()
+    blocks = [tau[rows] for rows in _row_blocks(*tau.shape)]
     if spec.kind in (FamilyKind.MULTINOMIAL, FamilyKind.NEGMULTINOMIAL):
         name, floor = spec.kind.value, 2 if spec.kind is FamilyKind.MULTINOMIAL else 1
         if not (low >= floor and high < 2.0**63):
             raise ValueError(f"{name} trial counts must be positive integers with "
                              f"N_i >= {floor} and N_i < 2**63")
-        if not np.all(tau == tau[:, :1]):
+        if not all(np.all(block == block[:, :1]) for block in blocks):
             raise ValueError(f"{name} tau rows must be constant (one N_i per row)")
-    if not (low >= 1 and high < np.inf and np.all(tau == np.floor(tau))):
+    if not (low >= 1 and high < np.inf
+            and all(np.all(block == np.floor(block)) for block in blocks)):
         raise ValueError("tau entries must be finite positive integers")
     if not low + spec.nu2 > 0:
         raise ValueError("tau + nu2 must be positive for every entry")
@@ -248,10 +264,6 @@ def _read_only_order(order: RowOrder) -> RowOrder:
     _read_only(order.permutation)
     _read_only(order.group_ids)
     return order
-
-
-# cells per row block of a whole-matrix pass: a few MiB of temporaries at a time
-_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -359,9 +371,7 @@ class DataMatrix:
         """
         spec = self.spec
         s = np.empty(self.n)
-        rows_per_block = max(1, _BLOCK_CELLS // self.p)
-        for start in range(0, self.n, rows_per_block):
-            block = slice(start, start + rows_per_block)
+        for block in _row_blocks(self.n, self.p):
             denom = self.tau[block] + spec.nu2  # positive: the tau rule's
             s[block] = (variance_function(spec, self.y[block]) / denom).sum(axis=1)
         return _read_only(s)
@@ -435,7 +445,14 @@ class Design:
         else:  # negative multinomial
             counts, shapes = self._inputs
             mix = rng.gamma(shapes, 1.0)
-            y = rng.poisson(mix[:, None] * theta) / counts[:, None]
+            try:
+                y = rng.poisson(mix[:, None] * theta) / counts[:, None]
+            except ValueError:  # a mean above numpy's Poisson limit: theta is finite and positive
+                raise ValueError(
+                    f"negmultinomial draw failed: its Poisson means are about N_i * theta, "
+                    f"and N = {counts.max()} with theta up to {theta.max():.6g} puts them "
+                    f"above numpy's Poisson limit of about 9.2e18"
+                ) from None
         return DataMatrix._drawn(y, self)
 
 
@@ -451,7 +468,9 @@ def sample_matrix(spec: FamilySpec, theta, tau, seed) -> DataMatrix:
     * multinomial: a genuine ``N_i``-trial draw over the p categories plus
       an implicit remainder category, divided by ``N_i``;
     * negative multinomial: the exact gamma-Poisson mixture, divided by
-      ``N_i`` (marginals negative binomial, positively coupled).
+      ``N_i`` (marginals negative binomial, positively coupled); a draw
+      whose Poisson mean, about ``N_i * theta``, passes numpy's limit of
+      about 9.2e18 is a ``ValueError`` that names N and the largest theta.
 
     Deterministic for a fixed ``seed`` (int or ``numpy.random.SeedSequence``);
     a fresh generator is created per call, so concurrent invocations never

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -282,9 +282,14 @@ def estimate_sup_gap(data: DataMatrix, theta, samples: int, seed, fitted: FitRes
     clipped grand mean, at the caller's fitted pair, and at ``samples``
     seeded random feasible pairs (monotone weights from sorted uniforms,
     targets uniform in the data box).  Random pairs are derived one stream
-    per index, so enlarging ``samples`` keeps the smaller set as a prefix;
-    ``seed`` (an int, a sequence of ints or a ``numpy.random.SeedSequence``)
-    is not advanced, so the same seed gives the same value on every call.
+    per index, so enlarging ``samples`` keeps the smaller set as a prefix:
+    stream k draws what ``default_rng`` draws from the k-th child that
+    ``SeedSequence(seed).spawn`` gives, bit for bit, while the children's
+    states are computed in one vectorized pass from numpy's fixed
+    ``SeedSequence`` hash (NEP 19; the harness tests compare them with
+    ``spawn``).  ``seed`` (an int, a sequence of ints or a
+    ``numpy.random.SeedSequence``) is not advanced, so the same seed gives
+    the same value on every call.
     Each pair costs O(G p) for G tie groups, after one O(n p) pass over the
     rows.  The result is a lower bound on the true supremum.
     """
@@ -316,32 +321,96 @@ def _uint32_words(value) -> list[int]:
     raise TypeError(f"seed entropy must be integers, not {type(value).__name__}")
 
 
+# numpy's SeedSequence hash, fixed by its stream-compatibility policy (NEP 19):
+# the hashmix constants of the entropy mix and of generate_state, and the
+# multipliers that mix a hashed word into a pool word
+_MIX_INIT, _MIX_MULT = 0x43B0D7E5, 0x931E8875
+_STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
+    """Hash constants ``start`` to ``start + count - 1`` of a hashmix run,
+    ``init * mult**i`` mod 2**32, as a uint32 column."""
+    consts = [init * pow(mult, start + i, 1 << 32) & 0xFFFFFFFF for i in range(count)]
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# generate_state(4, np.uint64) hashes 8 words, each with the next constant
+_STATE_CONSTS = _hash_constants(_STATE_INIT, _STATE_MULT, 0, 9)
+
+
+def _xorshift(words: np.ndarray) -> np.ndarray:
+    return words ^ (words >> np.uint32(16))
+
+
+def _child_states(root: np.random.SeedSequence, count: int) -> np.ndarray:
+    """``generate_state(4, np.uint64)`` of each of the first ``count``
+    children that ``root.spawn`` would give, one row per child, computed for
+    all of them at once without spawning.
+
+    Child k's entropy words are the run entropy zero-padded to the pool
+    size, the spawn key, then k.  numpy hashes them in order with constants
+    that depend only on how many words came before, so the pool that every
+    word but k leaves is numpy's own ``SeedSequence(prefix).pool``, and k,
+    a word past the pool, is hashmixed into each pool word in turn after
+    the prefix's ``len(prefix) * pool_size`` hashmix calls.  The state
+    words then cycle the mixed pool, as ``generate_state`` does.
+    """
+    size = root.pool_size
+    run = _uint32_words(root.entropy)
+    prefix = run + [0] * (size - len(run)) + _uint32_words(root.spawn_key)
+    pool = np.random.SeedSequence(prefix, pool_size=size).pool
+    consts = _hash_constants(_MIX_INIT, _MIX_MULT, len(prefix) * size, size + 1)
+    hashed = _xorshift((np.arange(count, dtype=np.uint32) ^ consts[:-1]) * consts[1:])
+    mixed = _xorshift(np.uint32(_MIX_L) * pool[:, None] - np.uint32(_MIX_R) * hashed)
+    words = _xorshift((mixed[np.arange(8) % size] ^ _STATE_CONSTS[:-1]) * _STATE_CONSTS[1:])
+    # pairs of 32-bit words, low word first, as little-endian 64-bit words
+    return np.ascontiguousarray(words.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+@cache
+def _child_seed_type() -> type:
+    """A seed type that hands a bit generator one child's precomputed state
+    words: ``PCG64`` seeds itself from ``generate_state(4, np.uint64)``.
+    Built on first use, since naming ``numpy.random`` when this module is
+    imported would import it, about 40 ms that ``nefshrink fit`` never
+    spends."""
+
+    class ChildState(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return ChildState
+
+
 def _random_pairs(n_groups: int, p: int, m_range: float, samples: int, seed):
     """The ``samples`` random pairs of the proxy: sorted uniform weights, one
     per tie group (``samples`` x ``n_groups``), and targets uniform in
     ``[-m_range, m_range]`` (``samples`` x ``p``).
 
-    Stream k is seeded by the k-th child that ``spawn(samples)`` gives a
-    fresh ``SeedSequence(seed)`` (or ``seed`` itself, when it is a
-    ``SeedSequence`` that has spawned nothing yet), built from that child's
-    entropy words without spawning: the seed's run entropy zero-padded to
-    its pool size, its spawn key, then k.  So the caller's ``SeedSequence``
-    is not advanced, and a repeated call draws the same pairs.  Each stream
-    makes one call,
+    Stream k is ``default_rng(child)`` for the k-th child that
+    ``spawn(samples)`` gives a fresh ``SeedSequence(seed)`` (or ``seed``
+    itself, when it is a ``SeedSequence`` that has spawned nothing yet).
+    No child is built: :func:`_child_states` computes the state words of
+    all of them in one vectorized pass, and each stream's ``PCG64`` seeds
+    itself from its row.  So the caller's ``SeedSequence`` is not advanced,
+    and a repeated call draws the same pairs.  This relies on numpy keeping
+    the ``SeedSequence`` hash and ``PCG64``'s seeding fixed (NEP 19);
+    ``TestSupGapPerTieGroup`` and ``TestChildStates`` in the harness tests
+    compare the streams with ``spawn``'s.  Each stream makes one call,
     ``random(n_groups + p)``: the same doubles, in the same order, as
     :func:`~nefshrink.optimize.sample_feasible_weights` followed by
     ``uniform(-m_range, m_range, p)`` on that stream.
     """
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    run = _uint32_words(root.entropy)
-    prefix = run + [0] * (root.pool_size - len(run)) + _uint32_words(root.spawn_key)
-    words = np.empty((samples, len(prefix) + 1), dtype=np.uint32)
-    words[:, :-1] = prefix
-    words[:, -1] = np.arange(samples)
+    child_seed = _child_seed_type()
     draws = np.empty((samples, n_groups + p))
-    for row, entropy in zip(draws, words):
-        stream = np.random.SeedSequence(entropy, pool_size=root.pool_size)
-        row[:] = np.random.default_rng(stream).random(n_groups + p)
+    for row, state in zip(draws, _child_states(root, samples)):
+        np.random.Generator(np.random.PCG64(child_seed(state))).random(out=row)
     return np.sort(draws[:, :n_groups], axis=1), -m_range + (2.0 * m_range) * draws[:, n_groups:]
 
 

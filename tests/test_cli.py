@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nefshrink import cli
+from nefshrink import cli, harness
 from nefshrink.cli import main
 from nefshrink.families import default_tau, make_family
 from nefshrink.harness import CSV_HEADER, aggregate_records, fit_rate, read_records_csv
@@ -705,6 +705,31 @@ class TestSimulateCommand:
         floor = 2 if family == "multinomial" else 1
         assert capfd.readouterr() == ("", f"error: {family} trial counts must be positive "
                                       f"integers with N_i >= {floor} and N_i < 2**63\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta_rule, code", [("uniform:3,4", 1), ("uniform:0.5,2", 0)])
+    def test_poisson_mean_past_numpys_limit_is_one_error_line(self, tmp_path, capfd,
+                                                              theta_rule, code):
+        # N = 2**62 is a valid count, but N * theta past about 9.2e18 is a Poisson
+        # mean that numpy does not draw; below that the same config runs
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("family = normal", "family = negmultinomial")
+                          .replace("theta_rule = uniform:-1,1", f"theta_rule = {theta_rule}")
+                          + f"N = {2**62}\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        captured = capfd.readouterr()
+        if code == 0:
+            assert captured.err == "" and out.exists()
+            return
+        # the first grid point's draw fails; its theta is seeded by (seed, 0, 0, theta)
+        theta_seed = harness._substream(5, 0, 0, harness._THETA)
+        theta = np.random.default_rng(theta_seed).uniform(3, 4, (4, 2))
+        assert captured == ("", f"error: negmultinomial draw failed: its Poisson means are about "
+                                f"N_i * theta, and N = {2**62} with theta up to {theta.max():.6g} "
+                                "puts them above numpy's Poisson limit of about 9.2e18\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", ["power:1000", "power:inf"])

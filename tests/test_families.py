@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,11 +14,14 @@ from nefshrink import (
     FamilyKind,
     FamilySpec,
     RowOrder,
+    default_tau,
     make_family,
     sample_matrix,
     validate_mean_matrix,
     variance_function,
 )
+
+from nefshrink import families
 
 from conftest import ALL_FAMILIES, family_case
 from oracles import theoretical_moments
@@ -302,6 +306,32 @@ class TestTauRule:
             floor = 2 if kind == "multinomial" else 1
             valid &= bool(np.all((tau == tau[:, :1]) & (tau >= floor) & (tau < 2.0**63)))
         assert (matrix is None) == valid, matrix
+
+    @pytest.mark.parametrize("kind, last_row, message", [
+        ("poisson", [1.0, 2.5], "tau entries must be finite positive integers"),
+        ("multinomial", [3.0, 4.0], r"multinomial tau rows must be constant")])
+    def test_every_row_block_is_checked(self, monkeypatch, kind, last_row, message):
+        monkeypatch.setattr(families, "_BLOCK_CELLS", 4)  # two rows a block, the last ragged
+        spec, theta, _ = family_case(kind, 5, 2, np.random.default_rng(0))
+        tau = np.full((5, 2), 3.0)
+        Design(spec, theta, tau)
+        tau[-1] = last_row
+        for build in (lambda: DataMatrix(theta, tau, spec), lambda: Design(spec, theta, tau)):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                build()
+
+    @pytest.mark.parametrize("kind", ["poisson", "multinomial"])
+    def test_default_tau_is_checked_without_a_full_size_temporary(self, kind):
+        # the whole-matrix integer test peaked at 8.6 MiB here; a block is 0.6 MiB
+        spec = make_family(kind, trials=6 if kind == "multinomial" else None)
+        tau = default_tau(spec, 100_000, 10)
+        tracemalloc.start()
+        try:
+            families._check_tau(tau, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_hand_built_spec_needs_positive_tau_plus_nu2(self):
         spec = FamilySpec(FamilyKind.NORMAL, 1.0, 0.0, -1.0)

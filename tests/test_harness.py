@@ -310,14 +310,16 @@ def _tau_with_ties(kind: str, n: int, p: int, rng) -> np.ndarray:
     return tau
 
 
-# seeds of every form the proxy takes: ints of one or more 32-bit words, lists
-# of ints, and SeedSequences with spawn keys, given as (entropy, spawn_key)
-_WORDS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**96)
+# seeds of every form the proxy takes: ints of one or more 32-bit words (past
+# the 4-word pool from 2**128 on), lists of ints, and SeedSequences with spawn
+# keys and a pool of 4 or 8 words, given as (entropy, spawn_key, pool_size)
+_WORDS = st.integers(0, 2**32 - 1) | st.integers(2**32, 2**96) | st.integers(2**128, 2**300)
 SEEDS = st.one_of(
     _WORDS,
     st.lists(_WORDS, min_size=1, max_size=5),
     st.tuples(_WORDS | st.lists(_WORDS, min_size=1, max_size=5),
-              st.lists(_WORDS, min_size=1, max_size=4).map(tuple)),
+              st.lists(_WORDS, min_size=1, max_size=4).map(tuple),
+              st.sampled_from([4, 8])),
 )
 
 
@@ -325,9 +327,33 @@ def _seed_of(spec):
     """A fresh seed object for a ``SEEDS`` draw, so a spawn never sees one
     that an earlier call has advanced."""
     if isinstance(spec, tuple):
-        entropy, spawn_key = spec
-        return np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        entropy, spawn_key, pool_size = spec
+        return np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
     return spec
+
+
+def _root_of(spec) -> np.random.SeedSequence:
+    """A fresh ``SeedSequence`` for a ``SEEDS`` draw, as the proxy builds it."""
+    seed = _seed_of(spec)
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+class TestChildStates:
+    """The streams' states, computed for every child at once, are the states
+    that ``spawn``'s children seed a ``PCG64`` with."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, count=st.integers(0, 40))
+    @example(seed=(2**200 + 3, (0, 3, 3), 8), count=300)
+    @example(seed=(7, (), 4), count=1)
+    def test_each_state_is_the_spawned_childs(self, seed, count):
+        states = harness._child_states(_root_of(seed), count)
+        assert states.shape == (count, 4) and states.dtype == np.uint64
+        children = _root_of(seed).spawn(count)
+        for words, child in zip(states, children, strict=True):
+            assert np.array_equal(words, child.generate_state(4, np.uint64))
+            bits = np.random.PCG64(harness._child_seed_type()(words))
+            assert bits.state == np.random.PCG64(child).state
 
 
 class TestSupGapPerTieGroup:
@@ -340,7 +366,9 @@ class TestSupGapPerTieGroup:
            mode=st.sampled_from(["location", "grand_mean"]), samples=st.integers(0, 6),
            seed=SEEDS)
     @example(kind="normal", n=4, p=2, ties="tied", mode="location", samples=3,
-             seed=([7, 2**40], (1, 2**33 + 5, 0)))
+             seed=([7, 2**40], (1, 2**33 + 5, 0), 4))
+    @example(kind="poisson", n=5, p=3, ties="tied", mode="location", samples=300,
+             seed=(2**130 + 1, (2, 17, 3), 8))
     def test_matches_the_per_pair_reference(self, kind, n, p, ties, mode, samples, seed):
         rng = np.random.default_rng(_seed_of(seed))
         spec, theta, _ = family_case(kind, n, p, rng)
@@ -352,10 +380,7 @@ class TestSupGapPerTieGroup:
         weights, targets = _random_pairs(order.n_groups, p, data.data_range, samples,
                                          _seed_of(seed))
         assert weights.shape == (samples, order.n_groups) and targets.shape == (samples, p)
-        root = _seed_of(seed)
-        if not isinstance(root, np.random.SeedSequence):
-            root = np.random.SeedSequence(root)
-        for k, child in enumerate(root.spawn(samples)):
+        for k, child in enumerate(_root_of(seed).spawn(samples)):
             stream = np.random.default_rng(child)
             expected_b = sample_feasible_weights(order, stream)
             expected_mu = stream.uniform(-data.data_range, data.data_range, p)
