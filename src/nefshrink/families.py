@@ -11,15 +11,15 @@ derive from one matrix: the tau row order (:class:`RowOrder`), the data
 range, the column means and the surrogate row sums ``S_i`` that the risk
 estimates of :mod:`nefshrink.risk` read.  A :class:`Design` fixes the mean
 and tau matrices of repeated draws: it checks them and derives the row
-order and the sampler's inputs once, so each draw checks only its
-observations.
+order and binds its family's draw function to the sampler's inputs once, so
+each draw checks only its observations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -377,19 +377,67 @@ class DataMatrix:
         return _read_only(s)
 
 
+# numpy draws no Poisson mean above int64 max - 10 sqrt(int64 max), about 9.2e18
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+
+def _draw_normal(theta, scale, rng):
+    """normal: the mean of ``tau`` unit-variance draws, i.e. ``N(theta,
+    1/tau)``, with ``scale = 1/sqrt(tau)``."""
+    # the doubles of rng.normal(theta, scale), without its broadcast loop
+    return theta + scale * rng.standard_normal(theta.shape)
+
+
+def _draw_poisson(lam, tau, rng):
+    """poisson: ``Poisson(tau*theta)/tau``, with ``lam = tau*theta`` (theta =
+    0 entries degenerate to 0)."""
+    return rng.poisson(lam) / tau
+
+
+def _draw_gamma(k, scale, rng):
+    """gamma: shape ``k = tau*lambda``, scale ``theta/(tau*lambda)``."""
+    return rng.gamma(k, scale)
+
+
+def _draw_multinomial(counts, pvals, rng):
+    """multinomial: a genuine ``N_i``-trial draw over the p categories plus
+    an implicit remainder category (the last of ``pvals``), divided by
+    ``N_i``."""
+    return rng.multinomial(counts, pvals)[:, :-1] / counts[:, None]
+
+
+def _draw_negmultinomial(theta, trials, rng):
+    """negative multinomial: the exact gamma-Poisson mixture, divided by
+    ``N_i`` (marginals negative binomial, positively coupled); a draw whose
+    Poisson mean, about ``N_i * theta``, passes numpy's limit of about 9.2e18
+    is a ``ValueError`` that names N and the largest theta."""
+    mix = rng.gamma(trials, 1.0)  # the gamma mix's shapes are the counts
+    try:
+        return rng.poisson(mix[:, None] * theta) / trials[:, None]
+    except ValueError:  # a mean above numpy's Poisson limit: theta is finite and positive
+        raise ValueError(
+            f"negmultinomial draw failed: its Poisson means are about N_i * theta, "
+            f"and N = {int(trials.max())} with theta up to {theta.max():.6g} puts them "
+            f"above numpy's Poisson limit of about 9.2e18"
+        ) from None
+
+
 class Design:
     """The fixed part of repeated draws: a family, a mean matrix ``theta``
     and a tau matrix, checked and prepared once.
 
     On construction ``theta`` is checked against the family's mean domain
     (Poisson means of 0 are admitted: they draw 0), ``tau`` is checked as
-    :class:`DataMatrix` checks it, the tau row order is derived, and so are
-    the sampler's inputs (``1/sqrt(tau)``, ``tau*theta``, the gamma shapes
-    and scales, the trial counts).  Each :meth:`sample` then pays only for
-    its draw: its :class:`DataMatrix` shares the checked tau matrix and the
-    read-only row order, and checks only its observations.  As with a
-    :class:`DataMatrix`, a float ``theta`` or ``tau`` is kept as passed, so
-    it must not be changed while the design is in use.
+    :class:`DataMatrix` checks it, the tau row order is derived, and the
+    family's draw function is bound to its inputs (``1/sqrt(tau)``,
+    ``tau*theta``, the gamma shapes and scales, the trial counts).  A
+    Poisson design whose largest ``tau*theta`` passes numpy's limit of
+    about 9.2e18 is rejected here, with that mean named.  Each
+    :meth:`sample` then pays only for its draw: its :class:`DataMatrix`
+    shares the checked tau matrix and the read-only row order, and checks
+    only its observations.  As with a :class:`DataMatrix`, a float
+    ``theta`` or ``tau`` is kept as passed, so it must not be changed while
+    the design is in use.
     """
 
     def __init__(self, spec: FamilySpec, theta, tau):
@@ -402,22 +450,28 @@ class Design:
         validate_mean_matrix(
             spec, theta, allow_poisson_boundary=spec.kind is FamilyKind.POISSON
         )
+        # module functions, not closures: a pool's pickled design draws too
         kind = spec.kind
         if kind is FamilyKind.NORMAL:
-            inputs = (1.0 / np.sqrt(tau),)
+            draw = partial(_draw_normal, theta, 1.0 / np.sqrt(tau))
         elif kind is FamilyKind.POISSON:
-            inputs = (tau * theta,)
+            lam = tau * theta
+            if np.any(lam > _POISSON_LAM_MAX):
+                raise ValueError(f"poisson means tau * theta reach {lam.max():.6g}, above "
+                                 "numpy's Poisson limit of about 9.2e18")
+            draw = partial(_draw_poisson, lam, tau)
         elif kind is FamilyKind.GAMMA:
             k = tau * spec.shape
-            inputs = (k, theta / k)
+            draw = partial(_draw_gamma, k, theta / k)
         elif kind is FamilyKind.MULTINOMIAL:
             counts = tau[:, 0].astype(np.int64)  # one checked N_i per row
-            inputs = (counts, np.hstack([theta, (1.0 - theta.sum(axis=1))[:, None]]))
-        else:  # negative multinomial: the gamma mix's shapes are the counts
-            inputs = (tau[:, 0].astype(np.int64), tau[:, 0])
+            pvals = np.hstack([theta, (1.0 - theta.sum(axis=1))[:, None]])
+            draw = partial(_draw_multinomial, counts, pvals)
+        else:
+            draw = partial(_draw_negmultinomial, theta, tau[:, 0])
         self.spec, self.theta, self.tau = spec, theta, tau
         self.order = _read_only_order(RowOrder.from_tau(tau))
-        self._inputs = inputs
+        self._draw = draw
 
     def __setstate__(self, state):
         # an unpickled array is writable again: a pool's copy keeps the order read-only
@@ -426,51 +480,19 @@ class Design:
 
     def sample(self, seed) -> DataMatrix:
         """One draw, as :func:`sample_matrix` describes it."""
-        rng = np.random.default_rng(seed)
-        kind = self.spec.kind
-        theta = self.theta
-        if kind is FamilyKind.NORMAL:
-            (scale,) = self._inputs
-            # the doubles of rng.normal(theta, scale), without its broadcast loop
-            y = theta + scale * rng.standard_normal(theta.shape)
-        elif kind is FamilyKind.POISSON:
-            (lam,) = self._inputs
-            y = rng.poisson(lam) / self.tau
-        elif kind is FamilyKind.GAMMA:
-            k, scale = self._inputs
-            y = rng.gamma(k, scale)
-        elif kind is FamilyKind.MULTINOMIAL:
-            counts, pvals = self._inputs
-            y = rng.multinomial(counts, pvals)[:, : theta.shape[1]] / counts[:, None]
-        else:  # negative multinomial
-            counts, shapes = self._inputs
-            mix = rng.gamma(shapes, 1.0)
-            try:
-                y = rng.poisson(mix[:, None] * theta) / counts[:, None]
-            except ValueError:  # a mean above numpy's Poisson limit: theta is finite and positive
-                raise ValueError(
-                    f"negmultinomial draw failed: its Poisson means are about N_i * theta, "
-                    f"and N = {counts.max()} with theta up to {theta.max():.6g} puts them "
-                    f"above numpy's Poisson limit of about 9.2e18"
-                ) from None
-        return DataMatrix._drawn(y, self)
+        return DataMatrix._drawn(self._draw(np.random.default_rng(seed)), self)
 
 
 def sample_matrix(spec: FamilySpec, theta, tau, seed) -> DataMatrix:
     """Draw one observation matrix with ``E(Y_ij) = theta_ij`` and
     ``Var(Y_ij) = V(theta_ij)/tau_ij``.
 
-    Rows are independent.  Entry laws per family:
-
-    * normal: mean of ``tau`` unit-variance draws, i.e. ``N(theta, 1/tau)``;
-    * poisson: ``Poisson(tau*theta)/tau`` (theta = 0 rows degenerate to 0);
-    * gamma: shape ``tau*lambda``, scale ``theta/(tau*lambda)``;
-    * multinomial: a genuine ``N_i``-trial draw over the p categories plus
-      an implicit remainder category, divided by ``N_i``;
-    * negative multinomial: the exact gamma-Poisson mixture, divided by
-      ``N_i`` (marginals negative binomial, positively coupled); a draw
-      whose Poisson mean, about ``N_i * theta``, passes numpy's limit of
-      about 9.2e18 is a ``ValueError`` that names N and the largest theta.
+    Rows are independent.  Each family's entry law is stated with its draw
+    function: ``_draw_normal``, ``_draw_poisson``, ``_draw_gamma``,
+    ``_draw_multinomial`` and ``_draw_negmultinomial``.  Poisson means
+    ``tau*theta`` past numpy's limit of about 9.2e18 are a ``ValueError``
+    before any draw; a negative multinomial draw whose Poisson means, about
+    ``N_i * theta``, pass that limit is one when it is drawn.
 
     Deterministic for a fixed ``seed`` (int or ``numpy.random.SeedSequence``);
     a fresh generator is created per call, so concurrent invocations never

@@ -17,7 +17,6 @@ so results are byte-identical no matter how replications are scheduled.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -92,7 +91,9 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValueError(f"config key 'seed': must be nonnegative, got {self.seed}")
         self.theta_bounds()  # and the theta and tau rules
-        self.tau_bounds()
+        if self.tau_bounds() is not None and self.trials is not None:
+            raise ValueError(f"config key 'tau_rule': {self.tau_rule!r} is not 'ones', but "
+                             f"{self.family} tau is determined by N")
         if not self.n_grid:
             raise ValueError("n_grid must be non-empty")
         if any(n < 2 for n in self.n_grid):
@@ -480,8 +481,6 @@ def _generate_tau(config: ExperimentConfig, spec: FamilySpec, n: int, p: int, se
     bounds = config.tau_bounds()
     if bounds is None:
         return default_tau(spec, n, p)
-    if spec.trials is not None:
-        raise ValueError("tau for trial-based families is determined by N")
     lo, hi = bounds
     return np.random.default_rng(seed_seq).integers(lo, hi + 1, (n, p)).astype(float)
 
@@ -547,6 +546,8 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
     run = partial(_run_replication, config)
     workers = min(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
+
         # under fork the pool starts every worker at once, so never more than tasks
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, len(tasks) // (4 * workers))

@@ -7,10 +7,13 @@ dominance, fixed numeric tolerances for the solver-versus-oracle checks,
 and the [-0.65, -0.35] log-log slope band for the decay experiment).
 """
 
+import dataclasses
 import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.stats import ncx2
 
 from nefshrink import (
     Design,
@@ -30,6 +33,7 @@ from nefshrink import (
     squared_error_loss,
     ure,
 )
+from nefshrink import harness
 from nefshrink.harness import records_csv_text
 
 from oracles import grid_minimize_separable_quadratic, grid_oracle_ure, true_risk
@@ -381,6 +385,56 @@ def test_criterion_8_empirical_dominance(decay_records):
             f"positive parts {np.array2string(np.array(positive_parts), precision=4)}"
         )
     _criterion(8, "empirical dominance", ok, "; ".join(details))
+
+
+def _exact_single_group_normal_loss(theta, tau):
+    """Mean loss of the location fit to normal data with one constant tau (a
+    single tie group): ``ybar + (1 - a/R)_+ (y - ybar)`` with ``R`` the
+    within-column sum of squares, ``a = np`` on the unit-variance scale
+    ``sqrt(tau) y``.  There ``R ~ chi2_k(lam)``, ``k = (n - 1)p``, and by
+    Stein's identity the loss is ``[p + lam + E(1 - a/R)_+^2 R - 2 lam E(1 -
+    a/R')_+] / np`` with ``R' ~ chi2_{k+2}(lam)``; divided by tau."""
+    n, p = theta.shape
+    z = np.sqrt(tau) * theta
+    lam = float(((z - z.mean(axis=0)) ** 2).sum())
+    k, a = (n - 1) * p, n * p
+
+    def expect(f, df):  # over R > a, within 40 sd of the mean
+        mean, sd = df + lam, np.sqrt(2.0 * (df + 2.0 * lam))
+        lo, hi = max(a, mean - 40.0 * sd), mean + 40.0 * sd
+        return quad(lambda r: f(r) * ncx2.pdf(r, df, lam), lo, hi, points=[mean], limit=200)[0]
+
+    shrunk = expect(lambda r: (1.0 - a / r) ** 2 * r, k)
+    pull = expect(lambda r: 1.0 - a / r, k + 2)
+    return (p + lam + shrunk - 2.0 * lam * pull) / (n * p) / tau
+
+
+def test_single_tie_group_normal_fit_has_its_exact_risk(decay_records):
+    # tau = 1 (the decay experiment) and a constant tau = 4, at every n: each
+    # estimator's mean loss within 4 standard errors of its exact risk
+    constant_tau = dataclasses.replace(
+        DECAY_CONFIG, n_grid=(100, 400), tau_rule="randint:4,4", replications=100,
+        sup_gap_samples=0,
+    )
+    details = []
+    for config, records, tau in ((DECAY_CONFIG, decay_records, 1.0),
+                                 (constant_tau, run_experiment(constant_tau), 4.0)):
+        spec = config.family_spec()
+        for ni, n in enumerate(config.n_grid):
+            p = config.p_for(n)
+            seed = harness._substream(config.seed, ni, 0, harness._THETA)
+            theta = harness._generate_theta(config, spec, n, p, seed)
+            exact = {
+                "fit": _exact_single_group_normal_loss(theta, tau),
+                "no_shrinkage": 1 / tau,
+                "half_to_zero": 1 / (4 * tau) + float((theta**2).mean()) / 4,
+            }
+            for name, risk in exact.items():
+                losses = np.array([r.loss for r in records if r.n == n and r.estimator == name])
+                z = (losses.mean() - risk) / (losses.std(ddof=1) / np.sqrt(losses.size))
+                details.append(f"tau={tau:g} n={n} {name} z={z:+.2f}")
+                assert abs(z) <= 4.0, details[-1]
+    print("\n" + "; ".join(details))
 
 
 def test_criterion_9_reproducibility(decay_records, tmp_path):

@@ -675,14 +675,16 @@ class TestSimulateCommand:
           for rule in ("uniform:1", "uniform:a,b", "uniform:2,1")],
         ("tau_rule = randint:1", "config key 'tau_rule': 'randint:1' is neither 'ones' "
          "nor 'randint:<lo>,<hi>' with integers 1 <= lo <= hi < 2**63"),
+        ("family = negmultinomial\nN = 4\ntau_rule = randint:1,3", "config key 'tau_rule': "
+         "'randint:1,3' is not 'ones', but negmultinomial tau is determined by N"),
     ])
     def test_config_fails_at_load(self, tmp_path, capsys, monkeypatch, entry, message):
         def never(config, workers):
             raise AssertionError("a config that fails its check must not run")
 
         monkeypatch.setattr(cli, "run_experiment", never)
-        key = entry.split(" = ")[0]
-        kept = [line for line in CONFIG.splitlines() if not line.startswith(f"{key} =")]
+        keys = tuple(f"{line.split(' = ')[0]} =" for line in entry.splitlines())
+        kept = [line for line in CONFIG.splitlines() if not line.startswith(keys)]
         config = tmp_path / "config.txt"
         config.write_text("\n".join(kept) + "\n" + entry + "\n")
         out = tmp_path / "o.csv"
@@ -730,6 +732,29 @@ class TestSimulateCommand:
         assert captured == ("", f"error: negmultinomial draw failed: its Poisson means are about "
                                 f"N_i * theta, and N = {2**62} with theta up to {theta.max():.6g} "
                                 "puts them above numpy's Poisson limit of about 9.2e18\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta_rule, code", [("uniform:3,4", 1), ("uniform:0.5,1.5", 0)])
+    def test_poisson_design_past_numpys_limit_is_one_error_line(self, tmp_path, capfd,
+                                                                theta_rule, code):
+        # tau = 2**62 is a valid tau, but tau * theta past about 9.2e18 is a Poisson
+        # mean that numpy does not draw; the design says so before any draw
+        config = tmp_path / "config.txt"
+        config.write_text(CONFIG.replace("family = normal", "family = poisson")
+                          .replace("theta_rule = uniform:-1,1", f"theta_rule = {theta_rule}")
+                          + f"tau_rule = randint:{2**62},{2**62}\n")
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["simulate", "--config", str(config), "--out", str(out)]) == code
+        captured = capfd.readouterr()
+        if code == 0:
+            assert captured.err == "" and out.exists()
+            return
+        theta_seed = harness._substream(5, 0, 0, harness._THETA)
+        theta = np.random.default_rng(theta_seed).uniform(3, 4, (4, 2))
+        assert captured == ("", f"error: poisson means tau * theta reach {2.0**62 * theta.max():.6g}, "
+                                "above numpy's Poisson limit of about 9.2e18\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("rule", ["power:1000", "power:inf"])

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pickle
+import re
 import tracemalloc
 
 import numpy as np
@@ -270,6 +271,17 @@ class TestDesign:
         draw = Design(spec, theta, [[2**62, 2**62], [floor, floor]]).sample(0)
         assert np.all(np.isfinite(draw.y))
 
+    def test_poisson_means_past_numpys_limit_fail_when_built(self):
+        # numpy draws a mean up to int64 max - 10 sqrt(int64 max), and no float above it
+        limit = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+        spec = make_family("poisson")
+        assert np.isfinite(Design(spec, [[1.0, limit]], [[1, 1]]).sample(0).y).all()
+        above = np.nextafter(limit, np.inf)
+        message = (f"poisson means tau * theta reach {above:.6g}, above numpy's Poisson "
+                   "limit of about 9.2e18")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Design(spec, [[above / 4, 1.0]], [[4, 1]])
+
 
 # tau entries that the rule must sort: below 1, fractional, not finite, past
 # the trial families' int64 cap, and huge but valid for the other families
@@ -300,7 +312,13 @@ class TestTauRule:
             tau = np.repeat(tau[:, :1], p, axis=1)
         spec, theta, _ = family_case(kind, n, p, np.random.default_rng(0))
         matrix = outcome(lambda: DataMatrix(theta, tau, spec))  # the means are observations too
-        assert matrix == outcome(lambda: Design(spec, theta, tau))
+        design = outcome(lambda: Design(spec, theta, tau))
+        if matrix is None and kind == "poisson" and np.max(tau * theta) > 9.223372006484771e18:
+            # a valid tau, but means that numpy cannot draw: only the design says so
+            assert design == (f"poisson means tau * theta reach {np.max(tau * theta):.6g}, "
+                              "above numpy's Poisson limit of about 9.2e18")
+        else:
+            assert matrix == design
         valid = bool(np.all((tau >= 1) & (tau < np.inf) & (tau == np.floor(tau))))
         if spec.trials is not None:
             floor = 2 if kind == "multinomial" else 1

@@ -1,5 +1,6 @@
 """Experiment engine: config, seeding, sup-gap proxy, CSV, rate fits."""
 
+import concurrent.futures
 import hashlib
 
 import numpy as np
@@ -475,7 +476,7 @@ class TestRunExperiment:
 
         config = small_config()  # 2 sample sizes x 3 replications: 6 tasks
         serial = run_experiment(config)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
         assert run_experiment(config, workers=workers) == serial
         assert sizes == ([] if pool is None else [pool])
 
@@ -485,14 +486,13 @@ class TestRunExperiment:
         assert all(r.converged for r in fit_rows)
 
     def test_trial_family_tau_rule_guard(self):
-        config = small_config(
-            family="negmultinomial",
-            theta_rule="uniform:0.5,2",
-            trials=4,
-            tau_rule="randint:1,3",
-        )
-        with pytest.raises(ValueError, match="determined by N"):
-            run_experiment(config)
+        with pytest.raises(ValueError, match="^config key 'tau_rule': .* determined by N$"):
+            small_config(
+                family="negmultinomial",
+                theta_rule="uniform:0.5,2",
+                trials=4,
+                tau_rule="randint:1,3",
+            )
 
 
 # Records CSVs pinned byte for byte.  A change that moves these bytes on

@@ -8,9 +8,11 @@ from nefshrink import (
     DataMatrix,
     FamilySpec,
     FamilyKind,
+    RowOrder,
     aure,
     make_family,
     sample_matrix,
+    shrink_to_grand_mean,
     shrink_to_location,
     squared_error_loss,
     ure,
@@ -250,3 +252,39 @@ class TestUnbiasednessSmoke:
             diffs[r] = ure(data, b, mu) - realized
         se = diffs.std(ddof=1) / np.sqrt(m)
         assert abs(diffs.mean()) < 5 * se
+
+
+class TestExactUnbiasedness:
+    """URE and AURE are unbiased under any independent law with the family's
+    first two moments.  Each cell here has a two-point law on ``{0, theta +
+    v/theta}``, ``v = V(theta)/tau``, with probabilities ``v/(theta^2 + v)``
+    and ``theta^2/(theta^2 + v)``: mean ``theta``, variance ``v``.  The
+    average of estimate minus loss over all ``2^(np)`` outcomes is exact."""
+
+    @pytest.mark.parametrize("kind", ALL_FAMILIES)
+    def test_two_point_laws_average_to_zero(self, kind):
+        n, p = 4, 3
+        rng = np.random.default_rng(ALL_FAMILIES.index(kind))
+        spec, theta, _ = family_case(kind, n, p, rng)
+        if spec.trials is None:  # heteroscedastic: tau differs across cells
+            tau = rng.integers(1, 6, (n, p)).astype(float)
+        else:  # one N_i per row; small multinomial means keep every row at most 1
+            tau = np.repeat([[4.0], [6.0], [5.0], [4.0]], p, axis=1)
+            if kind == "multinomial":
+                theta = rng.uniform(0.01, 0.05, (n, p))
+        order = RowOrder.from_tau(tau)
+        b = order.expand_group_values(np.linspace(0.2, 0.9, order.n_groups))
+        mu = 0.5 * theta.mean(axis=0)
+        v = variance_function(spec, theta) / tau
+        high, p_high = theta + v / theta, theta**2 / (theta**2 + v)
+        outcomes = (np.arange(2 ** (n * p))[:, None] >> np.arange(n * p)) & 1 == 1
+        weights = np.where(outcomes, p_high.ravel(), 1.0 - p_high.ravel()).prod(axis=1)
+        gaps = np.empty((len(outcomes), 2))
+        losses = np.empty(len(outcomes))
+        for k, cells in enumerate(outcomes):
+            data = DataMatrix(np.where(cells.reshape(n, p), high, 0.0), tau, spec)
+            losses[k] = squared_error_loss(data.y - b[:, None] * (data.y - mu), theta)
+            grand_mean_loss = squared_error_loss(shrink_to_grand_mean(data, b).theta_hat, theta)
+            gaps[k] = ure(data, b, mu) - losses[k], aure(data, b) - grand_mean_loss
+        assert weights.sum() == pytest.approx(1.0, rel=1e-14)
+        assert np.all(np.abs(weights @ gaps) <= 1e-12 * (weights @ losses))
