@@ -10,9 +10,10 @@ checked once against the family's support, which keeps what its consumers
 derive from one matrix: the tau row order (:class:`RowOrder`), the data
 range, the column means and the surrogate row sums ``S_i`` that the risk
 estimates of :mod:`nefshrink.risk` read.  A :class:`Design` fixes the mean
-and tau matrices of repeated draws: it checks them and derives the row
-order and binds its family's draw function to the sampler's inputs once, so
-each draw checks only its observations.
+and tau matrices of repeated draws: it checks them, derives the row order
+(and, for the normal family, whose ``S_i`` depend on tau alone, the
+surrogate row sums) and binds its family's draw function to the sampler's
+inputs once, so each draw checks only its observations.
 """
 
 from __future__ import annotations
@@ -237,6 +238,17 @@ class RowOrder:
     def n_groups(self) -> int:
         return int(self.group_ids[-1]) + 1 if self.n else 0
 
+    @cached_property
+    def group_starts(self) -> np.ndarray:
+        """Each tie group's first position along ``permutation``, read-only."""
+        return _read_only(np.flatnonzero(np.diff(self.group_ids, prepend=-1)))
+
+    @cached_property
+    def tied_steps(self) -> np.ndarray:
+        """Which steps between adjacent positions along ``permutation`` stay
+        inside one tie group, read-only."""
+        return _read_only(np.diff(self.group_ids) == 0)
+
     def expand_group_values(self, values) -> np.ndarray:
         """Map one value per group back to a per-row vector."""
         values = np.asarray(values, dtype=float)
@@ -246,13 +258,33 @@ class RowOrder:
 
     def is_feasible(self, b) -> bool:
         b = np.asarray(b, dtype=float).reshape(-1)
-        # written so that NaN fails the box test
-        if b.shape != (self.n,) or not np.all((b >= 0.0) & (b <= 1.0)):
+        if b.shape != (self.n,):
             return False
-        # nondecreasing along the order, constant inside each tie group
-        steps = np.diff(b[self.permutation])
-        tied = np.diff(self.group_ids) == 0
-        return bool(np.all(steps >= 0.0) and np.all(steps[tied] == 0.0))
+        # nondecreasing along the order, constant inside each tie group; then
+        # the box holds if it holds at the two ends.  NaN fails a comparison,
+        # and so does inf - inf, which is NaN
+        ordered = b[self.permutation]
+        with np.errstate(invalid="ignore"):
+            steps = np.subtract(ordered[1:], ordered[:-1])
+        return bool(np.all(steps >= 0.0) and np.all(steps[self.tied_steps] == 0.0)
+                    and (not self.n or ordered[0] >= 0.0 and ordered[-1] <= 1.0))
+
+
+def _tau_only(spec: FamilySpec) -> bool:
+    """Whether ``V`` is the constant ``nu0``, so ``S_i`` depends on tau alone."""
+    return spec.nu1 == 0.0 and spec.nu2 == 0.0
+
+
+def _surrogate_row_sums(spec: FamilySpec, tau: np.ndarray, y) -> np.ndarray:
+    """The read-only row sums ``S_i`` of ``V(y_ij)/(tau_ij + nu2)``, one row
+    block at a time; ``y`` is not read when :func:`_tau_only` holds."""
+    tau_only = _tau_only(spec)
+    s = np.empty(tau.shape[0])
+    for block in _row_blocks(*tau.shape):
+        denom = tau[block] + spec.nu2  # positive: the tau rule's
+        v = spec.nu0 if tau_only else variance_function(spec, y[block])
+        s[block] = (v / denom).sum(axis=1)
+    return _read_only(s)
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -261,8 +293,9 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 def _read_only_order(order: RowOrder) -> RowOrder:
-    _read_only(order.permutation)
-    _read_only(order.group_ids)
+    """``order`` with its arrays, the kept ones included, made read-only."""
+    for array in vars(order).values():
+        _read_only(array)
     return order
 
 
@@ -304,12 +337,15 @@ class DataMatrix:
     @classmethod
     def _drawn(cls, y: np.ndarray, design: "Design") -> "DataMatrix":
         """The matrix of observations ``y`` drawn from ``design``: only ``y``
-        is checked; the tau matrix and its row order are the design's,
-        checked and derived once for all its draws."""
+        is checked; the tau matrix, its row order and, when they depend on
+        tau alone, the surrogate row sums are the design's, checked and
+        derived once for all its draws."""
         data = object.__new__(cls)
         object.__setattr__(data, "tau", design.tau)
         object.__setattr__(data, "spec", design.spec)
         data.__dict__["order"] = design.order  # the cached_property's slot
+        if design.surrogate_row_sums is not None:
+            data.__dict__["surrogate_row_sums"] = design.surrogate_row_sums
         data._set_observations(y)
         return data
 
@@ -368,13 +404,14 @@ class DataMatrix:
         Summed one block of about ``_BLOCK_CELLS`` cells of rows at a time, so
         the n-by-p temporaries never exist at full size; each row's sum is its
         own reduction, so the result is bit-identical to the whole-matrix sum.
+        When ``nu1 = nu2 = 0`` (the normal family) ``V(Y_ij)`` is the constant
+        ``nu0``, so ``S_i`` is ``nu0/(tau_ij + nu2)`` summed, read from tau
+        alone: a :class:`Design` derives it once for all its draws.  For the
+        finite observations within the scale bound that the matrix admits,
+        ``nu0 + 0*y + 0*y*y`` is exactly ``nu0``, so the two ways agree bit
+        for bit.
         """
-        spec = self.spec
-        s = np.empty(self.n)
-        for block in _row_blocks(self.n, self.p):
-            denom = self.tau[block] + spec.nu2  # positive: the tau rule's
-            s[block] = (variance_function(spec, self.y[block]) / denom).sum(axis=1)
-        return _read_only(s)
+        return _surrogate_row_sums(self.spec, self.tau, self.y)
 
 
 # numpy draws no Poisson mean above int64 max - 10 sqrt(int64 max), about 9.2e18
@@ -428,16 +465,20 @@ class Design:
 
     On construction ``theta`` is checked against the family's mean domain
     (Poisson means of 0 are admitted: they draw 0), ``tau`` is checked as
-    :class:`DataMatrix` checks it, the tau row order is derived, and the
-    family's draw function is bound to its inputs (``1/sqrt(tau)``,
-    ``tau*theta``, the gamma shapes and scales, the trial counts).  A
-    Poisson design whose largest ``tau*theta`` passes numpy's limit of
+    :class:`DataMatrix` checks it, the tau row order is derived (its group
+    starts and tie mask are kept on first use), and the family's draw
+    function is bound to its inputs (``1/sqrt(tau)``, ``tau*theta``, the
+    gamma shapes and scales, the trial counts).  When ``nu1 = nu2 = 0`` (the
+    normal family) the surrogate row sums ``S_i`` depend on tau alone, and
+    ``surrogate_row_sums`` holds them, read-only; for the other families it
+    is None.
+    A Poisson design whose largest ``tau*theta`` passes numpy's limit of
     about 9.2e18 is rejected here, with that mean named.  Each
     :meth:`sample` then pays only for its draw: its :class:`DataMatrix`
-    shares the checked tau matrix and the read-only row order, and checks
-    only its observations.  As with a :class:`DataMatrix`, a float
-    ``theta`` or ``tau`` is kept as passed, so it must not be changed while
-    the design is in use.
+    shares the checked tau matrix, the read-only row order and any
+    read-only row sums, and checks only its observations.  As with a
+    :class:`DataMatrix`, a float ``theta`` or ``tau`` is kept as passed, so
+    it must not be changed while the design is in use.
     """
 
     def __init__(self, spec: FamilySpec, theta, tau):
@@ -471,12 +512,18 @@ class Design:
             draw = partial(_draw_negmultinomial, theta, tau[:, 0])
         self.spec, self.theta, self.tau = spec, theta, tau
         self.order = _read_only_order(RowOrder.from_tau(tau))
+        self.surrogate_row_sums = (
+            _surrogate_row_sums(spec, tau, None) if _tau_only(spec) else None
+        )
         self._draw = draw
 
     def __setstate__(self, state):
-        # an unpickled array is writable again: a pool's copy keeps the order read-only
+        # an unpickled array is writable again: a pool's copy keeps the order
+        # and the row sums read-only
         self.__dict__.update(state)
         _read_only_order(self.order)
+        if self.surrogate_row_sums is not None:
+            _read_only(self.surrogate_row_sums)
 
     def sample(self, seed) -> DataMatrix:
         """One draw, as :func:`sample_matrix` describes it."""

@@ -8,8 +8,9 @@ losses, risk estimates, and a sampled proxy for the largest gap between
 the risk estimate and the realized loss over the feasible set.  What
 depends only on the grid point is derived once there, in a
 :class:`~nefshrink.families.Design`: the checks of the mean and tau
-matrices, the tau row order and the sampler's inputs; a replication pays
-for its own draw, fit and scoring.  Every random stream is derived from
+matrices, the tau row order, the sampler's inputs and, for the normal
+family, the surrogate row sums; a replication pays for its own draw, fit
+and scoring.  Every random stream is derived from
 the master seed through a spawn key ``(n_index, replication, purpose)``,
 so results are byte-identical no matter how replications are scheduled.
 """
@@ -330,11 +331,16 @@ _STATE_INIT, _STATE_MULT = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+@cache
 def _hash_constants(init: int, mult: int, start: int, count: int) -> np.ndarray:
     """Hash constants ``start`` to ``start + count - 1`` of a hashmix run,
-    ``init * mult**i`` mod 2**32, as a uint32 column."""
+    ``init * mult**i`` mod 2**32, as a read-only uint32 column.  Kept per
+    argument tuple: one per entropy length and pool size in use, and all
+    the harness's streams share one."""
     consts = [init * pow(mult, start + i, 1 << 32) & 0xFFFFFFFF for i in range(count)]
-    return np.array(consts, dtype=np.uint32)[:, None]
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 # generate_state(4, np.uint64) hashes 8 words, each with the next constant
@@ -355,13 +361,15 @@ def _child_states(root: np.random.SeedSequence, count: int) -> np.ndarray:
     that depend only on how many words came before, so the pool that every
     word but k leaves is numpy's own ``SeedSequence(prefix).pool``, and k,
     a word past the pool, is hashmixed into each pool word in turn after
-    the prefix's ``len(prefix) * pool_size`` hashmix calls.  The state
-    words then cycle the mixed pool, as ``generate_state`` does.
+    the prefix's ``len(prefix) * pool_size`` hashmix calls.  When the root
+    has a spawn key, as every harness stream does, numpy pads its run
+    entropy the same way, so that pool is the root's own.  The state words
+    then cycle the mixed pool, as ``generate_state`` does.
     """
     size = root.pool_size
-    run = _uint32_words(root.entropy)
-    prefix = run + [0] * (size - len(run)) + _uint32_words(root.spawn_key)
-    pool = np.random.SeedSequence(prefix, pool_size=size).pool
+    run, key = _uint32_words(root.entropy), _uint32_words(root.spawn_key)
+    prefix = run + [0] * (size - len(run)) + key
+    pool = root.pool if key else np.random.SeedSequence(prefix, pool_size=size).pool
     consts = _hash_constants(_MIX_INIT, _MIX_MULT, len(prefix) * size, size + 1)
     hashed = _xorshift((np.arange(count, dtype=np.uint32) ^ consts[:-1]) * consts[1:])
     mixed = _xorshift(np.uint32(_MIX_L) * pool[:, None] - np.uint32(_MIX_R) * hashed)
@@ -439,7 +447,7 @@ def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> f
     order = data.order
     m_range = data.data_range
     g = order.n_groups
-    starts = np.flatnonzero(np.diff(order.group_ids, prepend=-1))  # each group's first position
+    starts = order.group_starts
     fitted_b = check_feasible_weights(fitted.b, order)[order.permutation[starts]]
     random_b, random_mu = _random_pairs(g, data.p, m_range, samples, seed)
     weights = np.vstack([np.zeros(g), np.ones(g), fitted_b, random_b])
@@ -493,7 +501,10 @@ def _run_replication(
     scored from its ``(b, mu)``, with no n-by-p estimate: the loss is the
     mean of ``(d - b_i e)^2`` with ``d = y - theta`` and ``e = y - mu``, the
     residual ``theta_hat - theta`` itself, and a competitor's risk is
-    :func:`~nefshrink.risk.ure`'s row quadratic at ``||e_i||^2``."""
+    :func:`~nefshrink.risk.ure`'s row quadratic at ``||e_i||^2``.  Adjacent
+    estimators with the same target share ``e`` and its row norms, as
+    ``no_shrinkage`` and ``half_to_zero`` share the zero target's when
+    they are listed one after the other."""
     ni, design, rep = task
     theta = design.theta
     data = design.sample(_substream(config.seed, ni, rep, _SAMPLE))
@@ -507,11 +518,15 @@ def _run_replication(
         scored.append((kind, est, None, 0, True))
     d = data.y - theta
     s = data.surrogate_row_sums
+    target = row_norms = None  # of the last estimator: one n-by-p e alive at a time
     records = []
     for name, est, risk, iters, converged in scored:
-        e = data.y - est.mu
+        if est.mu.tobytes() != target:
+            target, e, row_norms = est.mu.tobytes(), data.y - est.mu, None
         if risk is None:
-            risk = _row_quadratic(est.b, (e**2).sum(axis=1), s, s, data.y.size)
+            if row_norms is None:
+                row_norms = (e**2).sum(axis=1)
+            risk = _row_quadratic(est.b, row_norms, s, s, data.y.size)
         loss = float(np.mean((d - est.b[:, None] * e) ** 2))
         records.append(
             ReplicationRecord(rep, data.n, data.p, name, loss, risk, sup_gap, iters, converged)

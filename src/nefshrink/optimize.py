@@ -91,11 +91,22 @@ def isotonic_box_projection(targets, weights, order: RowOrder) -> np.ndarray:
 
 
 def _projection_inputs(targets, weights, order: RowOrder) -> tuple[np.ndarray, np.ndarray]:
-    """Flat float ``targets`` and ``weights``, checked for the projection."""
+    """Flat float ``targets`` and ``weights``, checked for the projection.
+
+    Valid inputs pass on two reductions: the least weight is nonnegative,
+    and ``targets @ weights`` is finite.  It is not when any entry is NaN
+    or infinite: that entry's product is NaN or infinite (``0 * inf`` is
+    NaN), and so is any sum with such a term.  Only inputs that fail (or
+    whose products overflow) go through the entrywise checks, whose order
+    fixes the message: a negative weight, ``-inf`` included, is reported
+    before a NaN or an infinity."""
     targets = np.asarray(targets, dtype=float).reshape(-1)
     weights = np.asarray(weights, dtype=float).reshape(-1)
     if targets.shape != weights.shape or targets.size != order.n:
         raise ValueError("targets, weights and order must have matching length")
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf, inf - inf, overflow
+        if weights.size and weights.min() >= 0.0 and np.isfinite(targets @ weights):
+            return targets, weights
     if np.any(weights < 0):
         raise ValueError("weights must be nonnegative")
     if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(weights))):

@@ -207,6 +207,11 @@ def reference_draw(spec, theta, tau, seed) -> np.ndarray:
     return rng.poisson(mix[:, None] * theta) / counts[:, None]
 
 
+# tau entries of one design: small, past 2**53 where float sums round, and huge
+MIXED_TAU = (1, 2, 3, 7, 2**53 + 2, 2**62, 1e300)
+NORMAL = make_family("normal")
+
+
 class TestDesign:
     """A design checks (theta, tau) and derives the row order and the
     sampler's inputs once; each draw is that of the family's generator calls."""
@@ -243,6 +248,50 @@ class TestDesign:
         for order in (design.order, copy.order):
             for array in (order.permutation, order.group_ids):
                 assert not array.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        tau=st.integers(1, 6).flatmap(lambda n: st.integers(1, 4).flatmap(
+            lambda p: st.lists(st.lists(st.sampled_from(MIXED_TAU), min_size=p, max_size=p),
+                               min_size=n, max_size=n))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_tau_only_row_sums_and_order_caches_are_derived_once(self, tau, seed):
+        tau = np.array(tau)
+        theta = np.random.default_rng(seed).uniform(-2.0, 2.0, tau.shape)
+        design = Design(NORMAL, theta, tau)
+        data = design.sample(seed)
+        order = data.order
+        # the design's row sums are the matrix's, and V(Y)/(tau + nu2) summed
+        assert data.surrogate_row_sums is design.surrogate_row_sums
+        rebuilt = DataMatrix(data.y, tau, NORMAL).surrogate_row_sums
+        assert np.array_equal(design.surrogate_row_sums, rebuilt)
+        by_variance = (variance_function(NORMAL, data.y) / (tau + NORMAL.nu2)).sum(axis=1)
+        assert np.array_equal(design.surrogate_row_sums, by_variance)
+        # the order's kept group starts and tie mask, against the sorted row sums
+        sums = tau.astype(float).sum(axis=1)[order.permutation]
+        starts = [k for k in range(len(sums)) if k == 0 or sums[k] != sums[k - 1]]
+        assert np.array_equal(order.group_starts, starts)
+        assert np.array_equal(order.tied_steps, sums[1:] == sums[:-1])
+        copy = pickle.loads(pickle.dumps(design))
+        assert copy.sample(seed).surrogate_row_sums is copy.surrogate_row_sums
+        for kept in (design, copy):
+            arrays = {"row_sums": kept.surrogate_row_sums, **vars(kept.order)}
+            assert set(arrays) == {"row_sums", "permutation", "group_ids", "group_starts",
+                                   "tied_steps"}
+            for name, array in arrays.items():
+                assert np.array_equal(array, {"row_sums": design.surrogate_row_sums,
+                                              **vars(order)}[name]), name
+                assert not array.flags.writeable, name
+
+    @pytest.mark.parametrize("kind", ["poisson", "gamma", "multinomial", "negmultinomial"])
+    def test_row_sums_that_read_observations_stay_per_draw(self, kind):
+        spec, theta, tau = family_case(kind, 5, 3, np.random.default_rng(4))
+        design = Design(spec, theta, tau)
+        assert design.surrogate_row_sums is None
+        data = design.sample(0)
+        expected = (variance_function(spec, data.y) / (tau + spec.nu2)).sum(axis=1)
+        assert np.array_equal(data.surrogate_row_sums, expected)
 
     def test_checks_theta_and_tau_once_and_each_draw(self):
         normal = make_family("normal")
@@ -398,9 +447,6 @@ class TestSampledMoments:
         se = np.sqrt(surrogate.var(axis=0, ddof=1) / m)
         # the normal family is degenerate: the surrogate is identically 1
         assert np.all(np.abs(surrogate.mean(axis=0) - var) <= 4 * se)
-
-
-NORMAL = make_family("normal")
 
 
 class TestDataMatrix:

@@ -1,7 +1,9 @@
 """Experiment engine: config, seeding, sup-gap proxy, CSV, rate fits."""
 
 import concurrent.futures
+import gc
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -576,36 +578,81 @@ mode = grand_mean
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
 """, "31cd4bd870c15c9ec13ba1a629576f93a83b1f6d6da40ded8e0c2b27aae4d020"),
+    # the decay experiment's shape: normal with tau ones, one tie group (G = 1),
+    # so the design's tau-only row sums and the shared zero target of the two
+    # competitors; digest taken before the design derived the row sums
+    "normal_location_one_group": ("""
+family = normal
+theta_rule = uniform:-2,2
+n_grid = 5,10,20
+p_rule = fixed:4
+M = 4
+seed = 17
+mode = location
+competitors = no_shrinkage,half_to_zero,oracle_loss
+K_grid = 4
+""", "0684525b6be5f5cdf10f732b5aa7f820e3c0980a83741ae3b504b1f70653a4bf"),
 }
 
 
 class TestPerMatrixDerivations:
-    @pytest.mark.parametrize("mode, competitors", [
-        ("location", ("no_shrinkage", "half_to_zero", "oracle_loss")),
-        ("grand_mean", ("no_shrinkage", "half_to_zero", "oracle_loss")),
-    ])
-    def test_order_and_row_sums_derived_once_per_replication(self, mode, competitors,
-                                                               monkeypatch):
+    @pytest.mark.parametrize("family", ["normal", "poisson"])
+    @pytest.mark.parametrize("mode", ["location", "grand_mean"])
+    def test_order_and_row_sums_derived_once_per_replication(self, mode, family, monkeypatch):
         # the tau row order once per grid point, in the design its replications
         # share; the row sums once per replication, shared by the fit, the
-        # sup-gap proxy and competitor scoring
-        config = small_config(mode=mode, competitors=competitors, tau_rule="randint:1,2")
-        calls = {"from_tau": 0, "variance_function": 0}
+        # sup-gap proxy and competitor scoring, or, for the normal family, whose
+        # row sums depend on tau alone, once per grid point with no V(Y) at all
+        config = small_config(
+            family=family, theta_rule=FAMILY_CONFIGS[family]["theta_rule"], mode=mode,
+            competitors=("no_shrinkage", "half_to_zero", "oracle_loss"), tau_rule="randint:1,2",
+        )
+        calls = {"from_tau": 0, "row_sums": 0, "variance_function": 0}
         from_tau, variance_function = RowOrder.from_tau.__func__, families.variance_function
+        row_sums = families._surrogate_row_sums
 
         def counting_from_tau(cls, tau):
             calls["from_tau"] += 1
             return from_tau(cls, tau)
+
+        def counting_row_sums(*args):
+            calls["row_sums"] += 1
+            return row_sums(*args)
 
         def counting_variance_function(spec, t):
             calls["variance_function"] += 1
             return variance_function(spec, t)
 
         monkeypatch.setattr(RowOrder, "from_tau", classmethod(counting_from_tau))
+        monkeypatch.setattr(families, "_surrogate_row_sums", counting_row_sums)
         monkeypatch.setattr(families, "variance_function", counting_variance_function)
         run_experiment(config)
-        replications = config.replications * len(config.n_grid)
-        assert calls == {"from_tau": len(config.n_grid), "variance_function": replications}
+        grid_points = len(config.n_grid)
+        replications = config.replications * grid_points
+        assert calls == {
+            "from_tau": grid_points,
+            "row_sums": grid_points if family == "normal" else replications,
+            "variance_function": 0 if family == "normal" else replications,
+        }
+
+    def test_designs_and_their_orders_are_freed(self, monkeypatch):
+        # nothing keeps a grid point's design, or what it derived, past the run
+        refs = []
+
+        class RecordedDesign(Design):
+            def __init__(self, *args):
+                super().__init__(*args)
+                order = self.order
+                derived = (self, order, order.group_starts, order.tied_steps,
+                           self.surrogate_row_sums)
+                refs.extend(weakref.ref(obj) for obj in derived)
+
+        monkeypatch.setattr(harness, "Design", RecordedDesign)
+        config = small_config(tau_rule="randint:1,2")  # normal: the design keeps S_i
+        assert run_experiment(config)
+        gc.collect()
+        assert len(refs) == 5 * len(config.n_grid)
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 FAMILY_CONFIGS = {

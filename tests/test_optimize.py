@@ -203,6 +203,25 @@ class TestRowOrder:
         order, b = case
         assert order.is_feasible(b) == is_feasible_loop(order, b)
 
+    @settings(max_examples=300, deadline=None)
+    @given(orders_with_ties(), st.integers(0, 11),
+           st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1.0, 1.5, -1e-300]))
+    def test_feasibility_with_one_odd_entry(self, case, at, odd):
+        # the box is tested at the ends after the monotone test: a NaN or an
+        # infinity anywhere still fails, as does any entry outside [0, 1]
+        order, b = case
+        b = b.copy()
+        b[at % order.n] = odd
+        assert order.is_feasible(b) == (is_feasible_loop(order, b) and np.isfinite(b).all())
+
+    def test_kept_group_starts_and_tie_steps(self):
+        order = RowOrder.from_row_sums([3.0, 1.0, 3.0, 2.0, 1.0])
+        np.testing.assert_array_equal(order.group_starts, [0, 2, 3])
+        np.testing.assert_array_equal(order.tied_steps, [True, False, False, True])
+        assert order.group_starts is order.group_starts
+        for array in (order.group_starts, order.tied_steps):
+            assert not array.flags.writeable
+
     def test_expand_and_inverse(self):
         order = RowOrder.from_row_sums([3.0, 1.0, 3.0])
         np.testing.assert_array_equal(group_of_row(order), [0, 1, 0])
@@ -369,6 +388,34 @@ class TestIsotonicBoxProjection:
             isotonic_box_projection([0.5, 0.5], [1.0, -1.0], order)
         with pytest.raises(ValueError, match="length"):
             isotonic_box_projection([0.5], [1.0], order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(projection_cases(), st.booleans(), st.integers(0, 59),
+           st.sampled_from([np.nan, np.inf, -np.inf, -1.0, -5e-324, -0.0, 1e300]))
+    @example((RowOrder.from_row_sums([1.0, 1.0]), np.full(2, 1e300), np.full(2, 1e300)),
+             True, 0, 1e300)  # finite, but the products overflow
+    def test_one_bad_entry_is_reported_as_the_entrywise_checks_do(self, case, in_weights,
+                                                                  at, bad):
+        # a negative weight, -inf included, is "nonnegative"; then NaN or an
+        # infinity is "finite", wherever it sits; finite inputs pass
+        order, targets, weights = case
+        targets, weights = targets.copy(), weights.copy()
+        (weights if in_weights else targets)[at % order.n] = bad
+
+        def message(project):
+            try:
+                with np.errstate(over="ignore"):  # the example's pooled products
+                    project(targets, weights, order)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        expected = message(reference_isotonic_box_projection)
+        assert message(isotonic_box_projection) == expected
+        if in_weights and bad < 0.0:
+            assert expected == "weights must be nonnegative"
+        elif not np.isfinite(bad):
+            assert expected == "targets and weights must be finite"
 
 
 class TestWeightStep:
