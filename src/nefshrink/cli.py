@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import multiprocessing
 import os
 import sys
 import warnings
@@ -121,7 +120,13 @@ def _usable_cpus() -> int:
 
 def _worker_count(jobs: int) -> int:
     """Processes to share ``jobs`` jobs: min(usable CPUs, jobs), or 1 without
-    the ``fork`` start method."""
+    the ``fork`` start method.  Fewer than 2 jobs never fork, so they are
+    counted without importing ``multiprocessing``, which every command that
+    never forks would pay for on start."""
+    if jobs < 2:
+        return 1
+    import multiprocessing
+
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return min(_usable_cpus(), jobs)
@@ -146,6 +151,8 @@ def _forked_workers(work, jobs):
     already printed are not written again by a worker.  The workers are
     killed and joined on the way out, on success or error.
     """
+    import multiprocessing
+
     context = multiprocessing.get_context("fork")
     procs, pipes = [], []
     try:
@@ -288,6 +295,8 @@ def _load_matrix(path) -> np.ndarray:
     except OSError:  # np.loadtxt reports it in its own words
         ranges = []
     if len(ranges) > 1:
+        import multiprocessing  # for its BufferTooShort below
+
         try:
             return _parse_forked(path, ranges)
         # a range that does not parse, warns, disagrees on its size, or whose

@@ -129,7 +129,16 @@ def minimize_true_loss(data: DataMatrix, theta) -> FitResult:
     With ``d_i = y_i - theta_i`` the loss is the row quadratic
     ``sum_i [||d_i||^2 - 2 b_i d_i . (y_i - mu) + b_i^2 ||y_i - mu||^2] / np``
     (:func:`~nefshrink.risk._loss_rows`), minimized by the risk-estimate
-    fit's descent from full shrinkage toward the clipped grand mean, with no
-    restarts and at most ``_MAX_ITER`` outer iterations.  Benchmark-side only.
+    fit's descent from full shrinkage toward the clipped grand mean, with at
+    most ``_MAX_ITER`` outer iterations per start.  When that start ends at
+    all-zero weights, a saddle where the target step cannot move ``mu``, the
+    descent runs again with :func:`~nefshrink.optimize.minimize_ure`'s
+    restart added, half shrinkage toward the clipped zero target: its first
+    weight step is the best at that target, so the oracle then ends no
+    higher than ``half_to_zero``.  Benchmark-side only.
     """
-    return _coordinate_descent(data, *_loss_rows(data, theta), _MAX_ITER)
+    rows = _loss_rows(data, theta)
+    result = _coordinate_descent(data, *rows, _MAX_ITER)
+    if not result.b.any():
+        result = _coordinate_descent(data, *rows, _MAX_ITER, [np.zeros(data.p)])
+    return result

@@ -314,10 +314,10 @@ class DataMatrix:
 
     Immutable: the fields cannot be reassigned, and the quantities that
     consumers derive from the matrix (``order``, ``data_range``,
-    ``column_means`` and ``surrogate_row_sums``) are computed on first use
-    and kept, as read-only arrays.  A float ``y`` or ``tau`` is kept as
-    passed, not copied, so it must not be changed after construction, or
-    the kept values go stale.
+    ``column_means``, ``centered_row_norms`` and ``surrogate_row_sums``) are
+    computed on first use and kept, as read-only arrays.  A float ``y`` or
+    ``tau`` is kept as passed, not copied, so it must not be changed after
+    construction, or the kept values go stale.
     """
 
     y: np.ndarray
@@ -396,6 +396,13 @@ class DataMatrix:
     def column_means(self) -> np.ndarray:
         """Column means ``Ybar_j``, the grand-mean shrinkage target."""
         return _read_only(self.y.mean(axis=0))
+
+    @cached_property
+    def centered_row_norms(self) -> np.ndarray:
+        """Squared row distances ``||y_i - Ybar||^2`` to the column means: the
+        curvature of the risk estimates and of the loss at the grand-mean
+        target, shared by every consumer whose target is ``column_means``."""
+        return _read_only(((self.y - self.column_means) ** 2).sum(axis=1))
 
     @cached_property
     def surrogate_row_sums(self) -> np.ndarray:

@@ -34,7 +34,7 @@ from .families import (
     validate_mean_matrix,
 )
 from .optimize import FitResult, check_feasible_location, check_feasible_weights
-from .risk import _loss_rows, _row_quadratic
+from .risk import _loss_rows, _row_quadratic, _target_row_norms
 
 __all__ = [
     "ExperimentConfig",
@@ -276,7 +276,9 @@ class RateFit:
     n_points: int
 
 
-def estimate_sup_gap(data: DataMatrix, theta, samples: int, seed, fitted: FitResult) -> float:
+def estimate_sup_gap(
+    data: DataMatrix, theta, samples: int, seed, fitted: FitResult, *, loss_rows=None
+) -> float:
     """Sampled proxy for the largest |risk estimate - loss| over the
     location-shrinkage feasible set.
 
@@ -294,17 +296,21 @@ def estimate_sup_gap(data: DataMatrix, theta, samples: int, seed, fitted: FitRes
     the same value on every call.
     Each pair costs O(G p) for G tie groups, after one O(n p) pass over the
     rows.  The result is a lower bound on the true supremum.
+
+    ``loss_rows``, when given, must be ``risk._loss_rows(data, theta)``, the
+    loss rows the caller has already taken: they are used as they are, and
+    ``theta`` is not read again.  ``fitted`` is checked either way.
     """
-    return _sup_gap(data, theta, samples, seed, fitted, location=True)
+    return _sup_gap(data, theta, samples, seed, fitted, True, loss_rows)
 
 
 def estimate_sup_gap_grand_mean(
-    data: DataMatrix, theta, samples: int, seed, fitted: FitResult
+    data: DataMatrix, theta, samples: int, seed, fitted: FitResult, *, loss_rows=None
 ) -> float:
     """Grand-mean analogue of :func:`estimate_sup_gap` (weights only)."""
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
-    return _sup_gap(data, theta, samples, seed, fitted, location=False)
+    return _sup_gap(data, theta, samples, seed, fitted, False, loss_rows)
 
 
 def _uint32_words(value) -> list[int]:
@@ -423,10 +429,11 @@ def _random_pairs(n_groups: int, p: int, m_range: float, samples: int, seed):
     return np.sort(draws[:, :n_groups], axis=1), -m_range + (2.0 * m_range) * draws[:, n_groups:]
 
 
-def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> float:
+def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool, loss_rows) -> float:
     """Largest |risk estimate - loss| over the corners, the fitted pair and
     ``samples`` random pairs: URE against a per-pair target in the data box
-    (``location``), or AURE with the target fixed at the grand mean.
+    (``location``), or AURE with the target fixed at the grand mean.  The
+    loss rows are ``loss_rows``, or are taken here when that is None.
 
     The ``b_i^2`` terms of the risk estimate and of the loss cancel, so
     each gap is linear in the weights:
@@ -457,7 +464,7 @@ def _sup_gap(data, theta, samples, seed, fitted: FitResult, location: bool) -> f
         targets = np.vstack([mu_center, mu_center, fitted_mu, random_mu])
     else:
         targets = data.column_means  # one row shared by every pair
-    lin, cross, const = _loss_rows(data, theta)
+    lin, cross, const = _loss_rows(data, theta) if loss_rows is None else loss_rows
     s = data.surrogate_row_sums
     factor = 1.0 if location else 1.0 - 1.0 / data.n
     h = np.add.reduceat((factor * s - lin)[order.permutation], starts)
@@ -497,37 +504,41 @@ def _run_replication(
     config: ExperimentConfig, task: tuple[int, Design, int]
 ) -> list[ReplicationRecord]:
     """The records of one replication: a draw from the grid point's design,
-    then the fit, the sup-gap proxy and the competitors.  Each estimator is
-    scored from its ``(b, mu)``, with no n-by-p estimate: the loss is the
-    mean of ``(d - b_i e)^2`` with ``d = y - theta`` and ``e = y - mu``, the
-    residual ``theta_hat - theta`` itself, and a competitor's risk is
-    :func:`~nefshrink.risk.ure`'s row quadratic at ``||e_i||^2``.  Adjacent
-    estimators with the same target share ``e`` and its row norms, as
-    ``no_shrinkage`` and ``half_to_zero`` share the zero target's when
-    they are listed one after the other."""
+    then the fit, the sup-gap proxy and the competitors.  The loss rows
+    ``(d_i . y_i, d_i, ||d_i||^2)`` with ``d = y - theta`` are taken once,
+    here, and handed to the proxy.  Each estimator is then scored from its
+    ``(b, mu)``, with no n-by-p estimate or residual: its loss and, for a
+    competitor, its risk are :func:`~nefshrink.risk._row_quadratic` rows
+    that share the curvature ``a_i = ||y_i - mu||^2``; the loss's linear
+    term is ``d_i . y_i - d_i . mu``, and the risk is :func:`~nefshrink.risk.ure`
+    at ``a``.  ``a`` and ``d . mu`` are taken once per distinct target, and
+    at the column means ``a`` is the matrix's ``centered_row_norms``, which
+    the fit has already derived."""
     ni, design, rep = task
     theta = design.theta
     data = design.sample(_substream(config.seed, ni, rep, _SAMPLE))
     result, estimate = fit(data, config.mode)
+    loss_rows = lin, cross, const = _loss_rows(data, theta)
     sup_seed = _substream(config.seed, ni, rep, _SUPGAP)
     sup_gap_of = estimate_sup_gap if config.mode == "location" else estimate_sup_gap_grand_mean
-    sup_gap = sup_gap_of(data, theta, config.sup_gap_samples, sup_seed, fitted=result)
+    sup_gap = sup_gap_of(data, theta, config.sup_gap_samples, sup_seed, fitted=result,
+                         loss_rows=loss_rows)
     scored = [("fit", estimate, result.objective, result.iterations, result.converged)]
     for kind in config.competitors:
         est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None)
         scored.append((kind, est, None, 0, True))
-    d = data.y - theta
     s = data.surrogate_row_sums
-    target = row_norms = None  # of the last estimator: one n-by-p e alive at a time
+    size = data.y.size
+    at_target = {}  # target bytes -> (||y_i - mu||^2, d_i . y_i - d_i . mu)
     records = []
     for name, est, risk, iters, converged in scored:
-        if est.mu.tobytes() != target:
-            target, e, row_norms = est.mu.tobytes(), data.y - est.mu, None
+        key = est.mu.tobytes()
+        if key not in at_target:
+            at_target[key] = _target_row_norms(data, est.mu), lin - cross @ est.mu
+        a, lin_at = at_target[key]
         if risk is None:
-            if row_norms is None:
-                row_norms = (e**2).sum(axis=1)
-            risk = _row_quadratic(est.b, row_norms, s, s, data.y.size)
-        loss = float(np.mean((d - est.b[:, None] * e) ** 2))
+            risk = _row_quadratic(est.b, a, s, s, size)
+        loss = _row_quadratic(est.b, a, lin_at, const, size)
         records.append(
             ReplicationRecord(rep, data.n, data.p, name, loss, risk, sup_gap, iters, converged)
         )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import DataMatrix, RowOrder
-from .risk import _aure_rows, _row_quadratic
+from .risk import _aure_rows, _row_quadratic, _target_row_norms
 
 __all__ = [
     "RowOrder",
@@ -176,13 +176,18 @@ def _pool_decreasing_runs(swt, sw) -> tuple[np.ndarray, ...]:
     most ``4 G`` blocks in all.  Returns the blocks' ``(value, sum w*t,
     sum w, groups covered)``.
     """
-    covers = np.ones(len(swt), dtype=np.intp)
+    n_groups = len(swt)
+    first = np.arange(n_groups)  # each block's first group
+    run_start = np.empty(n_groups, dtype=bool)  # one mask, reused by every pass
+    run_start[0] = True
     while True:
         value = swt / sw
-        starts = np.flatnonzero(np.concatenate(([True], value[:-1] <= value[1:])))
-        if len(starts) > _PASS_KEEP * len(value):
-            return value, swt, sw, covers
-        swt, sw, covers = (np.add.reduceat(x, starts) for x in (swt, sw, covers))
+        blocks = len(value)
+        np.less_equal(value[:-1], value[1:], out=run_start[1:blocks])
+        starts = run_start[:blocks].nonzero()[0]
+        if len(starts) > _PASS_KEEP * blocks:
+            return value, swt, sw, np.diff(first, append=n_groups)
+        swt, sw, first = np.add.reduceat(swt, starts), np.add.reduceat(sw, starts), first[starts]
 
 
 def sample_feasible_weights(order: RowOrder, rng: np.random.Generator) -> np.ndarray:
@@ -306,8 +311,7 @@ def minimize_ure(data: DataMatrix, max_iter: int = _MAX_ITER) -> FitResult:
     if data.order.n_groups == 1:
         _check_max_iter(max_iter)
         mu = np.clip(data.column_means, -data.data_range, data.data_range)
-        a = ((data.y - mu) ** 2).sum(axis=1)
-        b, objective = _weight_step(a, s, s, data.order, data.y.size)
+        b, objective = _weight_step(_target_row_norms(data, mu), s, s, data.order, data.y.size)
         return FitResult(b, mu, objective, iterations=1, converged=True)
     targets = [np.zeros(data.p)]
     if data.n <= _ROW_RESTART_CAP:
@@ -332,7 +336,8 @@ def _coordinate_descent(
     shrinkage toward each clipped entry of ``targets``, the caller's
     restarts (:func:`minimize_ure` passes the zero target and, for small
     matrices, every row, and calls this only with several tie groups; the
-    loss oracle passes none); the best final iterate wins, the earliest
+    loss oracle passes the zero target only once its grand-mean start has
+    ended at zero weights); the best final iterate wins, the earliest
     start on ties.
 
     The weight step at a fixed ``mu`` never reads ``b`` and is the exact
@@ -354,7 +359,7 @@ def _coordinate_descent(
 
     def rows_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(||y_i - mu||^2, lin_i - cross_i . mu)``."""
-        return ((data.y - mu) ** 2).sum(axis=1), lin if cross is None else lin - cross @ mu
+        return _target_row_norms(data, mu), lin if cross is None else lin - cross @ mu
 
     best = None
     for b, mu in starts:

@@ -44,7 +44,7 @@ def _row_quadratic(b, a, lin, const, size: int) -> float:
     weight.  With ``a_i = ||y_i - mu||^2`` and ``S_i`` the surrogate row sums,
     :func:`ure` is ``lin_i = const_i = S_i`` and :func:`aure` (at ``mu = Ybar``)
     ``lin_i = (1 - 1/n) S_i``, ``const_i = S_i``."""
-    return float(np.sum(b * b * a - 2.0 * b * lin + const) / size)
+    return float((b * b * a - 2.0 * b * lin + const).sum() / size)
 
 
 def ure(data: DataMatrix, b, mu) -> float:
@@ -79,9 +79,17 @@ def _aure_rows(data: DataMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Requires ``n >= 2``."""
     if data.n < 2:
         raise ValueError("grand-mean shrinkage requires at least two rows")
-    a = ((data.y - data.column_means) ** 2).sum(axis=1)
     s = data.surrogate_row_sums
-    return a, (1.0 - 1.0 / data.n) * s, s
+    return data.centered_row_norms, (1.0 - 1.0 / data.n) * s, s
+
+
+def _target_row_norms(data: DataMatrix, mu: np.ndarray) -> np.ndarray:
+    """``||y_i - mu||^2`` for a float target ``mu``: the matrix's kept
+    ``centered_row_norms`` when ``mu`` is its column means bit for bit, else
+    computed with the same arithmetic."""
+    if mu.tobytes() == data.column_means.tobytes():
+        return data.centered_row_norms
+    return ((data.y - mu) ** 2).sum(axis=1)
 
 
 def _loss_rows(data: DataMatrix, theta) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,6 +1,7 @@
 """Command-line behavior: fit, simulate, rates."""
 
 import multiprocessing
+import os
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,9 @@ from nefshrink import cli, harness
 from nefshrink.cli import main
 from nefshrink.families import default_tau, make_family
 from nefshrink.harness import CSV_HEADER, aggregate_records, fit_rate, read_records_csv
+
+# this checkout's package, for a child interpreter that runs in another directory
+SRC = str(Path(cli.__file__).resolve().parents[1])
 
 CONFIG = """
 family = normal
@@ -922,6 +926,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 1
         assert "error:" in proc.stderr
+
+    def test_commands_that_never_fork_never_import_multiprocessing(self, tmp_path):
+        # importing it costs every fresh start some milliseconds; only a fork needs it
+        (tmp_path / "c.txt").write_text(CONFIG)
+        (tmp_path / "y.csv").write_text("1,2\n3,0\n")
+        code = "\n".join([
+            "import sys",
+            "import nefshrink.cli as cli",
+            "assert 'multiprocessing' not in sys.modules, 'import'",
+            "assert cli.main(['simulate', '--config', 'c.txt', '--out', 'o.csv']) == 0",
+            "assert 'multiprocessing' not in sys.modules, 'simulate'",
+            "assert cli.main(['fit', 'y.csv', '--family', 'poisson', '--out', 'e.csv']) == 0",
+            "assert 'multiprocessing' not in sys.modules, 'fit'",
+        ])
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o.csv").exists() and (tmp_path / "e.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["fit", "y.csv", "--family", "normal", "--tol", "1e-9", "--out", "e.csv"],

@@ -507,12 +507,16 @@ class TestDataMatrix:
             "permutation": data.order.permutation,
             "group_ids": data.order.group_ids,
             "column_means": data.column_means,
+            "centered_row_norms": data.centered_row_norms,
             "row_sums": data.surrogate_row_sums,
         }
         assert data.order is data.order
         assert data.surrogate_row_sums is kept["row_sums"]
+        assert data.centered_row_norms is kept["centered_row_norms"]
         np.testing.assert_array_equal(kept["permutation"], [1, 0, 2])
         np.testing.assert_array_equal(kept["column_means"], [2.0, 4.0 / 3.0])
+        np.testing.assert_array_equal(kept["centered_row_norms"],
+                                      ((data.y - data.column_means) ** 2).sum(axis=1))
         np.testing.assert_array_equal(kept["row_sums"], [2.0, 1.5, 4.0])  # sum y / tau
         for name, array in kept.items():
             assert not array.flags.writeable, name

@@ -1,6 +1,7 @@
 """Experiment engine: config, seeding, sup-gap proxy, CSV, rate fits."""
 
 import concurrent.futures
+import functools
 import gc
 import hashlib
 import weakref
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nefshrink import (
     AggregateRecord,
+    DataMatrix,
     Design,
     ExperimentConfig,
     FitResult,
@@ -457,6 +459,23 @@ class TestRunExperiment:
         se = losses.std(ddof=1) / np.sqrt(len(losses))
         assert abs(losses.mean() - var.mean()) < 4 * se
 
+    def test_loss_oracle_is_never_above_half_to_zero(self):
+        # half_to_zero is a member of the oracle's class; at n <= 5 the oracle's
+        # grand-mean start can end at zero weights, a saddle its target step
+        # cannot leave, with no_shrinkage's loss (5 of these 60 replications
+        # before the zero-target restart)
+        config = small_config(
+            theta_rule="uniform:-1,1", n_grid=(2, 3, 5), p_rule="fixed:1", replications=20,
+            seed=3, competitors=("half_to_zero", "oracle_loss", "no_shrinkage"),
+            sup_gap_samples=0,
+        )
+        losses = {}
+        for record in run_experiment(config):
+            losses.setdefault((record.n, record.rep), {})[record.estimator] = record.loss
+        assert len(losses) == 60
+        for loss in losses.values():
+            assert loss["oracle_loss"] <= loss["half_to_zero"] + 1e-12
+
     @pytest.mark.parametrize("workers, pool", [(1, None), (2, 2), (6, 6), (500, 6)])
     def test_pool_has_at_most_one_process_per_replication(self, monkeypatch, workers, pool):
         """Under fork the pool starts all its workers at once; a recording
@@ -498,7 +517,9 @@ class TestRunExperiment:
 
 
 # Records CSVs pinned byte for byte.  A change that moves these bytes on
-# purpose updates the digest and records the change in CHANGES.md.
+# purpose updates the digest and records the change in CHANGES.md.  All seven
+# were last re-pinned when the loss became a row quadratic: only loss cells
+# moved, by at most 9.4e-15 relative.
 CONTRACT_CONFIGS = {
     # tied tau row sums and a restart from every row (n <= 12)
     "location_ties": ("""
@@ -512,7 +533,7 @@ seed = 11
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "caa53ba04c5a530dc4c47d25a28d40db578662c64e7ef8341ebe58d280dd27bf"),
+""", "d6999680b4ab0c370b3a588ab88fba6b35cd1d0776779b8c068b0d62e1de077a"),
     "grand_mean_oracle": ("""
 family = poisson
 theta_rule = uniform:0.5,2
@@ -524,7 +545,7 @@ seed = 12
 mode = grand_mean
 competitors = no_shrinkage,oracle_loss
 K_grid = 4
-""", "8fe9663dd69e73c680051eaad0c8f7bde0b7bf6a47bf50b8faea819ed74ee0b3"),
+""", "b0e61430a06000035c89132a32c4d9b2c2884d2d1c24306480cafb494e1dd332"),
     # a trial family: tau rows of N, the multinomial sampler and its support check;
     # one tie group, so its fit rows come from the closed-form location fit
     "multinomial_location": ("""
@@ -538,9 +559,9 @@ seed = 13
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "6a12cb124579cdd133ecfbbe24584080b72373ff0a29dcec5fd66b7bc3495480"),
+""", "0c3e1a51279a450338125ac0fb39269101f7e2230cdf31514ee05dfa0d58398b"),
     # the normal, gamma and negative multinomial samplers, which the configs
-    # above do not reach; digests taken before the samplers moved into Design
+    # above do not reach
     "normal_location_ties": ("""
 family = normal
 theta_rule = uniform:-1,1
@@ -552,7 +573,7 @@ seed = 14
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "6eaf383b4a419aa29eb498d898dbaf4645d55dfb8e5d32811bf14cf9e863688d"),
+""", "5d76c8eee1afd2a6cf693062c6a1d40a76e7ac739016d59a716d5699691a1dfe"),
     "gamma_ties": ("""
 family = gamma
 lambda = 2
@@ -565,7 +586,7 @@ seed = 15
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "2e26bcc70476b68c1a220f7bf4783de4a0997e0f238644933947dfff1960b260"),
+""", "4d4c7688e4917dabc16faeac356490f7c2d3aaa6bb9c86024d3c68c25ebd0cd1"),
     "negmultinomial_grand_mean": ("""
 family = negmultinomial
 N = 4
@@ -577,10 +598,10 @@ seed = 16
 mode = grand_mean
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "31cd4bd870c15c9ec13ba1a629576f93a83b1f6d6da40ded8e0c2b27aae4d020"),
+""", "550c2e560f1bbe91124d9942caac809b3e123d2e958f980990b078affe181fc8"),
     # the decay experiment's shape: normal with tau ones, one tie group (G = 1),
     # so the design's tau-only row sums and the shared zero target of the two
-    # competitors; digest taken before the design derived the row sums
+    # competitors
     "normal_location_one_group": ("""
 family = normal
 theta_rule = uniform:-2,2
@@ -591,7 +612,7 @@ seed = 17
 mode = location
 competitors = no_shrinkage,half_to_zero,oracle_loss
 K_grid = 4
-""", "0684525b6be5f5cdf10f732b5aa7f820e3c0980a83741ae3b504b1f70653a4bf"),
+""", "d432d288aedefe80154d595325ef32bbb72acdbbe5188cf6bd6b1e481f74c161"),
 }
 
 
@@ -602,14 +623,31 @@ class TestPerMatrixDerivations:
         # the tau row order once per grid point, in the design its replications
         # share; the row sums once per replication, shared by the fit, the
         # sup-gap proxy and competitor scoring, or, for the normal family, whose
-        # row sums depend on tau alone, once per grid point with no V(Y) at all
+        # row sums depend on tau alone, once per grid point with no V(Y) at all;
+        # the loss rows once per replication for the proxy and the scoring, and
+        # once more inside the loss oracle; the squared row distances to the
+        # column means once per draw, shared by the fit and the scoring
         config = small_config(
             family=family, theta_rule=FAMILY_CONFIGS[family]["theta_rule"], mode=mode,
             competitors=("no_shrinkage", "half_to_zero", "oracle_loss"), tau_rule="randint:1,2",
         )
-        calls = {"from_tau": 0, "row_sums": 0, "variance_function": 0}
+        calls = {"from_tau": 0, "row_sums": 0, "variance_function": 0, "loss_rows": 0,
+                 "oracle_loss_rows": 0, "centered_row_norms": 0}
         from_tau, variance_function = RowOrder.from_tau.__func__, families.variance_function
         row_sums = families._surrogate_row_sums
+        loss_rows, centered_row_norms = harness._loss_rows, DataMatrix.centered_row_norms.func
+
+        def counting(key, fn):
+            def counted(*args):
+                calls[key] += 1
+                return fn(*args)
+            return counted
+
+        norms = functools.cached_property(counting("centered_row_norms", centered_row_norms))
+        norms.__set_name__(DataMatrix, "centered_row_norms")
+        monkeypatch.setattr(DataMatrix, "centered_row_norms", norms)
+        monkeypatch.setattr(harness, "_loss_rows", counting("loss_rows", loss_rows))
+        monkeypatch.setattr(estimators, "_loss_rows", counting("oracle_loss_rows", loss_rows))
 
         def counting_from_tau(cls, tau):
             calls["from_tau"] += 1
@@ -633,6 +671,9 @@ class TestPerMatrixDerivations:
             "from_tau": grid_points,
             "row_sums": grid_points if family == "normal" else replications,
             "variance_function": 0 if family == "normal" else replications,
+            "loss_rows": replications,
+            "oracle_loss_rows": replications,
+            "centered_row_norms": replications,
         }
 
     def test_designs_and_their_orders_are_freed(self, monkeypatch):

@@ -619,7 +619,8 @@ class TestMinimizeUre:
 
 def loss_descent(data, theta, max_iter):
     """The loss oracle's descent with a budget of ``max_iter`` outer iterations;
-    :func:`minimize_true_loss` runs it with ``optimize._MAX_ITER``."""
+    :func:`minimize_true_loss` runs it with ``optimize._MAX_ITER``, and again
+    with a zero-target restart when it ends at zero weights."""
     return optimize._coordinate_descent(data, *_loss_rows(data, theta), max_iter)
 
 
@@ -640,7 +641,13 @@ class TestSharedDescent:
 
         oracle = loss_descent(data, theta, max_iter)
         if max_iter == optimize._MAX_ITER:
-            assert minimize_true_loss(data, theta).objective == oracle.objective
+            restarted = minimize_true_loss(data, theta).objective
+            if oracle.b.any():
+                assert restarted == oracle.objective
+            else:  # stuck at zero weights: the zero-target restart can only gain
+                assert restarted <= oracle.objective
+                half = loss(np.full(data.n, 0.5), np.zeros(data.p))
+                assert restarted <= half + 1e-12 * (1.0 + half)
         fits = [(minimize_ure(data, max_iter), lambda b, mu: ure(data, b, mu)), (oracle, loss)]
         for result, objective in fits:
             assert order.is_feasible(result.b)
