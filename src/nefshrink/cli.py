@@ -29,11 +29,10 @@ __all__ = ["main"]
 # share of 0.45 (65,536-cell blocks, see CHANGES.md); a quarter stays clear.
 _LOOKUP_SHARE = 0.25
 
-# An input file above _FORK_BYTES is parsed by up to one process per
-# _CHUNK_BYTES, the block size its lines are counted in: forking paid from
-# about 0.7 MB on, on 2 CPUs (CHANGES.md).
-_FORK_BYTES = 1 << 20
-_CHUNK_BYTES = 1 << 18
+# An input file is parsed by up to one process per _PROCESS_BYTES, so files
+# from 1 MiB on fork: forking paid from about 0.7 MB on, on 2 CPUs (CHANGES.md).
+# Its line count is estimated from a first block of the same size.
+_PROCESS_BYTES = 1 << 19
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -200,79 +199,67 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
         raise RuntimeError("a worker formatting the estimate matrix failed") from None
 
 
-def _count_lines(path) -> int | None:
-    """The lines of the file at ``path`` up to its last one with data,
-    counted by their ``\\n`` ends in blocks of ``_CHUNK_BYTES``; None when a
-    lone ``\\r``, which ``np.loadtxt`` also takes for a line end, makes the
-    count wrong.  The empty lines that end the file (a run of ``\\n`` and
-    ``\\r\\n``) are not counted, so no range reaches them; other empty and
-    comment lines are counted as lines: ``max_rows`` warns on each one in
-    its range.
-    """
-    lines = trailing = 0  # line ends in all, and after the last byte of data
-    has_data = False
-    with open(path, "rb") as fh:
-        while block := fh.read(_CHUNK_BYTES):
-            if block.endswith(b"\r"):  # its "\n", if any, starts the next block
-                block += fh.read(1)
-            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
-                return None
-            ends = np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-            lines += ends
-            tail = block[-16:]  # rstrip copies what it keeps: a whole block only if need be
-            if not tail.rstrip(b"\r\n"):
-                tail = block
-            if text := tail.rstrip(b"\r\n"):
-                has_data, trailing = True, tail.count(b"\n", len(text))
-            else:
-                trailing += ends
-    # the last line with data is counted whether or not a line end follows it
-    return lines - trailing + 1 if has_data else 0
+def _line_starts(path) -> list[int]:
+    """The first lines of W near-equal line ranges, W = ``_worker_count(size //
+    _PROCESS_BYTES)``, the last range running to the end of the file; none
+    where one process should parse it: W below 2, or no line end in the
+    file's first ``_PROCESS_BYTES``.
 
-
-def _line_ranges(path) -> list[tuple[int, int]]:
-    """The file's lines cut into W = ``_worker_count(chunks)`` near-equal
-    ranges, one per process, where chunks counts the file's blocks of
-    ``_CHUNK_BYTES``; a single range or none where one process should parse it.
-    A range may hold empty or comment lines, which ``_parse_lines`` rejects,
-    but not the empty lines that end the file.
+    The line count is estimated from that first block's line ends (``\\n``
+    and lone ``\\r``, both of which ``np.loadtxt`` ends a line at), scaled by
+    the file size over the block length.  The estimate only sets the balance:
+    ``np.loadtxt`` counts each range's lines, and ``_parse_forked`` checks them.
     """
     size = os.path.getsize(path)
-    workers = _worker_count(-(-size // _CHUNK_BYTES)) if size > _FORK_BYTES else 1
-    lines = _count_lines(path) if workers > 1 else None
-    if lines is None:
+    workers = _worker_count(size // _PROCESS_BYTES)
+    if workers < 2:
         return []
-    workers = min(workers, lines)
-    bounds = [lines * k // workers for k in range(workers + 1)]
-    return list(zip(bounds[:-1], bounds[1:]))
+    with open(path, "rb") as fh:
+        block = fh.read(_PROCESS_BYTES)
+    ends = block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+    if not ends:
+        return []
+    lines = ends * size // len(block)
+    return sorted({lines * k // workers for k in range(workers)})
 
 
-def _parse_lines(path, start: int, stop: int) -> np.ndarray:
-    """Lines ``start`` to ``stop`` of the file at ``path``, parsed by ``np.loadtxt``;
-    a warning raises."""
+def _parse_lines(path, start: int, stop: int | None) -> np.ndarray:
+    """Lines ``start`` to ``stop`` (None: to the end) of the file at ``path``,
+    parsed by ``np.loadtxt``; a warning raises."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=start, max_rows=stop - start)
+        return np.loadtxt(path, delimiter=",", ndmin=2, skiprows=start,
+                          max_rows=None if stop is None else stop - start)
 
 
 def _send_rows(job, conn) -> None:
-    """Worker body: parse lines ``start`` to ``stop`` and send their bytes down ``conn``."""
-    conn.send_bytes(_parse_lines(*job))
+    """Worker body: parse one line range, then send its row count and its
+    bytes down ``conn``."""
+    rows = _parse_lines(*job)
+    conn.send(len(rows))
+    conn.send_bytes(rows)
 
 
-def _parse_forked(path, ranges) -> np.ndarray:
-    """The file parsed range by range: the parent parses the first range,
-    forked workers the others, each sending its rows into one preallocated
-    array.  A row or column count that differs between ranges raises."""
-    jobs = [(path, start, stop) for start, stop in ranges[1:]]
-    with _forked_workers(_send_rows, jobs) as pipes:
+def _parse_forked(path, starts) -> np.ndarray:
+    """The file parsed by the line ranges that begin at ``starts``: the parent
+    parses the first with ``max_rows``, forked workers the others with
+    ``skiprows``, the last to the end of the file.  Each worker sends its row
+    count, then its rows into one preallocated array.  A bounded range that
+    does not parse to exactly its line count (an estimate past the end of the
+    file), or a column count that differs between ranges, raises."""
+    ranges = list(zip(starts, starts[1:] + [None]))
+    with _forked_workers(_send_rows, [(path, *lines) for lines in ranges[1:]]) as pipes:
         first = _parse_lines(path, *ranges[0])
-        if len(first) != ranges[0][1]:
-            raise ValueError("the first range parsed to a different row count")
-        matrix = np.empty((ranges[-1][1], first.shape[1]))
+        counts = []  # the parent's range is checked before a worker's count is awaited
+        for (start, stop), receive in zip(ranges, [None, *pipes]):
+            counts.append(len(first) if receive is None else receive.recv())
+            if stop is not None and counts[-1] != stop - start:
+                raise ValueError("a range parsed to a different row count")
+        matrix = np.empty((sum(counts), first.shape[1]))
         matrix[: len(first)] = first
         del first  # each worker's rows arrive through a buffer of their own size
-        for (start, stop), receive in zip(ranges[1:], pipes):
+        bounds = np.cumsum(counts)
+        for start, stop, receive in zip(bounds[:-1], bounds[1:], pipes):
             rows = memoryview(matrix[start:stop]).cast("B")
             if receive.recv_bytes_into(rows) != rows.nbytes:
                 raise ValueError("a range parsed to a different column count")
@@ -282,23 +269,22 @@ def _parse_forked(path, ranges) -> np.ndarray:
 def _load_matrix(path) -> np.ndarray:
     """``np.loadtxt(path, delimiter=",", ndmin=2)``, on every usable core.
 
-    A file of more than ``_FORK_BYTES`` bytes with no lone ``\\r`` is cut
-    into ``_line_ranges`` and parsed by ``_parse_forked``.  If that fails in
-    any way, as it does on ``max_rows``' warning for an empty or comment
-    line before the file's last line with data, or for a smaller file, a
-    lone ``\\r`` or one usable CPU, one ``np.loadtxt`` call parses the
-    whole file, so the array, and the error when there is one, are
-    ``np.loadtxt``'s.
+    A file that ``_line_starts`` cuts is parsed by ``_parse_forked``.  If that
+    fails in any way, as it does on ``max_rows``' warning for an empty or
+    comment line in a bounded range (a header comment, in the first), or on
+    a line estimate past the end of the file, or for a file that is not cut,
+    one ``np.loadtxt`` call parses the whole file, so the array, and the
+    error when there is one, are ``np.loadtxt``'s.
     """
     try:
-        ranges = _line_ranges(path)
+        starts = _line_starts(path)
     except OSError:  # np.loadtxt reports it in its own words
-        ranges = []
-    if len(ranges) > 1:
+        starts = []
+    if len(starts) > 1:
         import multiprocessing  # for its BufferTooShort below
 
         try:
-            return _parse_forked(path, ranges)
+            return _parse_forked(path, starts)
         # a range that does not parse, warns, disagrees on its size, or whose
         # worker died: parsed again below, where np.loadtxt names the fault
         except (ValueError, Warning, EOFError, multiprocessing.BufferTooShort, OSError):

@@ -56,9 +56,8 @@ def ure(data: DataMatrix, b, mu) -> float:
     mu = np.asarray(mu, dtype=float).reshape(-1)
     if mu.shape != (data.p,):
         raise ValueError(f"expected {data.p} target coordinates, got shape {mu.shape}")
-    a = ((data.y - mu) ** 2).sum(axis=1)
     s = data.surrogate_row_sums
-    return _row_quadratic(b, a, s, s, data.y.size)
+    return _row_quadratic(b, _target_row_norms(data, mu), s, s, data.y.size)
 
 
 def aure(data: DataMatrix, b) -> float:

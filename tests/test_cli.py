@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from nefshrink import cli, harness
 from nefshrink.cli import main
@@ -393,13 +393,41 @@ LOADER_TEXTS = {
 }
 
 
-def _parse_everywhere(monkeypatch, path, cpus, chunk):
-    """``_load_matrix(path)`` with every file above the fork size, ``chunk``
-    bytes per counted block and ``cpus`` usable CPUs."""
-    monkeypatch.setattr(cli, "_FORK_BYTES", 0)
-    monkeypatch.setattr(cli, "_CHUNK_BYTES", chunk)
+def _parse_everywhere(monkeypatch, path, cpus, block):
+    """``_load_matrix(path)`` with ``block`` bytes per process, so also per
+    sampled block, and ``cpus`` usable CPUs."""
+    monkeypatch.setattr(cli, "_PROCESS_BYTES", block)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
     return cli._load_matrix(path)
+
+
+def _spy_forked(monkeypatch) -> list:
+    """Record each ``_parse_forked`` call's outcome: "returned", or what it raised."""
+    outcomes = []
+    parse_forked = cli._parse_forked
+
+    def spy(*args):
+        try:
+            matrix = parse_forked(*args)
+        except BaseException as exc:
+            outcomes.append(exc)
+            raise
+        outcomes.append("returned")
+        return matrix
+
+    monkeypatch.setattr(cli, "_parse_forked", spy)
+    return outcomes
+
+
+def _first_block(text: str) -> int:
+    """The length of the shortest first block that holds a line end."""
+    return min(i for i in (text.find("\n"), text.find("\r"), len(text)) if i >= 0) + 1
+
+
+def _lines_text(rows, ends) -> bytes:
+    """``rows`` as ``%.17g`` CSV lines, line i ending in ``ends[i % len(ends)]``."""
+    return "".join(",".join(f"{v:.17g}" for v in row) + ends[i % len(ends)]
+                   for i, row in enumerate(rows)).encode()
 
 
 def _loadtxt_error(path) -> str:
@@ -417,13 +445,14 @@ class TestLoadMatrix:
         path = tmp_path / "y.csv"
         path.write_bytes(LOADER_TEXTS[name].encode())
         expected = np.loadtxt(path, delimiter=",", ndmin=2)
+        size = len(LOADER_TEXTS[name])
         lines = LOADER_TEXTS[name].count("\n") + 1
-        # every line its own range at cpus = lines; every byte a block boundary at chunk 1
+        # every line its own range at cpus = lines; every block length that forks
         for cpus in (1, 2, lines):
-            for chunk in (1, 2, 3, 5, 1 << 18):
+            for block in range(1, size // 2 + 1):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
-                    got = _parse_everywhere(monkeypatch, path, cpus, chunk)
+                    got = _parse_everywhere(monkeypatch, path, cpus, block)
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
                 assert [w for w in caught if issubclass(w.category, UserWarning)] == []
@@ -431,34 +460,43 @@ class TestLoadMatrix:
         assert capfd.readouterr().err == ""
 
     @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
-    def test_only_files_of_plain_lines_are_cut(self, tmp_path, monkeypatch):
-        """A file above the fork size is cut into near-equal line ranges, one
-        per usable CPU, empty and '#' lines counted as lines, except the empty
-        lines that end the file; a file with a lone CR, or at or below the
-        fork size, takes one process."""
-        cut = {"one row": [(0, 1)], "one column": [(0, 2), (2, 5)],
-               "no final line end": [(0, 1), (1, 3)], "crlf": [(0, 2), (2, 4)],
-               "empty lines": [(0, 2), (2, 5)], "empty crlf line": [(0, 2), (2, 4)],
-               "leading empty line": [(0, 1), (1, 3)], "comment lines": [(0, 2), (2, 5)]}
+    def test_line_starts_cut_the_estimated_lines(self, tmp_path, monkeypatch):
+        """With W = min(CPUs, size // block), the starts begin at 0, strictly
+        increase and number at most W; there are none for W below 2 (a file
+        under two blocks, as every small file is at the default block) or
+        for a first block without a line end."""
         path = tmp_path / "y.csv"
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         for name, text in LOADER_TEXTS.items():
             path.write_bytes(text.encode())
-            assert cli._line_ranges(path) == []  # not above the 1 MiB fork size
-            for chunk in (1, 2, 4):
-                with mock.patch.object(cli, "_FORK_BYTES", 0), \
-                        mock.patch.object(cli, "_CHUNK_BYTES", chunk):
-                    assert cli._line_ranges(path) == cut.get(name, []), (name, chunk)
+            assert cli._line_starts(path) == []
+            for cpus in (2, 3):
+                monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+                for block in range(1, len(text) + 1):
+                    with mock.patch.object(cli, "_PROCESS_BYTES", block):
+                        starts = cli._line_starts(path)
+                    workers = min(cpus, len(text) // block)
+                    if workers < 2 or block < _first_block(text):
+                        assert starts == [], (name, cpus, block)
+                        continue
+                    assert starts[0] == 0 and 1 < len(starts) <= workers, (name, cpus, block)
+                    assert all(a < b for a, b in zip(starts, starts[1:]))
+        # 100 lines of 4 bytes, 25 of them in the block: near-equal thirds
+        path.write_bytes(b"1,2\n" * 100)
+        monkeypatch.setattr(cli, "_PROCESS_BYTES", 100)
+        assert cli._line_starts(path) == [0, 33, 66]
 
     @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
     def test_a_warning_in_a_range_falls_back(self, tmp_path, monkeypatch, capfd):
-        """``max_rows`` skips the empty lines a range holds with a warning;
-        the warning fails the range, not the result."""
+        """``max_rows`` skips the empty lines a bounded range holds with a
+        warning; the warning fails the range, not the result."""
         path = tmp_path / "y.csv"
         path.write_bytes(LOADER_TEXTS["empty lines"].encode())
+        outcomes = _spy_forked(monkeypatch)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = _parse_everywhere(monkeypatch, path, 2, 1)
+            got = _parse_everywhere(monkeypatch, path, 2, 4)
+        assert cli._line_starts(path) == [0, 2]  # line 1, empty, in the bounded range
+        assert len(outcomes) == 1 and isinstance(outcomes[0], UserWarning)
         assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes()
         assert [w for w in caught if issubclass(w.category, UserWarning)] == []
         assert capfd.readouterr().err == ""
@@ -467,41 +505,87 @@ class TestLoadMatrix:
     @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
     @pytest.mark.parametrize("end", ["\n", "\r\n"])
     @pytest.mark.parametrize("trailing", [1, 2, 3, 12])
-    @pytest.mark.parametrize("chunk", [4, 256])
+    @pytest.mark.parametrize("past_end", [4, 256])
     def test_trailing_empty_lines_keep_the_forked_parse(self, tmp_path, monkeypatch, end,
-                                                        trailing, chunk):
-        """The empty lines that end a file are not counted, so no range holds
-        one: the forked parse returns, with no parse in one process after it.
-        Twelve CRLF lines fill more than a block's last 16 bytes."""
+                                                        trailing, past_end):
+        """A block that covers the file, reaching ``past_end`` bytes past it,
+        counts every line, the empty lines that end it too.  Up to three of
+        them after seven rows fall in the last range, which runs to the end
+        of the file: the forked parse returns.  Twelve are more than half the
+        lines, so the first range reaches one, warns, and the file is parsed
+        in one process."""
         y = np.random.default_rng(trailing).normal(size=(7, 3))
         path = tmp_path / "y.csv"
-        text = "".join(",".join(f"{v:.17g}" for v in row) + end for row in y)
-        path.write_bytes((text + end * trailing).encode())
-        outcomes = []
-
-        def spy(*args):
-            try:
-                matrix = parse_forked(*args)
-            except BaseException as exc:
-                outcomes.append(exc)
-                raise
-            outcomes.append("returned")
-            return matrix
-
-        parse_forked = cli._parse_forked
-        monkeypatch.setattr(cli, "_parse_forked", spy)
+        path.write_bytes(_lines_text(y, [end]) + (end * trailing).encode())
+        outcomes = _spy_forked(monkeypatch)
+        monkeypatch.setattr(cli, "_worker_count", lambda jobs: 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _parse_everywhere(monkeypatch, path, 2, chunk)
-        assert cli._line_ranges(path) == [(0, 3), (3, 7)]
+            got = _parse_everywhere(monkeypatch, path, 2, path.stat().st_size + past_end)
+        assert cli._line_starts(path) == [0, (7 + trailing) // 2]
+        if trailing <= 3:
+            assert outcomes == ["returned"]
+        else:
+            assert len(outcomes) == 1 and isinstance(outcomes[0], UserWarning)
+        assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes() == y.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    @pytest.mark.parametrize("ends", [["\r"], ["\r", "\n"], ["\r", "\r\n"]])
+    def test_lone_carriage_returns_keep_the_forked_parse(self, tmp_path, monkeypatch, ends):
+        """``np.loadtxt`` ends a line at a lone ``\\r``, and so does the estimate."""
+        y = np.random.default_rng(5).normal(size=(40, 3))
+        path = tmp_path / "y.csv"
+        path.write_bytes(_lines_text(y, ends))
+        outcomes = _spy_forked(monkeypatch)
+        got = _parse_everywhere(monkeypatch, path, 2, 256)
+        assert len(cli._line_starts(path)) == 2
         assert outcomes == ["returned"]
         assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes() == y.tobytes()
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    def test_empty_and_comment_lines_in_the_last_range_keep_the_forked_parse(self, tmp_path,
+                                                                             monkeypatch):
+        """The last range has no ``max_rows``, so its empty and '#' lines
+        are skipped without a warning, as ``np.loadtxt`` skips them."""
+        y = np.random.default_rng(6).normal(size=(40, 3))
+        lines = _lines_text(y, ["\n"]).decode().splitlines(keepends=True)
+        lines[30:30] = ["\n", "# note\n"]
+        path = tmp_path / "y.csv"
+        path.write_text("".join(lines))
+        outcomes = _spy_forked(monkeypatch)
+        got = _parse_everywhere(monkeypatch, path, 2, 256)
+        starts = cli._line_starts(path)
+        assert len(starts) == 2 and starts[1] < 30
+        assert outcomes == ["returned"]
+        assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes() == y.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    def test_an_estimate_past_the_end_falls_back(self, tmp_path, monkeypatch):
+        """Short rows in the first block and long ones after it: the estimate
+        puts the cut past the file's last line, so the first range parses to
+        fewer rows than its line count, and one process parses the file."""
+        y = np.random.default_rng(7).normal(size=(40, 3))
+        short = np.arange(120.0).reshape(40, 3)
+        path = tmp_path / "y.csv"
+        path.write_bytes(_lines_text(short, ["\n"]) + _lines_text(y, ["\n"]))
+        outcomes = _spy_forked(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _parse_everywhere(monkeypatch, path, 2, 128)
+        assert cli._line_starts(path)[1] > 80
+        assert len(outcomes) == 1 and isinstance(outcomes[0], ValueError)
+        assert got.tobytes() == np.loadtxt(path, delimiter=",", ndmin=2).tobytes()
+        assert got.tobytes() == np.vstack([short, y]).tobytes()
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("text", ["1,2\n\n3,4\n", "1,2\r\n\r\n3,4\r\n", "1,2\n# note\n3,4\n"])
     def test_max_rows_warns_on_a_line_without_data(self, tmp_path, text):
-        """The scan counts empty and comment lines as rows; without this
-        warning a range holding one would read a row of the next range too."""
+        """A bounded range's ``max_rows`` counts rows, not lines, so an empty or
+        comment line in it would let it read a row of the next range; this
+        warning fails the range instead."""
         path = tmp_path / "y.csv"
         path.write_bytes(text.encode())
         with pytest.warns(UserWarning, match="Input line 2 contained no data"):
@@ -513,12 +597,12 @@ class TestLoadMatrix:
            blanks=st.lists(st.tuples(st.integers(0, 12), st.sampled_from(["", "\r", "#", "# 1,2"])),
                            min_size=1, max_size=4),
            crlf=st.booleans(), final_end=st.booleans(), cpus=st.integers(2, 3),
-           chunk=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+           extra=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
     def test_empty_and_comment_lines_match_loadtxt(self, shape, blanks, crlf, final_end, cpus,
-                                                   chunk, seed):
-        """Empty, empty CRLF and comment-only lines anywhere in a file of at
-        least two blocks, so it is cut into ranges: the forked parse falls back
-        to ``np.loadtxt``'s array."""
+                                                   extra, seed):
+        """Empty, empty CRLF and comment-only lines anywhere in a file whose
+        first half holds a line end, so it is cut into ranges: the forked
+        parse returns or falls back to ``np.loadtxt``'s array."""
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
         lines = [",".join(f"{v:.17g}" for v in row) + ("\r" if crlf else "") for row in matrix]
@@ -527,15 +611,16 @@ class TestLoadMatrix:
         text = "\n".join(lines) + "\n"
         if not final_end:  # and no lone CR in its place
             text = text[:-1].removesuffix("\r")
+        assume(_first_block(text) <= len(text) // 2)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "y.csv")
             path.write_bytes(text.encode())
-            with mock.patch.object(cli, "_FORK_BYTES", 0), \
-                    mock.patch.object(cli, "_CHUNK_BYTES", chunk), \
+            block = min(_first_block(text) + extra, len(text) // 2)
+            with mock.patch.object(cli, "_PROCESS_BYTES", block), \
                     mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                assert cli._line_ranges(path)  # cut, not refused
+                assert len(cli._line_starts(path)) > 1  # cut, not refused
                 got = cli._load_matrix(path)
             expected = np.loadtxt(path, delimiter=",", ndmin=2)
             assert got.shape == expected.shape == shape
@@ -546,17 +631,18 @@ class TestLoadMatrix:
     @settings(max_examples=40, deadline=None)
     @given(shape=st.tuples(st.integers(1, 12), st.integers(1, 4)),
            crlf=st.booleans(), final_end=st.booleans(), cpus=st.integers(1, 3),
-           chunk=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
-    def test_random_matrices_match_loadtxt(self, shape, crlf, final_end, cpus, chunk, seed):
+           extra=st.integers(0, 64), seed=st.integers(0, 2**32 - 1))
+    def test_random_matrices_match_loadtxt(self, shape, crlf, final_end, cpus, extra, seed):
         rng = np.random.default_rng(seed)
         matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, shape)
         text = "\n".join(",".join(f"{v:.17g}" for v in row) for row in matrix)
         text += "\n" if final_end else ""
+        text = text.replace("\n", "\r\n" if crlf else "\n")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "y.csv")
-            path.write_bytes(text.replace("\n", "\r\n" if crlf else "\n").encode())
-            with mock.patch.object(cli, "_FORK_BYTES", 0), \
-                    mock.patch.object(cli, "_CHUNK_BYTES", chunk), \
+            path.write_bytes(text.encode())
+            # the shortest block with a line end, and longer ones: forked where it fits twice
+            with mock.patch.object(cli, "_PROCESS_BYTES", _first_block(text) + extra), \
                     mock.patch.object(cli, "_usable_cpus", lambda: cpus):
                 got = cli._load_matrix(path)
             assert got.tobytes() == matrix.tobytes() and got.shape == shape
@@ -567,16 +653,18 @@ class TestLoadMatrix:
         "1,2\n3,4,5\n5,6\n7,8\n",  # a ragged row in the parent's range
         "1,2\n3,4\n5,6,7\n8,9\n",  # a ragged row starts the worker's range
         "1,2\n3,4\n5,6,7\n8,9,10\n",  # the worker's range is uniformly wider
-        "1,2,3\n4,5,6\n7\n8\n",  # the worker's range is uniformly narrower
+        "1,2\n3,4\n5\n6\n7\n8\n",  # the worker's range is uniformly narrower
+        "1,2,3\n4,5,6\n7\n8\n",  # no line end in the first block: one process
     ])
     def test_bad_file_is_loadtxts_one_error_line(self, tmp_path, monkeypatch, capfd, text):
         path = tmp_path / "y.csv"
         path.write_text(text)
         expected = _loadtxt_error(path)
         for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_FORK_BYTES", 0)
-            monkeypatch.setattr(cli, "_CHUNK_BYTES", 4)
+            monkeypatch.setattr(cli, "_PROCESS_BYTES", 4)
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            cut = cpus == 2 and HAS_FORK and _first_block(text) <= 4
+            assert cli._line_starts(path) == ([0, 2] if cut else [])
             out = tmp_path / "e.csv"
             code = main(["fit", str(path), "--family", "normal", "--out", str(out)])
             assert code == 1
@@ -588,8 +676,7 @@ class TestLoadMatrix:
         path = tmp_path / "y.csv"
         path.write_text("")
         for cpus in (1, 2):
-            monkeypatch.setattr(cli, "_FORK_BYTES", 0)
-            monkeypatch.setattr(cli, "_CHUNK_BYTES", 1)
+            monkeypatch.setattr(cli, "_PROCESS_BYTES", 1)
             monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
             code = main(["fit", str(path), "--family", "normal",
                          "--out", str(tmp_path / "e.csv")])
@@ -606,7 +693,8 @@ class TestLoadMatrix:
         path = tmp_path / "y.csv"
         np.savetxt(path, y, delimiter=",", fmt="%.17g")
         monkeypatch.setattr(cli, "_send_rows", fail)  # fork carries it into the workers
-        got = _parse_everywhere(monkeypatch, path, 2, 64)
+        got = _parse_everywhere(monkeypatch, path, 2, 256)
+        assert len(cli._line_starts(path)) == 2
         assert got.tobytes() == y.tobytes()
         assert multiprocessing.active_children() == []
         # the same failure on a file that does not parse: loadtxt's one error line
@@ -625,7 +713,7 @@ class TestLoadMatrix:
         path = tmp_path / "y.csv"
         np.savetxt(path, y, delimiter=",", fmt="%.17g")
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        assert len(cli._line_ranges(path)) == 2  # a 4 MB file is cut in two by default
+        assert len(cli._line_starts(path)) == 2  # a 4 MB file is cut in two by default
         tracemalloc.start()
         try:
             got = cli._load_matrix(path)
@@ -643,11 +731,11 @@ class TestLoadMatrix:
         matrix = tmp_path / "y.csv"
         np.savetxt(matrix, y, delimiter=",", fmt="%.17g")
         runs = []
-        for fork_bytes, cpus in ((1 << 40, 1), (0, 2)):
+        for process_bytes, cpus in ((1 << 40, 1), (1024, 2)):
             out = tmp_path / f"e{cpus}.csv"
             script = (
                 "import sys; from nefshrink import cli; "
-                f"cli._FORK_BYTES = {fork_bytes}; cli._CHUNK_BYTES = 1024; "
+                f"cli._PROCESS_BYTES = {process_bytes}; "
                 f"cli._usable_cpus = lambda: {cpus}; raise SystemExit(cli.main(sys.argv[1:]))"
             )
             proc = subprocess.run(

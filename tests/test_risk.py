@@ -94,6 +94,21 @@ class TestUre:
                                   mu.tolist(), (spec.nu0, spec.nu1, spec.nu2))
             assert ure(data, b, mu) == pytest.approx(by_hand, rel=1e-12)
 
+    def test_column_means_target_reads_the_kept_row_norms(self, rng):
+        """At ``mu = column_means`` the curvature is the matrix's kept
+        ``centered_row_norms``, the same arithmetic, so the same bits."""
+        for kind in ALL_FAMILIES:
+            spec, theta, tau = family_case(kind, 5, 3, rng)
+            data = sample_matrix(spec, theta, tau, seed=4)
+            b = rng.uniform(0, 1, 5)
+            mu = data.y.mean(axis=0)
+            s = data.surrogate_row_sums
+            direct = float((b * b * ((data.y - mu) ** 2).sum(axis=1) - 2.0 * b * s + s).sum()
+                           / data.y.size)
+            assert "centered_row_norms" not in vars(data)
+            assert ure(data, b, mu) == direct
+            assert "centered_row_norms" in vars(data)  # computed once, kept for AURE
+
     def test_quadratic_in_each_weight(self, rng):
         # three-point interpolation reproduces a fourth point to machine precision,
         # and the leading coefficient equals sum_j (Y_ij - mu_j)^2 / (n p)
