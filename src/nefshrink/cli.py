@@ -207,8 +207,10 @@ def _line_starts(path) -> list[int]:
 
     The line count is estimated from that first block's line ends (``\\n``
     and lone ``\\r``, both of which ``np.loadtxt`` ends a line at), scaled by
-    the file size over the block length.  The estimate only sets the balance:
-    ``np.loadtxt`` counts each range's lines, and ``_parse_forked`` checks them.
+    the file size over the offset past the block's last line end, so the
+    partial line the block ends in does not lower it.  The estimate only
+    sets the balance: ``np.loadtxt`` counts each range's lines, and
+    ``_parse_forked`` checks them.
     """
     size = os.path.getsize(path)
     workers = _worker_count(size // _PROCESS_BYTES)
@@ -219,7 +221,7 @@ def _line_starts(path) -> list[int]:
     ends = block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
     if not ends:
         return []
-    lines = ends * size // len(block)
+    lines = ends * size // (max(block.rfind(b"\n"), block.rfind(b"\r")) + 1)
     return sorted({lines * k // workers for k in range(workers)})
 
 

@@ -20,7 +20,7 @@ from .optimize import (
     FitResult,
     _MAX_ITER,
     _check_max_iter,
-    _coordinate_descent,
+    _descend,
     check_feasible_location,
     check_feasible_weights,
     minimize_aure,
@@ -129,16 +129,20 @@ def minimize_true_loss(data: DataMatrix, theta) -> FitResult:
     With ``d_i = y_i - theta_i`` the loss is the row quadratic
     ``sum_i [||d_i||^2 - 2 b_i d_i . (y_i - mu) + b_i^2 ||y_i - mu||^2] / np``
     (:func:`~nefshrink.risk._loss_rows`), minimized by the risk-estimate
-    fit's descent from full shrinkage toward the clipped grand mean, with at
-    most ``_MAX_ITER`` outer iterations per start.  When that start ends at
-    all-zero weights, a saddle where the target step cannot move ``mu``, the
-    descent runs again with :func:`~nefshrink.optimize.minimize_ure`'s
-    restart added, half shrinkage toward the clipped zero target: its first
-    weight step is the best at that target, so the oracle then ends no
-    higher than ``half_to_zero``.  Benchmark-side only.
+    fit's descent (:func:`~nefshrink.optimize._descend`) from full shrinkage
+    toward the clipped grand mean, in at most ``_MAX_ITER`` outer
+    iterations.  Only when that start ends at all-zero weights, a saddle
+    where the target step cannot move ``mu``, does it descend once more,
+    from half shrinkage toward the zero target (inside every data box), a
+    start of :func:`~nefshrink.optimize.minimize_ure`: its first weight
+    step is the best at that target, so the oracle then ends no higher than
+    ``half_to_zero``.  The better of the two results is kept, the
+    grand-mean one on ties.  Benchmark-side only.
     """
     rows = _loss_rows(data, theta)
-    result = _coordinate_descent(data, *rows, _MAX_ITER)
+    mu0 = np.clip(data.column_means, -data.data_range, data.data_range)
+    result = _descend(data, *rows, _MAX_ITER, np.ones(data.n), mu0)
     if not result.b.any():
-        result = _coordinate_descent(data, *rows, _MAX_ITER, [np.zeros(data.p)])
+        restart = _descend(data, *rows, _MAX_ITER, np.full(data.n, 0.5), np.zeros(data.p))
+        result = min(result, restart, key=lambda fit: fit.objective)
     return result

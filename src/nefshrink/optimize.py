@@ -9,9 +9,10 @@ once the target is fixed, so each weight step is a weighted isotonic
 regression with box clipping, implemented here as pool-adjacent-violators
 over the tie groups: when every group has positive weight, whole
 decreasing runs are pooled in vectorized passes first, and a stack
-finishes the pooling.  A target is fitted by one coordinate descent over
-that row quadratic with a closed-form clipped target step; the URE fit
-and the loss oracle differ only in the row coefficients they hand it.
+finishes the pooling.  A target is fitted by a coordinate descent over
+that row quadratic with a closed-form clipped target step, run once per
+start; the URE fit and the loss oracle hand it their own row
+coefficients and starts, and each keeps its best result.
 With a single tie group the URE fit needs no descent: its global
 minimizer is one weight step at the clipped column mean.
 """
@@ -286,9 +287,9 @@ _ROW_RESTART_CAP = 12
 def minimize_ure(data: DataMatrix, max_iter: int = _MAX_ITER) -> FitResult:
     """Minimize :func:`~nefshrink.risk.ure` jointly over weights and target.
 
-    URE is the row quadratic that :func:`_coordinate_descent` minimizes,
-    with ``lin_i = const_i = S_i`` and no cross term; the loss oracle runs
-    the same descent on the realized loss.
+    URE is the row quadratic that :func:`_descend` minimizes, with ``lin_i
+    = const_i = S_i`` and no cross term; the loss oracle descends on the
+    realized loss from starts of its own.
 
     With a single tie group (all tau row sums equal, as for an all-ones
     tau) every feasible ``b`` is a constant ``c``, and ``URE(c, mu) =
@@ -302,92 +303,82 @@ def minimize_ure(data: DataMatrix, max_iter: int = _MAX_ITER) -> FitResult:
 
     With several tie groups joint minimization is biconvex, not convex,
     and descent from the grand mean alone can miss targets that sit near
-    one data cluster, so the descent also restarts with half shrinkage
-    toward the zero vector and, for at most ``_ROW_RESTART_CAP`` rows,
-    toward every data row, after its start from full shrinkage toward the
-    grand mean.  Each start takes at most ``max_iter`` outer iterations.
+    one data cluster.  So the fit descends first from full shrinkage
+    toward the clipped grand mean, then from half shrinkage toward the
+    clipped zero vector and, for at most ``_ROW_RESTART_CAP`` rows, toward
+    every clipped data row, in row order; each start takes at most
+    ``max_iter`` outer iterations, and the best final iterate wins, the
+    earliest start on ties.  The weight step at a fixed ``mu`` never reads
+    ``b`` and is the exact minimizer over feasible ``b``, so any
+    constant-weight start toward the grand mean takes the same first step;
+    they part only where that step reads as an ascent by rounding, and
+    there full shrinkage is the start whose target step still moves ``mu``
+    (zero weights keep it).
     """
+    _check_max_iter(max_iter)
     s = data.surrogate_row_sums
+    m_range = data.data_range
+    mu0 = np.clip(data.column_means, -m_range, m_range)
     if data.order.n_groups == 1:
-        _check_max_iter(max_iter)
-        mu = np.clip(data.column_means, -data.data_range, data.data_range)
-        b, objective = _weight_step(_target_row_norms(data, mu), s, s, data.order, data.y.size)
-        return FitResult(b, mu, objective, iterations=1, converged=True)
+        b, objective = _weight_step(_target_row_norms(data, mu0), s, s, data.order, data.y.size)
+        return FitResult(b, mu0, objective, iterations=1, converged=True)
     targets = [np.zeros(data.p)]
     if data.n <= _ROW_RESTART_CAP:
         targets.extend(data.y)
-    return _coordinate_descent(data, s, None, s, max_iter, targets)
+    starts = [(np.ones(data.n), mu0)]
+    starts.extend((np.full(data.n, 0.5), np.clip(mu, -m_range, m_range)) for mu in targets)
+    return min((_descend(data, s, None, s, max_iter, b, mu) for b, mu in starts),
+               key=lambda result: result.objective)  # the first of equal minima
 
 
-def _coordinate_descent(
-    data: DataMatrix, lin, cross, const, max_iter: int, targets=()
-) -> FitResult:
+def _descend(data: DataMatrix, lin, cross, const, max_iter: int, b, mu) -> FitResult:
     """Minimize ``sum_i [b_i^2 ||y_i - mu||^2 - 2 b_i (lin_i - cross_i . mu)
-    + const_i] / np`` over feasible ``(b, mu)``; ``cross = None`` means zero.
+    + const_i] / np`` over feasible ``(b, mu)`` from the one start ``(b,
+    mu)``, a feasible pair; ``cross = None`` means zero.
 
     Alternates the exact weight step at fixed ``mu`` with the exact target
     step ``mu = sum_i (b_i^2 y_i - b_i cross_i) / sum_i b_i^2`` clipped into
     the data box (the objective is a separable convex quadratic in each
-    ``mu_j``).  A weight step is only accepted if it does not increase the
-    objective, so the recorded value is nonincreasing; a start stops once
-    an outer iteration gains less than ``_TOLERANCE`` (``converged``), or
-    after ``max_iter`` outer iterations, which must be at least 1.  Starts:
-    full shrinkage toward the clipped grand mean, always, then half
-    shrinkage toward each clipped entry of ``targets``, the caller's
-    restarts (:func:`minimize_ure` passes the zero target and, for small
-    matrices, every row, and calls this only with several tie groups; the
-    loss oracle passes the zero target only once its grand-mean start has
-    ended at zero weights); the best final iterate wins, the earliest
-    start on ties.
-
-    The weight step at a fixed ``mu`` never reads ``b`` and is the exact
-    minimizer over feasible ``b``, so any constant-weight start toward the
-    grand mean takes the same first step; they part only where that step
-    reads as an ascent by rounding, and there full shrinkage is the start
-    whose target step still moves ``mu`` (zero weights keep ``mu0``).  Each
-    start carries the rows of its current target from the target step into
-    the next weight step, so a descent holds O(n) state whatever its
-    iteration count.
+    ``mu_j``); at all-zero weights the target resets to the clipped grand
+    mean.  A weight step is only accepted if it does not increase the
+    objective, so the recorded value is nonincreasing; the descent stops
+    once an outer iteration gains less than ``_TOLERANCE`` (``converged``),
+    or after ``max_iter`` outer iterations, which the public entries have
+    checked to be at least 1.  It carries the rows of its current target
+    from the target step into the next weight step, so it holds O(n) state
+    whatever its iteration count.
     """
-    _check_max_iter(max_iter)
     size = data.y.size
     order = data.order
     m_range = data.data_range
-    mu0 = np.clip(data.column_means, -m_range, m_range)
-    starts = [(np.ones(data.n), mu0)]
-    starts.extend((np.full(data.n, 0.5), np.clip(mu, -m_range, m_range)) for mu in targets)
 
     def rows_at(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(||y_i - mu||^2, lin_i - cross_i . mu)``."""
         return _target_row_norms(data, mu), lin if cross is None else lin - cross @ mu
 
-    best = None
-    for b, mu in starts:
+    rows = rows_at(mu)
+    obj = _row_quadratic(b, *rows, const, size)
+    for iterations in range(1, max_iter + 1):
+        candidate, cand_obj = _weight_step(*rows, const, order, size)
+        if cand_obj <= obj:
+            b, obj_b = candidate, cand_obj
+        else:
+            obj_b = obj  # flat-direction fill would backtrack; keep iterate
+        b2 = b**2
+        wsum = float(b2.sum())
+        if wsum == 0.0:
+            mu = np.clip(data.column_means, -m_range, m_range)
+        else:
+            num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
+            mu = np.clip(num / wsum, -m_range, m_range)
         rows = rows_at(mu)
-        obj = _row_quadratic(b, *rows, const, size)
-        for iterations in range(1, max_iter + 1):
-            candidate, cand_obj = _weight_step(*rows, const, order, size)
-            if cand_obj <= obj:
-                b, obj_b = candidate, cand_obj
-            else:
-                obj_b = obj  # flat-direction fill would backtrack; keep iterate
-            b2 = b**2
-            wsum = float(b2.sum())
-            if wsum == 0.0:
-                mu = mu0
-            else:
-                num = b2 @ data.y if cross is None else b2 @ data.y - b @ cross
-                mu = np.clip(num / wsum, -m_range, m_range)
-            rows = rows_at(mu)
-            obj_mu = _row_quadratic(b, *rows, const, size)
-            _check_descent(obj_b, obj_mu)
-            converged = obj - obj_mu < _TOLERANCE
-            obj = obj_mu
-            if converged:
-                break
-        if best is None or obj < best.objective:
-            best = FitResult(b, mu, obj, iterations, converged)
-    return best
+        obj_mu = _row_quadratic(b, *rows, const, size)
+        _check_descent(obj_b, obj_mu)
+        converged = obj - obj_mu < _TOLERANCE
+        obj = obj_mu
+        if converged:
+            break
+    return FitResult(b, mu, obj, iterations, converged)
 
 
 def _check_descent(before: float, after: float) -> None:

@@ -486,6 +486,17 @@ class TestLoadMatrix:
         assert cli._line_starts(path) == [0, 33, 66]
 
     @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
+    def test_a_block_ending_mid_row_cuts_at_half(self, tmp_path, monkeypatch):
+        """1000 rows of 10 bytes with a 2505-byte block: its 250 line ends
+        scale by the file size over the 2500 bytes they cover, so the file
+        is cut at line 500 of 1000, not at the 499 the whole block gives."""
+        path = tmp_path / "y.csv"
+        path.write_bytes(b"1234,5678\n" * 1000)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_PROCESS_BYTES", 2505)
+        assert cli._line_starts(path) == [0, 500]
+
+    @pytest.mark.skipif(not HAS_FORK, reason="the loader forks workers only where there is fork")
     def test_a_warning_in_a_range_falls_back(self, tmp_path, monkeypatch, capfd):
         """``max_rows`` skips the empty lines a bounded range holds with a
         warning; the warning fails the range, not the result."""

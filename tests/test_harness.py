@@ -63,6 +63,30 @@ def small_config(**overrides):
     return dataclasses.replace(base, **overrides) if overrides else base
 
 
+def oracle_config():
+    """n = 2, 3 and 5 in one column, 20 replications each, scoring the loss
+    oracle against half_to_zero and no_shrinkage."""
+    return small_config(
+        theta_rule="uniform:-1,1", n_grid=(2, 3, 5), p_rule="fixed:1", replications=20,
+        seed=3, competitors=("half_to_zero", "oracle_loss", "no_shrinkage"),
+        sup_gap_samples=0,
+    )
+
+
+def _spy_oracle_starts(monkeypatch) -> list:
+    """Record the common starting weight of each descent the loss oracle runs:
+    1.0 from the grand mean, 0.5 from the zero target."""
+    starts = []
+    descend = estimators._descend
+
+    def spy(data, lin, cross, const, max_iter, b, mu):
+        starts.append(float(b[0]))
+        return descend(data, lin, cross, const, max_iter, b, mu)
+
+    monkeypatch.setattr(estimators, "_descend", spy)
+    return starts
+
+
 class TestConfigParsing:
     def test_round_trip_from_text(self):
         config = small_config()
@@ -459,22 +483,36 @@ class TestRunExperiment:
         se = losses.std(ddof=1) / np.sqrt(len(losses))
         assert abs(losses.mean() - var.mean()) < 4 * se
 
-    def test_loss_oracle_is_never_above_half_to_zero(self):
+    def test_loss_oracle_is_never_above_half_to_zero(self, monkeypatch):
         # half_to_zero is a member of the oracle's class; at n <= 5 the oracle's
         # grand-mean start can end at zero weights, a saddle its target step
-        # cannot leave, with no_shrinkage's loss (5 of these 60 replications
+        # cannot leave, with no_shrinkage's loss (6 of these 60 replications
         # before the zero-target restart)
-        config = small_config(
-            theta_rule="uniform:-1,1", n_grid=(2, 3, 5), p_rule="fixed:1", replications=20,
-            seed=3, competitors=("half_to_zero", "oracle_loss", "no_shrinkage"),
-            sup_gap_samples=0,
-        )
+        starts = _spy_oracle_starts(monkeypatch)
         losses = {}
-        for record in run_experiment(config):
+        for record in run_experiment(oracle_config()):
             losses.setdefault((record.n, record.rep), {})[record.estimator] = record.loss
         assert len(losses) == 60
+        assert 0.5 in starts  # some replication took the zero-target restart
         for loss in losses.values():
             assert loss["oracle_loss"] <= loss["half_to_zero"] + 1e-12
+
+    def test_a_stuck_loss_oracle_descends_once_more(self, monkeypatch):
+        # each oracle call descends once from full shrinkage toward the grand
+        # mean, and the 6 that end there at zero weights once more from half
+        # shrinkage toward zero, not again from the grand mean
+        starts = _spy_oracle_starts(monkeypatch)
+        calls = []
+        oracle = estimators.minimize_true_loss
+
+        def counting(data, theta):
+            calls.append(1)
+            return oracle(data, theta)
+
+        monkeypatch.setattr(estimators, "minimize_true_loss", counting)
+        run_experiment(oracle_config())
+        assert len(calls) == 60
+        assert (len(starts), starts.count(1.0), starts.count(0.5)) == (66, 60, 6)
 
     @pytest.mark.parametrize("workers, pool", [(1, None), (2, 2), (6, 6), (500, 6)])
     def test_pool_has_at_most_one_process_per_replication(self, monkeypatch, workers, pool):

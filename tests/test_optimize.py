@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from nefshrink import (
     DataMatrix,
+    FitResult,
     RowOrder,
     aure,
     isotonic_box_projection,
@@ -618,10 +619,11 @@ class TestMinimizeUre:
 
 
 def loss_descent(data, theta, max_iter):
-    """The loss oracle's descent with a budget of ``max_iter`` outer iterations;
-    :func:`minimize_true_loss` runs it with ``optimize._MAX_ITER``, and again
-    with a zero-target restart when it ends at zero weights."""
-    return optimize._coordinate_descent(data, *_loss_rows(data, theta), max_iter)
+    """The loss oracle's grand-mean descent with a budget of ``max_iter`` outer
+    iterations; :func:`minimize_true_loss` runs it with ``optimize._MAX_ITER``,
+    and descends once more from the zero target when it ends at zero weights."""
+    mu0 = np.clip(data.column_means, -data.data_range, data.data_range)
+    return optimize._descend(data, *_loss_rows(data, theta), max_iter, np.ones(data.n), mu0)
 
 
 class TestSharedDescent:
@@ -776,7 +778,7 @@ class TestSingleTieGroup:
             raise AssertionError("a single tie group needs no descent")
 
         monkeypatch.setattr(optimize, "isotonic_box_projection", counting)
-        monkeypatch.setattr(optimize, "_coordinate_descent", no_descent)
+        monkeypatch.setattr(optimize, "_descend", no_descent)
         result = minimize_ure(data)
         assert data.order.n_groups == 1
         assert len(calls) == 1
@@ -791,8 +793,12 @@ class TestSingleTieGroup:
         # c = clip(sum S / sum ||y_i - ybar||^2, 0, 1)
         s = data.surrogate_row_sums
         result = minimize_ure(data)
-        rich = optimize._coordinate_descent(
-            data, s, None, s, optimize._MAX_ITER, [np.zeros(data.p), *data.y])
+        # the best descent over the grand-mean, zero and every-row starts
+        m_range = data.data_range
+        starts = [(np.ones(data.n), np.clip(data.column_means, -m_range, m_range))]
+        starts += [(np.full(data.n, 0.5), mu) for mu in (np.zeros(data.p), *data.y)]
+        rich = min((optimize._descend(data, s, None, s, optimize._MAX_ITER, b, mu)
+                    for b, mu in starts), key=lambda fit: fit.objective)
         assert result.objective <= rich.objective + 1e-12 * (1.0 + abs(rich.objective))
         ybar = data.column_means
         spread = float(((data.y - ybar) ** 2).sum())
@@ -812,24 +818,57 @@ class TestSingleTieGroup:
 
     def test_several_tie_groups_keep_their_restarts(self, monkeypatch):
         seen = []
-        descent = optimize._coordinate_descent
+        descend = optimize._descend
 
-        def recording(data, lin, cross, const, max_iter, targets=()):
-            seen.append([np.array(t) for t in targets])
-            return descent(data, lin, cross, const, max_iter, targets)
+        def recording(data, lin, cross, const, max_iter, b, mu):
+            seen.append((b.copy(), mu.copy()))
+            return descend(data, lin, cross, const, max_iter, b, mu)
 
-        monkeypatch.setattr(optimize, "_coordinate_descent", recording)
-        rng = np.random.default_rng(11)
-        for n in (6, 13):
-            data = random_tau_instance(rng, n, 3)
-            assert data.order.n_groups > 1
+        def starts_of(data):
+            seen.clear()
             minimize_ure(data)
+            return list(seen)
+
+        monkeypatch.setattr(optimize, "_descend", recording)
+        rng = np.random.default_rng(11)
+        small, large = random_tau_instance(rng, 6, 3), random_tau_instance(rng, 13, 3)
+        assert small.order.n_groups > 1 and large.order.n_groups > 1
         spec, theta, tau = family_case("poisson", 6, 3, rng)
-        minimize_ure(sample_matrix(spec, theta, tau, seed=3))  # one tie group: no descent
-        small, large = seen
-        # the zero target first, then every row up to _ROW_RESTART_CAP rows
-        assert len(small) == 7 and not small[0].any()
-        assert len(large) == 1 and not large[0].any()
+        assert starts_of(sample_matrix(spec, theta, tau, seed=3)) == []  # one tie group
+        # full shrinkage toward the clipped grand mean first, then half
+        # shrinkage toward the zero target and, up to _ROW_RESTART_CAP rows,
+        # toward every row in order
+        m_range = small.data_range
+        expected = [(np.ones(6), np.clip(small.column_means, -m_range, m_range)),
+                    *((np.full(6, 0.5), mu) for mu in (np.zeros(3), *small.y))]
+        got = starts_of(small)
+        assert len(got) == 8
+        for (b, mu), (want_b, want_mu) in zip(got, expected):
+            np.testing.assert_array_equal(b, want_b)
+            np.testing.assert_array_equal(mu, want_mu)
+        got = starts_of(large)
+        assert len(got) == 2
+        np.testing.assert_array_equal(got[0][0], np.ones(13))
+        np.testing.assert_array_equal(got[1][0], np.full(13, 0.5))
+        assert not got[1][1].any()
+
+    def test_the_earliest_start_wins_a_tie(self, monkeypatch):
+        # every start ends at the same objective: the fit keeps the first
+        # start's result, and the loss oracle keeps its grand-mean result
+        # over the zero-target restart
+        ends = []
+
+        def tied(data, lin, cross, const, max_iter, b, mu):
+            ends.append(FitResult(np.zeros(data.n), mu, 0.25, 1, True))
+            return ends[-1]
+
+        rng = np.random.default_rng(11)
+        data = random_tau_instance(rng, 6, 3)
+        monkeypatch.setattr(optimize, "_descend", tied)
+        assert minimize_ure(data) is ends[0] and len(ends) == 8
+        ends.clear()
+        monkeypatch.setattr(estimators, "_descend", tied)
+        assert minimize_true_loss(data, data.y) is ends[0] and len(ends) == 2
 
 
 class TestGridOracleUre:
