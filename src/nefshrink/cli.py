@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 import warnings
 
 import numpy as np
 
+from . import harness  # its _worker_count and _forked_workers, looked up per call
 from .estimators import FIT_MODES, fit
 from .families import _BLOCK_CELLS, DataMatrix, default_tau, make_family
 from .harness import (
@@ -109,67 +109,6 @@ def _format_blocks(blocks, conn) -> None:
         conn.send_bytes(_format_rows(block))
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _worker_count(jobs: int) -> int:
-    """Processes to share ``jobs`` jobs: min(usable CPUs, jobs), or 1 without
-    the ``fork`` start method.  Fewer than 2 jobs never fork, so they are
-    counted without importing ``multiprocessing``, which every command that
-    never forks would pay for on start."""
-    if jobs < 2:
-        return 1
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(_usable_cpus(), jobs)
-
-
-def _run_worker(work, job, conn) -> None:
-    """A forked worker's target: ``work(job, conn)``; on failure exit with
-    status 1 and no traceback, which the parent sees as end of file on ``conn``."""
-    try:
-        work(job, conn)
-    except Exception as exc:  # the parent reports it, or falls back
-        raise SystemExit(1) from exc
-
-
-@contextlib.contextmanager
-def _forked_workers(work, jobs):
-    """Fork one worker per job, each running ``work(job, conn)`` with the
-    sending end of its own pipe, and yield the receiving ends in job order.
-
-    The workers read their jobs from the parent's memory, nothing is pickled;
-    multiprocessing's fork, not os.fork, flushes stdout first, so the lines
-    already printed are not written again by a worker.  The workers are
-    killed and joined on the way out, on success or error.
-    """
-    import multiprocessing
-
-    context = multiprocessing.get_context("fork")
-    procs, pipes = [], []
-    try:
-        for job in jobs:
-            receive, send = context.Pipe(duplex=False)
-            pipes.append(receive)
-            procs.append(context.Process(target=_run_worker, args=(work, job, send)))
-            procs[-1].start()
-            send.close()  # so a worker that dies shows as end of file
-        yield pipes
-    finally:
-        for proc in procs:
-            proc.kill()
-            proc.join()
-        for receive in pipes:
-            receive.close()
-
-
 def _write_matrix(path, matrix: np.ndarray) -> None:
     """Write ``matrix`` as ``np.savetxt(path, matrix, delimiter=",", fmt="%.17g")``
     does, byte for byte with ``\\n`` line ends, in blocks of about ``_BLOCK_CELLS``
@@ -184,7 +123,7 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
     rows_per_block = max(1, _BLOCK_CELLS // matrix.shape[1])
     blocks = [matrix[start : start + rows_per_block]
               for start in range(0, matrix.shape[0], rows_per_block)]
-    workers = _worker_count(len(blocks))
+    workers = harness._worker_count(len(blocks))
     if workers < 2:
         with open(path, "wb") as fh:
             for block in blocks:
@@ -192,7 +131,7 @@ def _write_matrix(path, matrix: np.ndarray) -> None:
         return
     jobs = [blocks[k::workers] for k in range(workers)]
     try:
-        with _forked_workers(_format_blocks, jobs) as pipes, open(path, "wb") as fh:
+        with harness._forked_workers(_format_blocks, jobs) as pipes, open(path, "wb") as fh:
             for index in range(len(blocks)):
                 fh.write(pipes[index % workers].recv_bytes())
     except EOFError:
@@ -213,7 +152,7 @@ def _line_starts(path) -> list[int]:
     ``_parse_forked`` checks them.
     """
     size = os.path.getsize(path)
-    workers = _worker_count(size // _PROCESS_BYTES)
+    workers = harness._worker_count(size // _PROCESS_BYTES)
     if workers < 2:
         return []
     with open(path, "rb") as fh:
@@ -250,7 +189,7 @@ def _parse_forked(path, starts) -> np.ndarray:
     does not parse to exactly its line count (an estimate past the end of the
     file), or a column count that differs between ranges, raises."""
     ranges = list(zip(starts, starts[1:] + [None]))
-    with _forked_workers(_send_rows, [(path, *lines) for lines in ranges[1:]]) as pipes:
+    with harness._forked_workers(_send_rows, [(path, *lines) for lines in ranges[1:]]) as pipes:
         first = _parse_lines(path, *ranges[0])
         counts = []  # the parent's range is checked before a worker's count is awaited
         for (start, stop), receive in zip(ranges, [None, *pipes]):

@@ -102,13 +102,14 @@ def fit(
     return result, estimate
 
 
-def competitor(data: DataMatrix, kind: str, theta=None) -> EstimateMatrix:
+def competitor(data: DataMatrix, kind: str, theta=None, loss_rows=None) -> EstimateMatrix:
     """Fixed members of the location class used in dominance experiments.
 
     ``no_shrinkage`` returns the observations (b = 0); ``half_to_zero``
     pulls halfway toward the zero vector (always inside the data box);
     ``oracle_loss`` picks feasible weights and target minimizing the true
-    loss and therefore requires ``theta`` (evaluation only, not deployable).
+    loss and therefore requires ``theta`` (evaluation only, not deployable),
+    with ``loss_rows`` as :func:`minimize_true_loss` takes them.
     """
     if kind in ("no_shrinkage", "half_to_zero"):
         b = np.full(data.n, 0.0 if kind == "no_shrinkage" else 0.5)
@@ -116,14 +117,14 @@ def competitor(data: DataMatrix, kind: str, theta=None) -> EstimateMatrix:
     elif kind == "oracle_loss":
         if theta is None:
             raise ValueError("the loss oracle competitor requires the true means")
-        result = minimize_true_loss(data, theta)
+        result = minimize_true_loss(data, theta, loss_rows=loss_rows)
         b, mu = result.b, result.mu
     else:
         raise ValueError(f"unknown competitor {kind!r}; expected one of {COMPETITOR_KINDS}")
     return EstimateMatrix(data, b, mu)
 
 
-def minimize_true_loss(data: DataMatrix, theta) -> FitResult:
+def minimize_true_loss(data: DataMatrix, theta, loss_rows=None) -> FitResult:
     """Feasible ``(b, mu)`` minimizing the realized loss against known means.
 
     With ``d_i = y_i - theta_i`` the loss is the row quadratic
@@ -138,8 +139,12 @@ def minimize_true_loss(data: DataMatrix, theta) -> FitResult:
     step is the best at that target, so the oracle then ends no higher than
     ``half_to_zero``.  The better of the two results is kept, the
     grand-mean one on ties.  Benchmark-side only.
+
+    ``loss_rows``, when given, must be ``risk._loss_rows(data, theta)``, the
+    loss rows the caller has already taken: they are used as they are, and
+    ``theta`` is not read again.
     """
-    rows = _loss_rows(data, theta)
+    rows = _loss_rows(data, theta) if loss_rows is None else loss_rows
     mu0 = np.clip(data.column_means, -data.data_range, data.data_range)
     result = _descend(data, *rows, _MAX_ITER, np.ones(data.n), mu0)
     if not result.b.any():

@@ -313,11 +313,13 @@ class DataMatrix:
     p))``, so that the risk estimates' sums of squared deviations stay finite.
 
     Immutable: the fields cannot be reassigned, and the quantities that
-    consumers derive from the matrix (``order``, ``data_range``,
-    ``column_means``, ``centered_row_norms`` and ``surrogate_row_sums``) are
-    computed on first use and kept, as read-only arrays.  A float ``y`` or
-    ``tau`` is kept as passed, not copied, so it must not be changed after
-    construction, or the kept values go stale.
+    consumers derive from the matrix (``order``, ``column_means``,
+    ``centered_row_norms`` and ``surrogate_row_sums``) are computed on first
+    use and kept, as read-only arrays.  ``data_range``, the largest absolute
+    observation and the box bound for shrinkage targets, is kept when the
+    observations are checked.  A float ``y`` or ``tau`` is kept as passed,
+    not copied, so it must not be changed after construction, or the kept
+    values go stale.
     """
 
     y: np.ndarray
@@ -351,10 +353,12 @@ class DataMatrix:
 
     def _set_observations(self, y: np.ndarray) -> None:
         """Check the float matrix ``y`` against the family's support and the
-        scale bound, then keep it."""
+        scale bound, then keep it and its ``data_range``."""
         if y.size == 0:
             raise ValueError("observation matrix must be non-empty")
-        if not np.all(np.isfinite(y)):
+        # NaN or inf exactly when an entry is, so this one pass checks finiteness
+        data_range = float(np.abs(y).max())
+        if not np.isfinite(data_range):
             raise ValueError("observations must be finite")
         kind = self.spec.kind
         if kind is not FamilyKind.NORMAL and np.any(y < 0):
@@ -365,12 +369,13 @@ class DataMatrix:
             if np.any(y.sum(axis=1) > 1.0 + y.shape[1] * np.finfo(float).eps):
                 raise ValueError("multinomial observation rows must sum to at most 1")
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "data_range", data_range)
         # each cell adds at most (2 max|y|)^2 to a squared deviation sum and
         # about 3 max|y|^2 more to a risk estimate's terms, all summed over y.size
         limit = np.sqrt(np.finfo(float).max / (8 * y.size))
-        if self.data_range > limit:
+        if data_range > limit:
             raise ValueError(
-                f"observation scale {self.data_range:.3g} is too large: for {y.size} "
+                f"observation scale {data_range:.3g} is too large: for {y.size} "
                 f"entries the largest absolute observation must be at most {limit:.3g}"
             )
 
@@ -386,11 +391,6 @@ class DataMatrix:
     def order(self) -> RowOrder:
         """The tau row order that feasible weights follow."""
         return _read_only_order(RowOrder.from_tau(self.tau))
-
-    @cached_property
-    def data_range(self) -> float:
-        """Largest absolute observation; box bound for shrinkage targets."""
-        return float(np.abs(self.y).max())
 
     @cached_property
     def column_means(self) -> np.ndarray:
@@ -498,7 +498,6 @@ class Design:
         validate_mean_matrix(
             spec, theta, allow_poisson_boundary=spec.kind is FamilyKind.POISSON
         )
-        # module functions, not closures: a pool's pickled design draws too
         kind = spec.kind
         if kind is FamilyKind.NORMAL:
             draw = partial(_draw_normal, theta, 1.0 / np.sqrt(tau))
@@ -524,14 +523,6 @@ class Design:
         )
         self._draw = draw
 
-    def __setstate__(self, state):
-        # an unpickled array is writable again: a pool's copy keeps the order
-        # and the row sums read-only
-        self.__dict__.update(state)
-        _read_only_order(self.order)
-        if self.surrogate_row_sums is not None:
-            _read_only(self.surrogate_row_sums)
-
     def sample(self, seed) -> DataMatrix:
         """One draw, as :func:`sample_matrix` describes it."""
         return DataMatrix._drawn(self._draw(np.random.default_rng(seed)), self)
@@ -549,10 +540,9 @@ def sample_matrix(spec: FamilySpec, theta, tau, seed) -> DataMatrix:
     ``N_i * theta``, pass that limit is one when it is drawn.
 
     Deterministic for a fixed ``seed`` (int or ``numpy.random.SeedSequence``);
-    a fresh generator is created per call, so concurrent invocations never
-    share state.  This is ``Design(spec, theta, tau).sample(seed)``: a
-    caller that draws many matrices at one ``(theta, tau)`` builds the
-    :class:`Design` once and calls its :meth:`~Design.sample`, with the
-    same draws.
+    a fresh generator is created per call, so no two calls share state.
+    This is ``Design(spec, theta, tau).sample(seed)``: a caller that draws
+    many matrices at one ``(theta, tau)`` builds the :class:`Design` once
+    and calls its :meth:`~Design.sample`, with the same draws.
     """
     return Design(spec, theta, tau).sample(seed)

@@ -13,11 +13,17 @@ family, the surrogate row sums; a replication pays for its own draw, fit
 and scoring.  Every random stream is derived from
 the master seed through a spawn key ``(n_index, replication, purpose)``,
 so results are byte-identical no matter how replications are scheduled.
+Replications may run in forked workers that read the designs from the
+parent's memory: :func:`_forked_workers`, sized by :func:`_worker_count`,
+is the one way the package shares work between processes, here and in
+the command line's loader and writer.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -506,11 +512,12 @@ def _run_replication(
     """The records of one replication: a draw from the grid point's design,
     then the fit, the sup-gap proxy and the competitors.  The loss rows
     ``(d_i . y_i, d_i, ||d_i||^2)`` with ``d = y - theta`` are taken once,
-    here, and handed to the proxy.  Each estimator is then scored from its
-    ``(b, mu)``, with no n-by-p estimate or residual: its loss and, for a
-    competitor, its risk are :func:`~nefshrink.risk._row_quadratic` rows
-    that share the curvature ``a_i = ||y_i - mu||^2``; the loss's linear
-    term is ``d_i . y_i - d_i . mu``, and the risk is :func:`~nefshrink.risk.ure`
+    here, and handed to the proxy and the loss oracle.  Each estimator is
+    then scored from its ``(b, mu)``, with no n-by-p estimate or residual:
+    its loss and, for a competitor, its risk are
+    :func:`~nefshrink.risk._row_quadratic` rows that share the curvature
+    ``a_i = ||y_i - mu||^2``; the loss's linear term is
+    ``d_i . y_i - d_i . mu``, and the risk is :func:`~nefshrink.risk.ure`
     at ``a``.  ``a`` and ``d . mu`` are taken once per distinct target, and
     at the column means ``a`` is the matrix's ``centered_row_norms``, which
     the fit has already derived."""
@@ -525,7 +532,8 @@ def _run_replication(
                          loss_rows=loss_rows)
     scored = [("fit", estimate, result.objective, result.iterations, result.converged)]
     for kind in config.competitors:
-        est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None)
+        est = competitor(data, kind, theta=theta if kind == "oracle_loss" else None,
+                         loss_rows=loss_rows)
         scored.append((kind, est, None, 0, True))
     s = data.surrogate_row_sums
     size = data.y.size
@@ -545,6 +553,73 @@ def _run_replication(
     return records
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int) -> int:
+    """Processes to share ``jobs`` jobs: min(usable CPUs, jobs), or 1 without
+    the ``fork`` start method.  Fewer than 2 jobs never fork, so they are
+    counted without importing ``multiprocessing``, which every command that
+    never forks would pay for on start."""
+    if jobs < 2:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(_usable_cpus(), jobs)
+
+
+def _run_worker(work, job, conn) -> None:
+    """A forked worker's target: ``work(job, conn)``; on failure exit with
+    status 1 and no traceback, which the parent sees as end of file on ``conn``."""
+    try:
+        work(job, conn)
+    except Exception as exc:  # the parent reports it, or falls back
+        raise SystemExit(1) from exc
+
+
+@contextlib.contextmanager
+def _forked_workers(work, jobs):
+    """Fork one worker per job, each running ``work(job, conn)`` with the
+    sending end of its own pipe, and yield the receiving ends in job order.
+
+    The workers read their jobs from the parent's memory, nothing is pickled;
+    multiprocessing's fork, not os.fork, flushes stdout first, so the lines
+    already printed are not written again by a worker.  The workers are
+    killed and joined on the way out, on success or error.
+    """
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    try:
+        for job in jobs:
+            receive, send = context.Pipe(duplex=False)
+            pipes.append(receive)
+            procs.append(context.Process(target=_run_worker, args=(work, job, send)))
+            procs[-1].start()
+            send.close()  # so a worker that dies shows as end of file
+        yield pipes
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
+        for receive in pipes:
+            receive.close()
+
+
+def _send_records(run, tasks, conn) -> None:
+    """Worker body: send the records of each task down ``conn``, in order."""
+    for task in tasks:
+        conn.send(run(task))
+
+
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[ReplicationRecord]:
     """Execute every replication of the configured experiment and return
     its records: per n, per replication, the fit's row, then one row per
@@ -555,9 +630,15 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
     order, so the output is identical for any ``workers`` count.  The mean
     and tau matrices of each grid point are checked, and its row order and
     sampler inputs derived, once, in the :class:`~nefshrink.families.Design`
-    that its replications share (a process pool receives a pickled copy).
-    The pool has at most one process per replication: ``workers`` above
-    that count start no more.
+    that its replications share.
+
+    With W = ``_worker_count(min(workers, tasks))`` of at least 2, that is at
+    most one process per replication and per usable CPU, W forked workers run
+    the replications, worker k tasks k, k + W, ..., from the parent's memory,
+    and each sends its records down its own pipe; the parent receives them in
+    task order, round-robin.  If a worker fails or cannot be forked, every
+    replication runs again in this process, so an error is the serial run's.
+    Otherwise, and where there is no ``fork``, this process runs them in turn.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -570,14 +651,14 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> list[Replicati
         design = Design(spec, theta, tau)
         tasks.extend((ni, design, rep) for rep in range(config.replications))
     run = partial(_run_replication, config)
-    workers = min(workers, len(tasks))
+    workers = _worker_count(min(workers, len(tasks)))
     if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads it
-
-        # under fork the pool starts every worker at once, so never more than tasks
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, len(tasks) // (4 * workers))
-            return [row for rows in pool.map(run, tasks, chunksize=chunksize) for row in rows]
+        jobs = [tasks[k::workers] for k in range(workers)]
+        try:
+            with _forked_workers(partial(_send_records, run), jobs) as pipes:
+                return [row for index in range(len(tasks)) for row in pipes[index % workers].recv()]
+        except (EOFError, OSError):  # a worker died or was not forked: run again below
+            pass
     records = []
     tasks.reverse()
     while tasks:  # a popped task's design is freed once its grid point is done

@@ -261,7 +261,7 @@ class TestFitCommand:
         ours, numpys = tmp_path / "ours.csv", tmp_path / "numpy.csv"
         np.savetxt(numpys, matrix, delimiter=",", fmt="%.17g")
         for cpus in (1, 2):  # one process, then forked workers where there is fork
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
             cli._write_matrix(ours, matrix)
             assert ours.read_bytes() == numpys.read_bytes()
             assert multiprocessing.active_children() == []
@@ -284,7 +284,7 @@ class TestFitCommand:
             np.savetxt(numpys, matrix, delimiter=",", fmt="%.17g")
             for cpus in (1, 2):
                 with mock.patch.object(cli, "_BLOCK_CELLS", 24), \
-                        mock.patch.object(cli, "_usable_cpus", lambda: cpus):
+                        mock.patch.object(harness, "_usable_cpus", lambda: cpus):
                     cli._write_matrix(ours, matrix)
                 assert ours.read_bytes() == numpys.read_bytes()
                 assert multiprocessing.active_children() == []
@@ -296,7 +296,7 @@ class TestFitCommand:
             raise ValueError("formatting failed")
 
         monkeypatch.setattr(cli, "_BLOCK_CELLS", 16)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_format_rows", fail)  # fork carries it into the workers
         with pytest.raises(RuntimeError):
             cli._write_matrix(tmp_path / "e.csv", np.ones((40, 7)))
@@ -310,13 +310,46 @@ class TestFitCommand:
         )
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="nothing forks without fork")
+    def test_one_cpu_patch_steers_the_loader_writer_and_experiment(self, tmp_path,
+                                                                   monkeypatch):
+        """The loader, the writer and ``run_experiment`` all fork through
+        ``harness._forked_workers``, sized by ``harness._usable_cpus``: one
+        CPU forks none of them; two fork one line range (the parent parses
+        the first), two block formatters and two replication runners."""
+        forked = []
+        forked_workers = harness._forked_workers
+
+        def spy(work, jobs):
+            forked.append(len(jobs))
+            return forked_workers(work, jobs)
+
+        monkeypatch.setattr(harness, "_forked_workers", spy)
+        monkeypatch.setattr(cli, "_PROCESS_BYTES", 256)
+        monkeypatch.setattr(cli, "_BLOCK_CELLS", 16)
+        y = np.random.default_rng(4).normal(size=(40, 3))
+        path, out = tmp_path / "y.csv", tmp_path / "e.csv"
+        np.savetxt(path, y, delimiter=",", fmt="%.17g")
+        config = harness.ExperimentConfig.from_dict(harness.parse_config_text(CONFIG))
+        serial = harness.run_experiment(config)
+        for cpus, sizes in ((1, []), (2, [1, 2, 2])):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            forked.clear()
+            assert cli._load_matrix(path).tobytes() == y.tobytes()
+            cli._write_matrix(out, y)
+            assert out.read_bytes() == path.read_bytes()
+            assert harness.run_experiment(config, workers=2) == serial
+            assert forked == sizes
+            assert multiprocessing.active_children() == []
+
     def test_forked_writer_prints_each_line_once(self, tmp_path):
         matrix = tmp_path / "y.csv"
         np.savetxt(matrix, np.random.default_rng(1).normal(size=(40, 7)), delimiter=",")
         out = tmp_path / "e.csv"
         script = (
-            "import sys; from nefshrink import cli; cli._BLOCK_CELLS = 16; "
-            "cli._usable_cpus = lambda: 2; raise SystemExit(cli.main(sys.argv[1:]))"
+            "import sys; from nefshrink import cli, harness; cli._BLOCK_CELLS = 16; "
+            "harness._usable_cpus = lambda: 2; raise SystemExit(cli.main(sys.argv[1:]))"
         )
         proc = subprocess.run(  # stdout is a pipe, so the printed lines sit in a buffer
             [sys.executable, "-c", script, "fit", str(matrix), "--family", "normal",
@@ -397,7 +430,7 @@ def _parse_everywhere(monkeypatch, path, cpus, block):
     """``_load_matrix(path)`` with ``block`` bytes per process, so also per
     sampled block, and ``cpus`` usable CPUs."""
     monkeypatch.setattr(cli, "_PROCESS_BYTES", block)
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
     return cli._load_matrix(path)
 
 
@@ -470,7 +503,7 @@ class TestLoadMatrix:
             path.write_bytes(text.encode())
             assert cli._line_starts(path) == []
             for cpus in (2, 3):
-                monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+                monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
                 for block in range(1, len(text) + 1):
                     with mock.patch.object(cli, "_PROCESS_BYTES", block):
                         starts = cli._line_starts(path)
@@ -492,7 +525,7 @@ class TestLoadMatrix:
         is cut at line 500 of 1000, not at the 499 the whole block gives."""
         path = tmp_path / "y.csv"
         path.write_bytes(b"1234,5678\n" * 1000)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(cli, "_PROCESS_BYTES", 2505)
         assert cli._line_starts(path) == [0, 500]
 
@@ -529,7 +562,7 @@ class TestLoadMatrix:
         path = tmp_path / "y.csv"
         path.write_bytes(_lines_text(y, [end]) + (end * trailing).encode())
         outcomes = _spy_forked(monkeypatch)
-        monkeypatch.setattr(cli, "_worker_count", lambda jobs: 2)
+        monkeypatch.setattr(harness, "_worker_count", lambda jobs: 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _parse_everywhere(monkeypatch, path, 2, path.stat().st_size + past_end)
@@ -628,7 +661,7 @@ class TestLoadMatrix:
             path.write_bytes(text.encode())
             block = min(_first_block(text) + extra, len(text) // 2)
             with mock.patch.object(cli, "_PROCESS_BYTES", block), \
-                    mock.patch.object(cli, "_usable_cpus", lambda: cpus), \
+                    mock.patch.object(harness, "_usable_cpus", lambda: cpus), \
                     warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 assert len(cli._line_starts(path)) > 1  # cut, not refused
@@ -654,7 +687,7 @@ class TestLoadMatrix:
             path.write_bytes(text.encode())
             # the shortest block with a line end, and longer ones: forked where it fits twice
             with mock.patch.object(cli, "_PROCESS_BYTES", _first_block(text) + extra), \
-                    mock.patch.object(cli, "_usable_cpus", lambda: cpus):
+                    mock.patch.object(harness, "_usable_cpus", lambda: cpus):
                 got = cli._load_matrix(path)
             assert got.tobytes() == matrix.tobytes() and got.shape == shape
             assert multiprocessing.active_children() == []
@@ -673,7 +706,7 @@ class TestLoadMatrix:
         expected = _loadtxt_error(path)
         for cpus in (1, 2):
             monkeypatch.setattr(cli, "_PROCESS_BYTES", 4)
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
             cut = cpus == 2 and HAS_FORK and _first_block(text) <= 4
             assert cli._line_starts(path) == ([0, 2] if cut else [])
             out = tmp_path / "e.csv"
@@ -688,7 +721,7 @@ class TestLoadMatrix:
         path.write_text("")
         for cpus in (1, 2):
             monkeypatch.setattr(cli, "_PROCESS_BYTES", 1)
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
             code = main(["fit", str(path), "--family", "normal",
                          "--out", str(tmp_path / "e.csv")])
             assert code == 1
@@ -723,7 +756,7 @@ class TestLoadMatrix:
         y = np.random.default_rng(8).normal(size=(20_000, 10))
         path = tmp_path / "y.csv"
         np.savetxt(path, y, delimiter=",", fmt="%.17g")
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         assert len(cli._line_starts(path)) == 2  # a 4 MB file is cut in two by default
         tracemalloc.start()
         try:
@@ -745,9 +778,9 @@ class TestLoadMatrix:
         for process_bytes, cpus in ((1 << 40, 1), (1024, 2)):
             out = tmp_path / f"e{cpus}.csv"
             script = (
-                "import sys; from nefshrink import cli; "
+                "import sys; from nefshrink import cli, harness; "
                 f"cli._PROCESS_BYTES = {process_bytes}; "
-                f"cli._usable_cpus = lambda: {cpus}; raise SystemExit(cli.main(sys.argv[1:]))"
+                f"harness._usable_cpus = lambda: {cpus}; raise SystemExit(cli.main(sys.argv[1:]))"
             )
             proc = subprocess.run(
                 [sys.executable, "-c", script, "fit", str(matrix), "--family", "gamma",

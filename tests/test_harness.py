@@ -1,9 +1,10 @@
 """Experiment engine: config, seeding, sup-gap proxy, CSV, rate fits."""
 
-import concurrent.futures
 import functools
 import gc
 import hashlib
+import multiprocessing
+import os
 import weakref
 
 import numpy as np
@@ -505,39 +506,60 @@ class TestRunExperiment:
         calls = []
         oracle = estimators.minimize_true_loss
 
-        def counting(data, theta):
+        def counting(data, theta, loss_rows=None):
             calls.append(1)
-            return oracle(data, theta)
+            return oracle(data, theta, loss_rows=loss_rows)
 
         monkeypatch.setattr(estimators, "minimize_true_loss", counting)
         run_experiment(oracle_config())
         assert len(calls) == 60
         assert (len(starts), starts.count(1.0), starts.count(0.5)) == (66, 60, 6)
 
-    @pytest.mark.parametrize("workers, pool", [(1, None), (2, 2), (6, 6), (500, 6)])
-    def test_pool_has_at_most_one_process_per_replication(self, monkeypatch, workers, pool):
-        """Under fork the pool starts all its workers at once; a recording
-        executor that runs the tasks in this process sees the size asked for."""
-        sizes = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="replications run in forked workers only where there is fork")
+    @pytest.mark.parametrize("workers", [1, 2, 3, 6, 7, 500])
+    def test_forks_at_most_one_worker_per_replication_and_cpu(self, monkeypatch, workers):
+        """W = min(workers, replications, usable CPUs) workers are forked when
+        W is at least 2, none otherwise, and the records are the serial ones."""
         config = small_config()  # 2 sample sizes x 3 replications: 6 tasks
         serial = run_experiment(config)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
-        assert run_experiment(config, workers=workers) == serial
-        assert sizes == ([] if pool is None else [pool])
+        context = multiprocessing.get_context("fork")
+        started = []
+
+        class CountedProcess(context.Process):
+            def start(self):
+                started.append(1)
+                super().start()
+
+        monkeypatch.setattr(context, "Process", CountedProcess)
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            started.clear()
+            assert run_experiment(config, workers=workers) == serial
+            forked = min(workers, 6, cpus)
+            assert len(started) == (forked if forked > 1 else 0), cpus
+            assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="replications run in forked workers only where there is fork")
+    def test_a_failed_replication_raises_the_serial_error(self, monkeypatch, capfd):
+        """A worker whose replication raises exits; the parent then runs every
+        replication itself, so the error it raises is the serial run's, and
+        no worker is left."""
+        run_replication = harness._run_replication
+
+        def fail_at_the_last(config, task):
+            if task[0] == 1 and task[2] == 2:
+                raise ValueError(f"replication failed in process {os.getpid()}")
+            return run_replication(config, task)
+
+        monkeypatch.setattr(harness, "_run_replication", fail_at_the_last)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        for workers in (1, 2):
+            with pytest.raises(ValueError, match=f"^replication failed in process {os.getpid()}$"):
+                run_experiment(small_config(), workers=workers)
+            assert multiprocessing.active_children() == []
+        assert capfd.readouterr().err == ""
 
     def test_grand_mean_mode_runs(self):
         config = small_config(mode="grand_mean", competitors=("no_shrinkage",))
@@ -662,8 +684,8 @@ class TestPerMatrixDerivations:
         # share; the row sums once per replication, shared by the fit, the
         # sup-gap proxy and competitor scoring, or, for the normal family, whose
         # row sums depend on tau alone, once per grid point with no V(Y) at all;
-        # the loss rows once per replication for the proxy and the scoring, and
-        # once more inside the loss oracle; the squared row distances to the
+        # the loss rows once per replication for the proxy, the loss oracle and
+        # the scoring, never inside the oracle; the squared row distances to the
         # column means once per draw, shared by the fit and the scoring
         config = small_config(
             family=family, theta_rule=FAMILY_CONFIGS[family]["theta_rule"], mode=mode,
@@ -710,7 +732,7 @@ class TestPerMatrixDerivations:
             "row_sums": grid_points if family == "normal" else replications,
             "variance_function": 0 if family == "normal" else replications,
             "loss_rows": replications,
-            "oracle_loss_rows": replications,
+            "oracle_loss_rows": 0,
             "centered_row_norms": replications,
         }
 
